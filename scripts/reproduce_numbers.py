@@ -69,8 +69,9 @@ def main() -> None:
             print(f"  tau = {tau * 1e6:4.1f} us, dz = {dz * 1e6:6.3f} um:  P = {p:.4f}")
 
     print("\n== phase-space selection cell ==")
-    band1 = mw.band_from_first_pulse(p1, cfg, DELTA_T)
-    band2 = mw.band_from_second_pulse(p2, cfg)
+    sel1 = mw.select(p1, cfg, delta_t=DELTA_T)
+    band1 = mw.band_from_first_pulse(sel1, cfg, DELTA_T)
+    band2 = mw.band_from_second_pulse(mw.select(p2, cfg))
     cell = mw.selection_cell(band1, band2)
     print(f"v_center  = {cell.v_center * 1e3:+.4f} mm/s at the second pulse")
     print(f"v support = {cell.velocity_support * 1e3:.4f} mm/s, "
@@ -90,7 +91,7 @@ def main() -> None:
           f"(cell support {cell.velocity_support * 1e3:.4f} mm/s)")
 
     print("\n== field stability ==")
-    budget = mw.stability_budget(p1, cfg, displacement=Z2)
+    budget = mw.stability_budget(sel1, cfg, displacement=Z2)
     print(f"bias tolerance:      {budget.bias_tolerance_G * 1e3:.3f} mG")
     print(f"gradient tolerance:  {budget.gradient_fraction:.3e} fractional "
           f"over {budget.displacement_m * 100:.0f} cm")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .breit_rabi import FieldConfig, resonant_position
+from .breit_rabi import FieldConfig
 from .constants import CONST
 from .errors import ZeroGradientError
-from .selection import PulseSpec, position_width
+from .selection import SelectionResult
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,9 @@ class StabilityBudget:
 
 
 def stability_budget(
-    pulse: PulseSpec,
-    cfg: FieldConfig,
-    displacement: float,
-    bracket: tuple[float, float] = (-1.0, 1.0),
+    sel: SelectionResult, cfg: FieldConfig, displacement: float
 ) -> StabilityBudget:
-    """Field-stability tolerances for one pulse.
+    """Field-stability tolerances for one resolved pulse.
 
     A bias change dB shifts the resonance by dB/eta, so the position
     budget delta_z/2 translates to a bias budget (delta_z/2)*eta and to
@@ -162,11 +159,10 @@ def stability_budget(
         raise ValueError("displacement must be positive")
     if cfg.eta == 0.0:
         raise ZeroGradientError("stability budget requires a nonzero gradient")
-    z_c = resonant_position(pulse.omega_A, pulse.branch, cfg, bracket=bracket)
-    width = position_width(pulse, cfg, z_c)
+    width = sel.position_width
     bias_tol = 0.5 * width * abs(cfg.eta)
     return StabilityBudget(
-        rabi_rad_s=pulse.rabi_at_resonance,
+        rabi_rad_s=sel.rabi_at_resonance,
         position_width_m=width,
         bias_tolerance_T=bias_tol,
         bias_tolerance_G=bias_tol * 1e4,

@@ -17,6 +17,7 @@ kappa * z with kappa = g_sum * eta / (hbar * delta_W).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .constants import CONST, AtomSpecies
 from .errors import NoBracketError, ZeroGradientError
 
-_BISECTION_WIDTH = 1e-12  # m, bracket width before the Newton polish
+_POSITION_RANGE = (-1.0, 1.0)  # m, where resonant_position looks for a root
 
 
 class Level(enum.Enum):
@@ -188,58 +189,55 @@ def d_transition_dz(branch: StretchedBranch, z, cfg: FieldConfig):
 
 
 def resonant_position(
-    omega_A: float,
-    branch: StretchedBranch,
-    cfg: FieldConfig,
-    bracket: tuple[float, float] = (-1.0, 1.0),
+    omega_A: float, branch: StretchedBranch, cfg: FieldConfig
 ) -> float:
-    """Position (m) where the transition frequency equals omega_A.
+    """Position (m) in [-1, 1] m where the transition frequency equals omega_A.
 
-    Bisects the bracket down to 1e-12 m and polishes with Newton steps
-    using the analytic derivative.  Requires a nonzero gradient and a
-    bracket over which the transition frequency actually straddles
-    omega_A (it is monotonic in z at low field for fixed sigma).
+    Closed form, no iteration.  In units of delta_W the transition is
+    1/2 + b*u + sqrt(1 + 2*r*u + u^2)/2 with u = sigma*x, b = gamma1 +
+    F-*gamma2 and r = F-/F+.  With c = omega_A/delta_W - 1/2, resonance
+    means sqrt(1 + 2*r*u + u^2) = 2*(c - b*u); squaring gives
+
+        (1 - 4*b^2)*u^2 + (2*r + 8*b*c)*u + (1 - 4*c^2) = 0,
+
+    whose roots are taken in the cancellation-free form
+    q = -(B + sign(B)*sqrt(B^2 - 4*A*C))/2, u in {C/q, q/A} (A vanishes,
+    leaving a linear equation, only when g_I = 0).  A root with
+    c - b*u < 0 solves only the squared equation and is dropped; of the
+    rest the one inside the range is kept, and z = (sigma*u - x(0))/kappa.
+
+    Raises ZeroGradientError for a zero gradient, and NoBracketError
+    unless the transition frequencies at the two ends of the range
+    straddle omega_A, which leaves exactly one root inside it.
     """
-    if kappa(cfg) == 0.0:
+    k = kappa(cfg)
+    if k == 0.0:
         raise ZeroGradientError("resonant_position requires a nonzero gradient")
-    za, zb = bracket
-    if not zb > za:
-        raise ValueError("bracket must satisfy bracket[0] < bracket[1]")
-
-    def f(z: float) -> float:
-        return float(transition_angular_frequency(branch, z, cfg)) - omega_A
-
-    fa, fb = f(za), f(zb)
+    za, zb = _POSITION_RANGE
+    fa, fb = (
+        float(transition_angular_frequency(branch, z, cfg)) - omega_A
+        for z in _POSITION_RANGE
+    )
     if fa == 0.0:
         return za
     if fb == 0.0:
         return zb
-    if fa * fb > 0.0:
+    if not fa * fb < 0.0:  # also rejects a NaN frequency
         lo, hi = sorted((fa + omega_A, fb + omega_A))
         raise NoBracketError(
             f"omega_A = {omega_A:.6e} rad/s is outside the transition range "
             f"[{lo:.6e}, {hi:.6e}] attained on [{za:g}, {zb:g}] m"
         )
-    while zb - za > _BISECTION_WIDTH:
-        zm = 0.5 * (za + zb)
-        if zm <= za or zm >= zb:  # bracket at floating point resolution
-            break
-        fm = f(zm)
-        if fm == 0.0:
-            za = zb = zm
-            break
-        if fa * fm < 0.0:
-            zb = zm
-        else:
-            za, fa = zm, fm
-    z = 0.5 * (za + zb)
-    for _ in range(3):
-        slope = float(d_transition_dz(branch, z, cfg))
-        if slope == 0.0:
-            break
-        step = f(z) / slope
-        candidate = z - step
-        if candidate < za - _BISECTION_WIDTH or candidate > zb + _BISECTION_WIDTH:
-            break  # polish left the bracket, keep the bisection answer
-        z = candidate
-    return z
+    species, sc = cfg.species, cfg.scale
+    b = sc.gamma1 + species.f_minus * sc.gamma2
+    r = species.f_minus / species.f_plus
+    c = omega_A / species.delta_W - 0.5
+    qa, qb, qc = 1.0 - 4.0 * b * b, 2.0 * r + 8.0 * b * c, 1.0 - 4.0 * c * c
+    q = -0.5 * (qb + math.copysign(math.sqrt(qb * qb - 4.0 * qa * qc), qb))
+    roots = [qc / q] + ([q / qa] if qa else [])
+    x0 = float(field_coordinate(cfg, 0.0))
+    z = min(
+        ((branch.sigma * u - x0) / k for u in roots if c - b * u >= 0.0),
+        key=lambda z: abs(z - 0.5 * (za + zb)),
+    )
+    return z + 0.0  # +0.0 folds -0.0 into 0.0

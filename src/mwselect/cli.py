@@ -140,10 +140,10 @@ def cmd_select(run: RunConfig, args) -> None:
     except ConfigError:
         delta_t = None
     displacement = _displacement(run)
+    sels = [select(pulse, cfg, delta_t=delta_t) for pulse in pulses]
     per_pulse = []
-    for i, pulse in enumerate(pulses):
-        sel = select(pulse, cfg, delta_t=delta_t)
-        budget = app.stability_budget(pulse, cfg, displacement)
+    for i, (pulse, sel) in enumerate(zip(pulses, sels)):
+        budget = app.stability_budget(sel, cfg, displacement)
         entry = {
             "index": i,
             "t0_s": pulse.t0,
@@ -182,8 +182,8 @@ def cmd_select(run: RunConfig, args) -> None:
     if delta_t is None:
         result["note"] = "velocity widths need delta_t or two pulses"
     elif len(pulses) >= 2:
-        band1 = band_from_first_pulse(pulses[0], cfg, delta_t)
-        band2 = band_from_second_pulse(pulses[1], cfg)
+        band1 = band_from_first_pulse(sels[0], cfg, delta_t)
+        band2 = band_from_second_pulse(sels[1])
         cell = selection_cell(band1, band2)
         result["pair"] = {
             "delta_t_s": delta_t,
@@ -237,8 +237,8 @@ def cmd_bands(run: RunConfig, args) -> None:
     pulses = to_pulses(run, cfg)
     _require(len(pulses) >= 2, "bands command needs two pulses")
     delta_t = run.effective_delta_t()
-    band1 = band_from_first_pulse(pulses[0], cfg, delta_t)
-    band2 = band_from_second_pulse(pulses[1], cfg)
+    band1 = band_from_first_pulse(select(pulses[0], cfg), cfg, delta_t)
+    band2 = band_from_second_pulse(select(pulses[1], cfg))
     cell = selection_cell(band1, band2)
     poly = cell_polygon(cell)
     v_half = cell.velocity_support  # draw band edges over twice the cell extent
@@ -353,7 +353,7 @@ def cmd_coils(run: RunConfig, args) -> None:
     }
     pulses = to_pulses(run, cfg)
     if pulses:
-        budget = app.stability_budget(pulses[0], cfg, a.displacement)
+        budget = app.stability_budget(select(pulses[0], cfg), cfg, a.displacement)
         result["stability"] = {
             "criterion": budget.criterion,
             "rabi_rad_s": budget.rabi_rad_s,

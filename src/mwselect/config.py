@@ -84,7 +84,10 @@ def parse_quantity(value, kind: str, key: str = "value") -> float:
             f"{key}: unknown {kind} unit {parts[1]!r}; "
             f"allowed: {', '.join(sorted(table))}"
         )
-    return magnitude * scale
+    value_si = magnitude * scale
+    if not math.isfinite(value_si):
+        raise ConfigError(f"{key}: {value!r} is not a finite quantity")
+    return value_si
 
 
 def format_quantity(value: float, kind: str) -> str:
@@ -132,11 +135,16 @@ class _Section:
         if isinstance(raw, bool):
             raise ConfigError(f"{self._name}.{key}: expected a number, got {raw!r}")
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{self._name}.{key}: expected a number, got {raw!r}"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{self._name}.{key}: expected a finite number, got {raw!r}"
+            )
+        return value
 
     def text(self, key: str, default=_MISSING) -> str:
         raw = self.take(key, default)
@@ -559,9 +567,11 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
 
 def to_field_config(run: RunConfig) -> FieldConfig:
     """Physics-side field model for this run."""
-    return FieldConfig(
-        eta=run.field.gradient, bias=run.field.bias, species=get_species(run.species)
-    )
+    species = get_species(run.species)
+    try:
+        return FieldConfig(eta=run.field.gradient, bias=run.field.bias, species=species)
+    except ValueError as exc:
+        raise ConfigError(f"field: {exc}") from None
 
 
 def to_pulses(run: RunConfig, cfg: FieldConfig) -> tuple[PulseSpec, ...]:

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .breit_rabi import FieldConfig, Level, resonant_position
+from .breit_rabi import FieldConfig, Level
 from .dynamics import g_effective, spread_width
 from .errors import EmptyIntersectionError, LevelMismatchError
 from .probability import averaged_probability_batch, point_probability
-from .selection import PulseSpec, detuning, position_width
+from .selection import PulseSpec, SelectionResult, detuning, select
 
 _CHUNK = 8192  # atoms per vectorized batch
 _PARALLEL_TOL = 1e-15
@@ -56,10 +56,7 @@ class PhaseSpaceBand:
 
 
 def band_from_first_pulse(
-    pulse: PulseSpec,
-    cfg: FieldConfig,
-    delta_t: float,
-    bracket: tuple[float, float] = (-1.0, 1.0),
+    sel: SelectionResult, cfg: FieldConfig, delta_t: float
 ) -> PhaseSpaceBand:
     """First pulse's acceptance band, pushed forward to the second pulse.
 
@@ -70,26 +67,20 @@ def band_from_first_pulse(
     """
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
-    z_c = resonant_position(pulse.omega_A, pulse.branch, cfg, bracket=bracket)
-    width = position_width(pulse, cfg, z_c)
-    g = g_effective(cfg.species, cfg.eta, Level.UPPER, pulse.branch.sigma)
+    g = g_effective(cfg.species, cfg.eta, Level.UPPER, sel.pulse.branch.sigma)
     return PhaseSpaceBand(
         a_z=1.0,
         a_v=-delta_t,
-        center=z_c + 0.5 * g * delta_t * delta_t,
-        half_width=0.5 * width,
+        center=sel.z_center + 0.5 * g * delta_t * delta_t,
+        half_width=0.5 * sel.position_width,
     )
 
 
-def band_from_second_pulse(
-    pulse: PulseSpec,
-    cfg: FieldConfig,
-    bracket: tuple[float, float] = (-1.0, 1.0),
-) -> PhaseSpaceBand:
+def band_from_second_pulse(sel: SelectionResult) -> PhaseSpaceBand:
     """Second pulse's band: a vertical position slice at its own time."""
-    z_c = resonant_position(pulse.omega_A, pulse.branch, cfg, bracket=bracket)
-    width = position_width(pulse, cfg, z_c)
-    return PhaseSpaceBand(a_z=1.0, a_v=0.0, center=z_c, half_width=0.5 * width)
+    return PhaseSpaceBand(
+        a_z=1.0, a_v=0.0, center=sel.z_center, half_width=0.5 * sel.position_width
+    )
 
 
 @dataclass(frozen=True)
@@ -445,8 +436,8 @@ def run_monte_carlo(
             z_final[idx[ok2]] = z2[ok2]
             v_final[idx[ok2]] = v2[ok2]
 
-    band1 = band_from_first_pulse(pulse_first, cfg, delta_t)
-    band2 = band_from_second_pulse(pulse_second, cfg)
+    band1 = band_from_first_pulse(select(pulse_first, cfg), cfg, delta_t)
+    band2 = band_from_second_pulse(select(pulse_second, cfg))
     cell = selection_cell(band1, band2)
     return MonteCarloResult(
         z0=z0,

@@ -27,9 +27,6 @@ from .breit_rabi import (
 from .constants import CONST, AtomSpecies
 from .errors import ZeroGradientError
 
-_COUPLING_MODELS = ("pi_pulse_calibrated",)
-
-
 @dataclass(frozen=True)
 class PulseSpec:
     """One square microwave pulse addressing a stretched pair.
@@ -43,18 +40,12 @@ class PulseSpec:
     tau: float
     omega_A: float
     branch: StretchedBranch
-    coupling_model: str = "pi_pulse_calibrated"
 
     def __post_init__(self) -> None:
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
         if self.omega_A <= 0.0:
             raise ValueError("omega_A must be positive")
-        if self.coupling_model not in _COUPLING_MODELS:
-            raise ValueError(
-                f"unknown coupling model {self.coupling_model!r}; "
-                f"supported: {_COUPLING_MODELS}"
-            )
 
     @property
     def coupling_omega0(self) -> float:
@@ -99,7 +90,10 @@ def position_width(pulse: PulseSpec, cfg: FieldConfig, z_center: float) -> float
     Rabi frequency, so the width is 2*(pi/tau) divided by the local
     frequency gradient, evaluated with the exact analytic slope.
     """
-    slope = float(d_transition_dz(pulse.branch, z_center, cfg))
+    return _width_at_slope(pulse, float(d_transition_dz(pulse.branch, z_center, cfg)))
+
+
+def _width_at_slope(pulse: PulseSpec, slope: float) -> float:
     if slope == 0.0:
         raise ZeroGradientError("position width is undefined at zero slope")
     return 2.0 * pulse.rabi_at_resonance / abs(slope)
@@ -188,11 +182,13 @@ def validity_diagnostic(
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Widths selected by one pulse, all in SI units.
+    """One pulse resolved: its resonance and the widths it selects, in SI units.
 
-    velocity fields are None when no pulse gap was supplied.
+    pulse is the spec that was resolved; velocity fields are None when no
+    pulse gap was supplied.
     """
 
+    pulse: PulseSpec
     z_center: float
     position_width: float
     position_width_low_field: float
@@ -206,11 +202,15 @@ def select(
     pulse: PulseSpec,
     cfg: FieldConfig,
     delta_t: float | None = None,
-    bracket: tuple[float, float] = (-1.0, 1.0),
 ) -> SelectionResult:
-    """Locate the resonant position of a pulse and the widths it selects."""
-    z_c = resonant_position(pulse.omega_A, pulse.branch, cfg, bracket=bracket)
-    width = position_width(pulse, cfg, z_c)
+    """Locate the resonant position of a pulse and the widths it selects.
+
+    The bands, the selection cell and the stability budget read the
+    result instead of solving for the resonance again.
+    """
+    z_c = resonant_position(pulse.omega_A, pulse.branch, cfg)
+    slope = float(d_transition_dz(pulse.branch, z_c, cfg))
+    width = _width_at_slope(pulse, slope)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         width_lf = position_width_low_field(
@@ -218,11 +218,12 @@ def select(
         )
     v_width = velocity_width(width, delta_t) if delta_t is not None else None
     return SelectionResult(
+        pulse=pulse,
         z_center=z_c,
         position_width=width,
         position_width_low_field=width_lf,
         rabi_at_resonance=pulse.rabi_at_resonance,
-        transition_slope=float(d_transition_dz(pulse.branch, z_c, cfg)),
+        transition_slope=slope,
         velocity_width=v_width,
         delta_t=delta_t,
     )

@@ -125,8 +125,8 @@ def test_criterion_6_trajectory_apex(cfg, rb87, report):
 
 
 def test_criterion_7_selection_cell(cfg, pulse_first, pulse_second, report):
-    band1 = mw.band_from_first_pulse(pulse_first, cfg, DELTA_T)
-    band2 = mw.band_from_second_pulse(pulse_second, cfg)
+    band1 = mw.band_from_first_pulse(mw.select(pulse_first, cfg), cfg, DELTA_T)
+    band2 = mw.band_from_second_pulse(mw.select(pulse_second, cfg))
     cell = mw.selection_cell(band1, band2)
     dv10 = mw.velocity_width(mw.position_width(pulse_first, cfg, 0.0), DELTA_T)
     v, density = mw.marginal_velocity(cell, resolution=4097)
@@ -147,8 +147,8 @@ def test_criterion_7_selection_cell(cfg, pulse_first, pulse_second, report):
 
 
 def test_criterion_8_stability_budget(cfg, pulse_first, report):
-    budget = mw.stability_budget(pulse_first, cfg, displacement=1e-2)
-    halved = mw.stability_budget(_pulse(cfg, 0.0, TAU / 2), cfg,
+    budget = mw.stability_budget(mw.select(pulse_first, cfg), cfg, displacement=1e-2)
+    halved = mw.stability_budget(mw.select(_pulse(cfg, 0.0, TAU / 2), cfg), cfg,
                                  displacement=1e-2)
     ok = (
         0.5e-3 <= budget.gradient_fraction <= 2e-3
@@ -221,8 +221,8 @@ def test_criterion_9_numerical_properties(cfg, rb87, pulse_first, pulse_second, 
     checks.append(("1/2/8-way determinism", identical, "byte-identical"))
 
     # survivors of a wide cloud map out the analytic velocity cell
-    band1 = mw.band_from_first_pulse(pulse_first, cfg, DELTA_T)
-    band2 = mw.band_from_second_pulse(pulse_second, cfg)
+    band1 = mw.band_from_first_pulse(mw.select(pulse_first, cfg), cfg, DELTA_T)
+    band2 = mw.band_from_second_pulse(mw.select(pulse_second, cfg))
     cell = mw.selection_cell(band1, band2)
     g = mw.g_effective(rb87, cfg.eta, Level.UPPER, 1)
     wide = mw.EnsembleSpec(

@@ -89,7 +89,7 @@ def test_shifted_zero_folds_bias(rb87):
 
 
 def test_stability_budget_identities(cfg, pulse_first):
-    budget = mw.stability_budget(pulse_first, cfg, displacement=1e-2)
+    budget = mw.stability_budget(mw.select(pulse_first, cfg), cfg, displacement=1e-2)
     dz = mw.position_width(pulse_first, cfg, 0.0)
     assert budget.position_width_m == pytest.approx(dz, rel=1e-12)
     assert budget.bias_tolerance_T == pytest.approx(0.5 * dz * cfg.eta, rel=1e-12)
@@ -107,8 +107,8 @@ def test_stability_budget_scales_with_pulse_length(cfg, rb87):
                                      branch=mw.StretchedBranch(1))
     long = mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=10e-6,
                                     branch=mw.StretchedBranch(1))
-    b_short = mw.stability_budget(short, cfg, displacement=1e-2)
-    b_long = mw.stability_budget(long, cfg, displacement=1e-2)
+    b_short = mw.stability_budget(mw.select(short, cfg), cfg, displacement=1e-2)
+    b_long = mw.stability_budget(mw.select(long, cfg), cfg, displacement=1e-2)
     assert b_short.bias_tolerance_T == pytest.approx(2 * b_long.bias_tolerance_T,
                                                      rel=1e-12)
     assert b_short.gradient_fraction == pytest.approx(2 * b_long.gradient_fraction,
@@ -117,11 +117,11 @@ def test_stability_budget_scales_with_pulse_length(cfg, rb87):
 
 def test_stability_budget_rejects_zero_gradient(rb87, pulse_first):
     flat = mw.FieldConfig(eta=0.0, bias=1e-4, species=rb87)
+    sel = mw.select(pulse_first, mw.FieldConfig(0.25, 0.0, rb87))
     with pytest.raises(mw.ZeroGradientError):
-        mw.stability_budget(pulse_first, flat, displacement=1e-2)
+        mw.stability_budget(sel, flat, displacement=1e-2)
     with pytest.raises(ValueError):
-        mw.stability_budget(pulse_first, mw.FieldConfig(0.25, 0.0, rb87),
-                            displacement=0.0)
+        mw.stability_budget(sel, mw.FieldConfig(0.25, 0.0, rb87), displacement=0.0)
 
 
 def test_coil_validation():

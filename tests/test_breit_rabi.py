@@ -14,6 +14,7 @@ energy is a 1x1 matrix element.  None of the closed forms under test
 appear here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -173,6 +174,63 @@ def test_resonant_position_reports_attainable_range(cfg, branch):
     with pytest.raises(mw.NoBracketError) as err:
         mw.resonant_position(10.0 * cfg.species.delta_W, branch, cfg)
     assert "outside the transition range" in str(err.value)
+
+
+def _bisect_resonance(omega_A, branch, cfg):
+    """Oracle: plain bisection of transition(z) - omega_A on [-1, 1] m to 1e-15 m."""
+    za, zb = -1.0, 1.0
+    fa = float(mw.transition_angular_frequency(branch, za, cfg)) - omega_A
+    while zb - za > 1e-15:
+        zm = 0.5 * (za + zb)
+        fm = float(mw.transition_angular_frequency(branch, zm, cfg)) - omega_A
+        if (fm < 0.0) == (fa < 0.0):
+            za, fa = zm, fm
+        else:
+            zb = zm
+    return 0.5 * (za + zb)
+
+
+@pytest.mark.parametrize("name", ["Rb87", "Rb85", "Na23", "Cs133"])
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("eta,bias", [(0.25, 0.0), (0.25, 2e-5), (2.0, -1e-4)])
+def test_resonant_position_matches_bisection(name, sigma, eta, bias):
+    cfg = mw.FieldConfig(eta=eta, bias=bias, species=mw.get_species(name))
+    branch = mw.StretchedBranch(sigma)
+    ends = mw.transition_angular_frequency(branch, np.array([-1.0, 1.0]), cfg)
+    for z_true in np.linspace(-0.9, 0.9, 19):
+        omega = float(mw.transition_angular_frequency(branch, z_true, cfg))
+        if not min(ends) < omega < max(ends):
+            # attained twice (Na23 at 2 T/m has a minimum in range)
+            with pytest.raises(mw.NoBracketError):
+                mw.resonant_position(omega, branch, cfg)
+            continue
+        z = mw.resonant_position(omega, branch, cfg)
+        assert abs(z - _bisect_resonance(omega, branch, cfg)) <= 1e-12
+
+
+def test_resonant_position_drops_root_of_squared_equation():
+    # with g_I < 0 the squared resonance condition has a second real root
+    # the transition never attains; at 50 T/m it lies nearer z = 0
+    species = dataclasses.replace(mw.get_species("Rb87"), name="X", g_I=-1.8272317)
+    cfg = mw.FieldConfig(eta=50.0, bias=0.0, species=species)
+    branch = mw.StretchedBranch(1)
+    for z_true in (-0.9, -0.5, 0.3):
+        omega = float(mw.transition_angular_frequency(branch, z_true, cfg))
+        z = mw.resonant_position(omega, branch, cfg)
+        assert abs(z - _bisect_resonance(omega, branch, cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("end,factor", [(-1.0, 0.999), (1.0, 1.001)])
+def test_resonant_position_rejects_frequencies_outside_range(cfg, branch, end, factor):
+    omega = factor * float(mw.transition_angular_frequency(branch, end, cfg))
+    with pytest.raises(mw.NoBracketError):
+        mw.resonant_position(omega, branch, cfg)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_resonance_at_field_zero_is_positive_zero(cfg, sigma):
+    z = mw.resonant_position(cfg.species.delta_W, mw.StretchedBranch(sigma), cfg)
+    assert z == 0.0 and math.copysign(1.0, z) == 1.0
 
 
 def test_stretched_branch_validation():

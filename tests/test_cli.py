@@ -236,6 +236,28 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys, argv_tail, needle):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,override",
+    [
+        ("select", "pulses.0.tau=nan us"),
+        ("select", "field.bias=nan T"),
+        ("select", "field.gradient=inf G/cm"),
+        ("simulate", "ensemble.dz0=nan m"),
+        ("simulate", "ensemble.z_rms=inf m"),
+        ("probability", "quadrature.window_sigmas=.nan"),
+        ("probability", "quadrature.rel_tol=.nan"),
+    ],
+)
+def test_non_finite_values_exit_2(config_path, tmp_path, capsys, command, override):
+    argv = [command, str(config_path), "--set", override, "-o", str(tmp_path / "o")]
+    if command == "simulate":
+        argv += ["--csv", str(tmp_path / "atoms.csv")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "finite" in err and "Traceback" not in err
+
+
 def test_missing_sections_exit_2(tmp_path, capsys):
     data = {"species": "Rb87", "field": {"gradient": "25 G/cm"}}
     p = tmp_path / "min.yaml"

@@ -12,8 +12,8 @@ DELTA_T = 28e-3
 
 @pytest.fixture(scope="module")
 def bands(cfg, pulse_first, pulse_second):
-    b1 = mw.band_from_first_pulse(pulse_first, cfg, DELTA_T)
-    b2 = mw.band_from_second_pulse(pulse_second, cfg)
+    b1 = mw.band_from_first_pulse(mw.select(pulse_first, cfg), cfg, DELTA_T)
+    b2 = mw.band_from_second_pulse(mw.select(pulse_second, cfg))
     return b1, b2
 
 

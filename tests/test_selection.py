@@ -127,8 +127,6 @@ def test_pulse_validation(cfg, branch):
         mw.PulseSpec(t0=0.0, tau=-1e-6, omega_A=1e9, branch=branch)
     with pytest.raises(ValueError):
         mw.PulseSpec(t0=0.0, tau=1e-6, omega_A=-1e9, branch=branch)
-    with pytest.raises(ValueError):
-        mw.PulseSpec(t0=0.0, tau=1e-6, omega_A=1e9, branch=branch, coupling_model="x")
 
 
 def test_width_requires_gradient(rb87, branch):
