@@ -214,16 +214,14 @@ def resonant_position(
     if k == 0.0:
         raise ZeroGradientError("resonant_position requires a nonzero gradient")
     za, zb = _POSITION_RANGE
-    fa, fb = (
-        float(transition_angular_frequency(branch, z, cfg)) - omega_A
-        for z in _POSITION_RANGE
-    )
+    ends = [float(transition_angular_frequency(branch, z, cfg)) for z in (za, zb)]
+    fa, fb = (f - omega_A for f in ends)
     if fa == 0.0:
         return za
     if fb == 0.0:
         return zb
     if not fa * fb < 0.0:  # also rejects a NaN frequency
-        lo, hi = sorted((fa + omega_A, fb + omega_A))
+        lo, hi = sorted(ends)
         raise NoBracketError(
             f"omega_A = {omega_A:.6e} rad/s is outside the transition range "
             f"[{lo:.6e}, {hi:.6e}] attained on [{za:g}, {zb:g}] m"

@@ -299,9 +299,7 @@ def cmd_simulate(run: RunConfig, args) -> None:
         csv_path is not None,
         "simulate needs a per-atom CSV path (output.csv in the config or --csv)",
     )
-    result = run_monte_carlo(
-        spec, pulses[0], pulses[1], cfg, delta_t, workers=run.workers
-    )
+    result = run_monte_carlo(spec, pulses[0], pulses[1], cfg, delta_t)
     _emit(simulation_csv(result), csv_path)
     summary = result.summary()
     inside = result.cell.contains(result.z_final, result.v_final)

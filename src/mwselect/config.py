@@ -190,20 +190,6 @@ class PulseEntry:
 
 
 @dataclass(frozen=True)
-class EnsembleEntry:
-    n: int
-    z_mean: float
-    z_rms: float
-    v_mean: float
-    v_rms: float
-    dz0: float
-    seed: int
-    probability_mode: str = "averaged"
-    decision_mode: str = "bernoulli"
-    survival_efficiency: float = 1.0
-
-
-@dataclass(frozen=True)
 class ScanEntry:
     z_min: float
     z_max: float
@@ -248,18 +234,17 @@ class RunConfig:
     sigma: int = 1
     delta_t: float | None = None
     pulses: tuple[PulseEntry, ...] = ()
-    ensemble: EnsembleEntry | None = None
+    ensemble: EnsembleSpec | None = None
     scan: ScanEntry | None = None
     apparatus: ApparatusEntry | None = None
     quadrature: QuadratureSettings = field(default_factory=QuadratureSettings)
     output: OutputEntry = field(default_factory=OutputEntry)
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.sigma not in (1, -1):
             raise ConfigError("sigma must be +1 or -1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if self.ensemble is not None and self.ensemble.sigma != self.sigma:
+            raise ConfigError("ensemble sigma must equal the top-level sigma")
         if self.delta_t is not None and self.delta_t <= 0.0:
             raise ConfigError("delta_t must be positive")
         if self.delta_t is not None and len(self.pulses) >= 2:
@@ -299,6 +284,8 @@ def from_dict(data: dict) -> RunConfig:
     fsec.finish()
 
     sigma = top.integer("sigma", default=1)
+    if sigma not in (1, -1):
+        raise ConfigError("sigma must be +1 or -1")
     delta_t_raw = top.take("delta_t", default=None)
     delta_t = (
         parse_quantity(delta_t_raw, "time", key="delta_t")
@@ -335,7 +322,7 @@ def from_dict(data: dict) -> RunConfig:
     edata = top.take("ensemble", default=None)
     if edata is not None:
         esec = _Section(edata, "ensemble")
-        ensemble = EnsembleEntry(
+        values = dict(
             n=esec.integer("n"),
             z_mean=esec.quantity("z_mean", "length", default=0.0),
             z_rms=esec.quantity("z_rms", "length"),
@@ -348,6 +335,10 @@ def from_dict(data: dict) -> RunConfig:
             survival_efficiency=esec.number("survival_efficiency", default=1.0),
         )
         esec.finish()
+        try:
+            ensemble = EnsembleSpec(sigma=sigma, **values)
+        except ValueError as exc:
+            raise ConfigError(f"ensemble: {exc}") from None
 
     scan = None
     sdata = top.take("scan", default=None)
@@ -376,15 +367,16 @@ def from_dict(data: dict) -> RunConfig:
     qdata = top.take("quadrature", default=None)
     if qdata is not None:
         qsec = _Section(qdata, "quadrature")
+        values = dict(
+            window_sigmas=qsec.number("window_sigmas", default=8.0),
+            rel_tol=qsec.number("rel_tol", default=1e-10),
+            max_subdivisions=qsec.integer("max_subdivisions", default=32768),
+        )
+        qsec.finish()
         try:
-            quad = QuadratureSettings(
-                window_sigmas=qsec.number("window_sigmas", default=8.0),
-                rel_tol=qsec.number("rel_tol", default=1e-10),
-                max_subdivisions=qsec.integer("max_subdivisions", default=32768),
-            )
+            quad = QuadratureSettings(**values)
         except ValueError as exc:
             raise ConfigError(f"quadrature: {exc}") from None
-        qsec.finish()
     else:
         quad = QuadratureSettings()
 
@@ -398,10 +390,9 @@ def from_dict(data: dict) -> RunConfig:
     else:
         output = OutputEntry()
 
-    workers = top.integer("workers", default=1)
     top.finish()
 
-    run = RunConfig(
+    return RunConfig(
         species=species_name,
         field=field_entry,
         sigma=sigma,
@@ -412,14 +403,7 @@ def from_dict(data: dict) -> RunConfig:
         apparatus=apparatus,
         quadrature=quad,
         output=output,
-        workers=workers,
     )
-    if run.ensemble is not None:
-        try:
-            to_ensemble_spec(run)  # full validation of modes and ranges
-        except ValueError as exc:
-            raise ConfigError(f"ensemble: {exc}") from None
-    return run
 
 
 def to_dict(run: RunConfig) -> dict:
@@ -488,7 +472,6 @@ def to_dict(run: RunConfig) -> dict:
         if run.output.json is not None:
             od["json"] = run.output.json
         out["output"] = od
-    out["workers"] = run.workers
     return out
 
 
@@ -507,6 +490,8 @@ def apply_overrides(data: dict, assignments: list[str]) -> dict:
             value = yaml.safe_load(raw_value)
         except yaml.YAMLError:
             value = raw_value
+        except ValueError as exc:  # e.g. an integer past Python's digit limit
+            raise ConfigError(f"--set {path}: {exc}") from None
         keys = path.split(".")
         node = data
         for j, key in enumerate(keys[:-1]):
@@ -554,7 +539,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"invalid YAML in {p}: {exc}") from None
     if data is None:
         data = {}
@@ -599,17 +584,4 @@ def to_ensemble_spec(run: RunConfig) -> EnsembleSpec:
     """Monte Carlo ensemble for this run (sigma comes from the top level)."""
     if run.ensemble is None:
         raise ConfigError("this command needs an 'ensemble' section")
-    e = run.ensemble
-    return EnsembleSpec(
-        n=e.n,
-        z_mean=e.z_mean,
-        z_rms=e.z_rms,
-        v_mean=e.v_mean,
-        v_rms=e.v_rms,
-        dz0=e.dz0,
-        seed=e.seed,
-        sigma=run.sigma,
-        probability_mode=e.probability_mode,
-        decision_mode=e.decision_mode,
-        survival_efficiency=e.survival_efficiency,
-    )
+    return run.ensemble

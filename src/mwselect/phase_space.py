@@ -337,17 +337,20 @@ class MonteCarloResult:
         return out
 
 
-def _atom_draws(seed: int, index: int, spec: EnsembleSpec):
-    """Fixed six-draw layout on the atom's private counter-based stream.
+def _draws(spec: EnsembleSpec) -> tuple[np.ndarray, ...]:
+    """Initial z, v and the four decision uniforms u1, e1, u2, e2.
 
-    One stream per atom keyed by (seed, index) makes every atom's draw
-    sequence independent of batching, worker count and atom order.
+    Each quantity has its own counter-based stream keyed by (seed, k)
+    and filled in atom order, so atom i always gets element i: the draws
+    do not depend on n or on how the atoms are later chunked.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
-    z = spec.z_mean + spec.z_rms * rng.standard_normal()
-    v = spec.v_mean + spec.v_rms * rng.standard_normal()
-    u1, e1, u2, e2 = rng.random(4)
-    return z, v, u1, e1, u2, e2
+    streams = [
+        np.random.Generator(np.random.Philox(key=[spec.seed, k])) for k in range(6)
+    ]
+    n = spec.n
+    z = spec.z_mean + spec.z_rms * streams[0].standard_normal(n)
+    v = spec.v_mean + spec.v_rms * streams[1].standard_normal(n)
+    return (z, v, *(rng.random(n) for rng in streams[2:]))
 
 
 def _accept(
@@ -376,17 +379,14 @@ def run_monte_carlo(
     pulse_second: PulseSpec,
     cfg: FieldConfig,
     delta_t: float,
-    workers: int = 1,
 ) -> MonteCarloResult:
     """Sample the cloud through both pulses.
 
-    workers only partitions the atom index range into contiguous blocks
-    (as a parallel scheduler would); results are bit-identical for any
-    worker count because every atom owns its random stream and all
-    per-atom arithmetic is row-independent.
+    Atoms are processed in chunks of _CHUNK to bound the size of the
+    quadrature arrays; results are bit-identical for any chunk size
+    because all draws are made up front and all per-atom arithmetic is
+    row-independent.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
     for pulse in (pulse_first, pulse_second):
@@ -401,40 +401,30 @@ def run_monte_carlo(
         )
 
     n = spec.n
-    z0 = np.empty(n)
-    v0 = np.empty(n)
-    u1 = np.empty(n)
-    e1 = np.empty(n)
-    u2 = np.empty(n)
-    e2 = np.empty(n)
-    for i in range(n):
-        z0[i], v0[i], u1[i], e1[i], u2[i], e2[i] = _atom_draws(spec.seed, i, spec)
+    z0, v0, u1, e1, u2, e2 = _draws(spec)
 
     dz_first = spec.dz0
     dz_second = spread_width(spec.dz0, delta_t, cfg.species)
     g = g_effective(cfg.species, cfg.eta, Level.UPPER, spec.sigma)
 
-    survived_first = np.zeros(n, dtype=bool)
-    survived_both = np.zeros(n, dtype=bool)
-    z_final = np.full(n, np.nan)
-    v_final = np.full(n, np.nan)
+    survived_first = np.empty(n, dtype=bool)
+    survived_both = np.empty(n, dtype=bool)
+    z_final = np.empty(n)
+    v_final = np.empty(n)
 
-    for block in np.array_split(np.arange(n), workers):
-        for start in range(0, block.size, _CHUNK):
-            idx = block[start : start + _CHUNK]
-            if idx.size == 0:
-                continue
-            z = z0[idx]
-            v = v0[idx]
-            ok1 = _accept(u1[idx], e1[idx], z, dz_first, pulse_first, cfg, spec)
-            z2 = z + v * delta_t - 0.5 * g * delta_t * delta_t
-            v2 = v - g * delta_t
-            ok2 = _accept(u2[idx], e2[idx], z2, dz_second, pulse_second, cfg, spec)
-            ok2 &= ok1
-            survived_first[idx] = ok1
-            survived_both[idx] = ok2
-            z_final[idx[ok2]] = z2[ok2]
-            v_final[idx[ok2]] = v2[ok2]
+    for start in range(0, n, _CHUNK):
+        idx = slice(start, start + _CHUNK)
+        z = z0[idx]
+        v = v0[idx]
+        ok1 = _accept(u1[idx], e1[idx], z, dz_first, pulse_first, cfg, spec)
+        z2 = z + v * delta_t - 0.5 * g * delta_t * delta_t
+        v2 = v - g * delta_t
+        ok2 = _accept(u2[idx], e2[idx], z2, dz_second, pulse_second, cfg, spec)
+        ok2 &= ok1
+        survived_first[idx] = ok1
+        survived_both[idx] = ok2
+        z_final[idx] = np.where(ok2, z2, np.nan)
+        v_final[idx] = np.where(ok2, v2, np.nan)
 
     band1 = band_from_first_pulse(select(pulse_first, cfg), cfg, delta_t)
     band2 = band_from_second_pulse(select(pulse_second, cfg))

@@ -204,9 +204,11 @@ def averaged_probability_batch(
 
     Fixed-order Gauss-Legendre version of transition_probability: one
     (n_centers, order) evaluation of the point probability, reduced row
-    by row, so a batch split across workers reproduces the unsplit
-    result bit for bit.  Accurate to better than 1e-10 at order 201 for
-    the smooth integrands that arise here.
+    by row, so a batch split into chunks reproduces the unsplit result
+    bit for bit.  No error estimate is made.  At order 201, against a
+    4M-point midpoint sum at 25 G/cm and tau = 10 us, the error is below
+    2e-12 for dz from 3 to 100 um, but 2.4e-2 at dz = 300 um, where the
+    window holds too many detuning oscillations for a fixed rule.
     """
     if dz <= 0.0:
         raise ValueError("dz must be positive")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mwselect as mw
+from mwselect import phase_space
 from mwselect.breit_rabi import Level
 from mwselect.constants import CONST
 
@@ -165,7 +166,9 @@ def test_criterion_8_stability_budget(cfg, pulse_first, report):
     )
 
 
-def test_criterion_9_numerical_properties(cfg, rb87, pulse_first, pulse_second, report):
+def test_criterion_9_numerical_properties(
+    cfg, rb87, pulse_first, pulse_second, report, monkeypatch
+):
     checks = []
 
     # analytic slope vs central differences at 1000 random positions
@@ -201,16 +204,18 @@ def test_criterion_9_numerical_properties(cfg, rb87, pulse_first, pulse_second, 
     checks.append(("quadrature vs Riemann", quad_rel < 1e-8,
                    f"rel {quad_rel:.2e}"))
 
-    # worker partitioning must not change a single byte
+    # the chunk size must not change a single byte
     spec = mw.EnsembleSpec(
         n=20000, z_mean=0.0, z_rms=1e-3, v_mean=0.7192, v_rms=1e-2,
         dz0=DZ0, seed=SEED,
     )
-    runs = [
-        mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T,
-                           workers=w)
-        for w in (1, 2, 8)
-    ]
+    runs = []
+    for chunk in (8192, 1024, 7):
+        monkeypatch.setattr(phase_space, "_CHUNK", chunk)
+        runs.append(
+            mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+        )
+    monkeypatch.undo()
     identical = all(
         r.z0.tobytes() == runs[0].z0.tobytes()
         and r.survived_both.tobytes() == runs[0].survived_both.tobytes()
@@ -218,7 +223,8 @@ def test_criterion_9_numerical_properties(cfg, rb87, pulse_first, pulse_second, 
         and r.v_final.tobytes() == runs[0].v_final.tobytes()
         for r in runs[1:]
     )
-    checks.append(("1/2/8-way determinism", identical, "byte-identical"))
+    checks.append(("8192/1024/7-atom chunk determinism", identical,
+                   "byte-identical"))
 
     # survivors of a wide cloud map out the analytic velocity cell
     band1 = mw.band_from_first_pulse(mw.select(pulse_first, cfg), cfg, DELTA_T)
@@ -230,8 +236,7 @@ def test_criterion_9_numerical_properties(cfg, rb87, pulse_first, pulse_second, 
         v_mean=cell.v_center + g * DELTA_T, v_rms=3e-3,
         dz0=DZ0, seed=SEED, decision_mode="band",
     )
-    result = mw.run_monte_carlo(wide, pulse_first, pulse_second, cfg, DELTA_T,
-                                workers=8)
+    result = mw.run_monte_carlo(wide, pulse_first, pulse_second, cfg, DELTA_T)
     kept_v = result.v_final[result.survived_both]
     ratio = (kept_v.max() - kept_v.min()) / cell.velocity_support
     checks.append((

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwselect import config as cf
 from mwselect.cli import main
@@ -182,21 +186,14 @@ def test_simulate_artifacts(config_path, tmp_path):
     assert survived == res["n_survived_both"]
 
 
-def test_simulate_worker_count_does_not_change_results(config_path, tmp_path):
-    outputs = {}
-    for w in (1, 8):
-        csv_out = tmp_path / f"atoms_{w}.csv"
-        json_out = tmp_path / f"sim_{w}.json"
-        rc = main([
-            "simulate", str(config_path), "--set", f"workers={w}",
-            "--csv", str(csv_out), "-o", str(json_out),
-        ])
-        assert rc == 0
-        result = _load_json(json_out)["result"]
-        result.pop("per_atom_csv")
-        outputs[w] = (csv_out.read_bytes(), result)
-    assert outputs[1][0] == outputs[8][0]
-    assert outputs[1][1] == outputs[8][1]
+def test_simulate_rejects_workers_key(config_path, tmp_path, capsys):
+    rc = main([
+        "simulate", str(config_path), "--set", "workers=8",
+        "--csv", str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "sim.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown keys 'workers'" in err and "Traceback" not in err
 
 
 def test_coils_json(config_path, tmp_path):
@@ -227,6 +224,7 @@ def test_shipped_configs_run_scan_and_select(tmp_path):
         (["--set", "unknown_section.x=1"], "unknown key"),
         (["--set", "ensemble.n=0"], "ensemble"),
         (["--set", "pulses.0.omega=6.8 GHz"], "exactly one"),
+        (["--set", "ensemble.n=" + "9" * 5000], "ensemble.n"),
     ],
 )
 def test_config_errors_exit_2(config_path, tmp_path, capsys, argv_tail, needle):
@@ -256,6 +254,22 @@ def test_non_finite_values_exit_2(config_path, tmp_path, capsys, command, overri
     err = capsys.readouterr().err
     assert rc == 2
     assert "finite" in err and "Traceback" not in err
+    # the section is named once, not once per wrapping layer
+    assert err.count(override.split(".")[0]) == 1
+
+
+def test_unreachable_frequency_reports_finite_range(config_path, tmp_path, capsys):
+    rc = main([
+        "select", str(config_path), "--set", "pulses.0.resonant_at=-1e300 m",
+        "-o", str(tmp_path / "o.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    match = re.search(r"transition range \[(\S+), (\S+)\]", err)
+    assert match is not None, err
+    lo, hi = (float(x) for x in match.groups())
+    assert np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi
+    assert "nan" not in err and "Traceback" not in err
 
 
 def test_missing_sections_exit_2(tmp_path, capsys):
@@ -305,3 +319,41 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def _leaf_paths(node, prefix=""):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix[:-1]]
+    return [p for k, v in items for p in _leaf_paths(v, f"{prefix}{k}.")]
+
+
+_SHIPPED = CONFIGS / "rb87_10us.yaml"
+_LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text()))
+_ALL_UNITS = sorted({u for table in cf._UNITS.values() for u in table})
+_OVERRIDE_VALUES = st.one_of(
+    st.builds(
+        "{} {}".format,
+        st.one_of(st.floats(), st.sampled_from(["nan", "inf", "-inf"])),
+        st.sampled_from(_ALL_UNITS),
+    ),
+    # capped so that scan.points or ensemble.n cannot allocate gigabytes;
+    # this limits resources and hides no defect
+    st.integers(-10, 10_000).map(str),
+    st.text(max_size=20),
+    st.sampled_from(["true", "false", "null"]),
+)
+
+
+@pytest.mark.parametrize("path", _LEAVES)
+@settings(max_examples=3, deadline=None)
+@given(value=_OVERRIDE_VALUES)
+def test_any_single_override_exits_cleanly(tmp_path_factory, path, value):
+    out = tmp_path_factory.getbasetemp() / "fuzz.out"
+    for command in ("scan", "select", "probability", "bands", "coils"):
+        argv = [command, str(_SHIPPED), "--set", f"{path}={value}", "-o", str(out)]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
@@ -97,7 +98,6 @@ class TestFromDict:
         assert run.sigma == 1
         assert run.delta_t is None
         assert run.pulses == ()
-        assert run.workers == 1
         assert run.quadrature == mw.QuadratureSettings()
 
     def test_unknown_species(self):
@@ -166,7 +166,7 @@ class TestFromDict:
     def test_sigma_and_workers_bounds(self):
         with pytest.raises(mw.ConfigError, match="sigma"):
             cf.from_dict(_minimal(sigma=0))
-        with pytest.raises(mw.ConfigError, match="workers"):
+        with pytest.raises(mw.ConfigError, match="unknown keys 'workers'"):
             cf.from_dict(_minimal(workers=0))
 
     def test_yaml_style_string_floats_accepted_for_plain_numbers(self):
@@ -209,12 +209,11 @@ class TestOverrides:
         data = _two_pulse()
         cf.apply_overrides(
             data,
-            ["field.gradient=12.5 G/cm", "pulses.1.resonant_at=2 cm", "workers=4"],
+            ["field.gradient=12.5 G/cm", "pulses.1.resonant_at=2 cm"],
         )
         run = cf.from_dict(data)
         assert run.field.gradient == 0.125
         assert run.pulses[1].resonant_at == 0.02
-        assert run.workers == 4
 
     def test_null_clears_a_key(self):
         data = _two_pulse()
@@ -256,6 +255,12 @@ class TestLoadAndResolve:
         p = tmp_path / "bad.yaml"
         p.write_text("- just\n- a\n- list\n")
         with pytest.raises(mw.ConfigError, match="mapping"):
+            cf.load_config(p)
+
+    def test_integer_past_digit_limit(self, tmp_path):
+        p = tmp_path / "big.yaml"
+        p.write_text("species: Rb87\nsigma: " + "9" * 5000 + "\n")
+        with pytest.raises(mw.ConfigError, match="invalid YAML"):
             cf.load_config(p)
 
     def test_pulses_resolve_against_field(self):
@@ -305,3 +310,15 @@ class TestLoadAndResolve:
         spec = cf.to_ensemble_spec(cf.from_dict(data))
         assert spec.sigma == -1
         assert spec.z_rms == 1e-3
+
+    def test_ensemble_sigma_must_match_run_sigma(self):
+        run = cf.from_dict(_minimal(
+            ensemble={
+                "n": 10, "z_rms": "1 mm", "v_rms": "1 cm/s", "dz0": "3 um",
+                "seed": 1,
+            },
+        ))
+        with pytest.raises(mw.ConfigError, match="top-level sigma"):
+            dataclasses.replace(run, sigma=-1)
+        with pytest.raises(mw.ConfigError, match="^sigma must be"):
+            cf.from_dict(_minimal(sigma=2, ensemble=cf.to_dict(run)["ensemble"]))

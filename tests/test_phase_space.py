@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import mwselect as mw
+from mwselect import phase_space
 from mwselect.breit_rabi import Level
-from mwselect.phase_space import _atom_draws
 
 DELTA_T = 28e-3
 
@@ -163,28 +163,30 @@ def test_ensemble_spec_validation():
         _ensemble(sigma=3)
 
 
-def test_atom_draws_are_keyed_by_index():
-    spec = _ensemble()
-    first = _atom_draws(spec.seed, 0, spec)
-    again = _atom_draws(spec.seed, 0, spec)
-    other = _atom_draws(spec.seed, 1, spec)
-    assert first == again
-    assert first != other
-    for u in first[2:]:
-        assert 0.0 <= u < 1.0
+def test_draws_are_a_prefix_of_longer_runs():
+    short = phase_space._draws(_ensemble(n=300))
+    long = phase_space._draws(_ensemble(n=1000))
+    other_seed = phase_space._draws(_ensemble(n=300, seed=8))
+    for a, b, c in zip(short, long, other_seed):
+        assert a.shape == (300,)
+        np.testing.assert_array_equal(a, b[:300])
+        assert not np.any(a == c)
+    for u in short[2:]:
+        assert np.all((0.0 <= u) & (u < 1.0))
 
 
-def test_monte_carlo_worker_partition_invariance(cfg, pulse_first, pulse_second):
+def test_monte_carlo_chunk_size_invariance(
+    monkeypatch, cfg, pulse_first, pulse_second
+):
     spec = _ensemble(n=300)
-    runs = [
-        mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T, workers=w)
-        for w in (1, 2, 8)
-    ]
+    runs = []
+    for chunk in (8192, 64, 7):
+        monkeypatch.setattr(phase_space, "_CHUNK", chunk)
+        runs.append(mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T))
+    assert runs[0].n_survived_both > 0
     for other in runs[1:]:
-        np.testing.assert_array_equal(runs[0].z0, other.z0)
-        np.testing.assert_array_equal(runs[0].survived_both, other.survived_both)
-        np.testing.assert_array_equal(runs[0].z_final, other.z_final)
-        np.testing.assert_array_equal(runs[0].v_final, other.v_final)
+        for name in ("survived_both", "z_final", "v_final"):
+            assert getattr(other, name).tobytes() == getattr(runs[0], name).tobytes()
 
 
 def test_monte_carlo_band_mode_survivors_fill_cell(cfg, pulse_first, pulse_second):
@@ -261,8 +263,6 @@ def test_monte_carlo_validates_timing_and_sigma(cfg, branch, pulse_first, pulse_
     )
     with pytest.raises(mw.LevelMismatchError):
         mw.run_monte_carlo(minus, pulse_first, pulse_second, cfg, DELTA_T)
-    with pytest.raises(ValueError):
-        mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T, workers=0)
 
 
 def test_apex_point_lies_in_both_bands(bands, cell):
