@@ -55,6 +55,7 @@ from .probability import transition_probability
 from .selection import select, validity_diagnostic
 
 _TWO_PI = 2.0 * np.pi
+_CSV_BLOCK = 4096  # atoms per block of the simulate CSV
 
 
 def _format_cell(value) -> str:
@@ -264,28 +265,32 @@ def cmd_bands(run: RunConfig, args) -> None:
 
 
 def simulation_csv(result: MonteCarloResult) -> str:
-    """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms."""
-    rows = zip(
-        range(result.n_total),
-        result.z0,
-        result.v0,
-        result.survived_first,
-        result.survived_both,
-        result.z_final,
-        result.v_final,
-    )
-    return _csv(
-        [
-            "atom_index",
-            "z0_m",
-            "v0_m_s",
-            "survived_first",
-            "survived_both",
-            "z_final_m",
-            "v_final_m_s",
-        ],
-        rows,
-    )
+    """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms.
+
+    Built column by column in blocks of _CSV_BLOCK atoms; the cells are
+    the ones _format_cell writes, and a lost atom's finals are written
+    as "nan" without formatting.
+    """
+    fmt = "{:.16e}".format
+    lines = [
+        "atom_index,z0_m,v0_m_s,survived_first,survived_both,z_final_m,v_final_m_s"
+    ]
+    for start in range(0, result.n_total, _CSV_BLOCK):
+        idx = slice(start, start + _CSV_BLOCK)
+        both = result.survived_both[idx].tolist()
+        finals = [
+            [fmt(x) if ok else "nan" for x, ok in zip(col[idx].tolist(), both)]
+            for col in (result.z_final, result.v_final)
+        ]
+        lines.extend(map(",".join, zip(
+            map(str, range(start, start + len(both))),
+            map(fmt, result.z0[idx].tolist()),
+            map(fmt, result.v0[idx].tolist()),
+            ("1" if ok else "0" for ok in result.survived_first[idx].tolist()),
+            ("1" if ok else "0" for ok in both),
+            *finals,
+        )))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(run: RunConfig, args) -> None:

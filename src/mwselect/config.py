@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .breit_rabi import FieldConfig, StretchedBranch
+from .breit_rabi import _POSITION_RANGE, FieldConfig, StretchedBranch
 from .constants import get_species
 from .errors import ConfigError, UnknownSpeciesError
 from .phase_space import EnsembleSpec
@@ -294,28 +294,29 @@ def from_dict(data: dict) -> RunConfig:
     )
 
     pulses = []
+    lo, hi = _POSITION_RANGE
     for i, pdata in enumerate(top.take("pulses", default=[]) or []):
         psec = _Section(pdata, f"pulses[{i}]")
         omega_raw = psec.take("omega", default=None)
         res_raw = psec.take("resonant_at", default=None)
-        pulses.append(
-            PulseEntry(
-                tau=psec.quantity("tau", "time"),
-                t0=psec.quantity("t0", "time"),
-                omega=(
-                    parse_quantity(
-                        omega_raw, "angular_frequency", key=f"pulses[{i}].omega"
-                    )
-                    if omega_raw is not None
-                    else None
-                ),
-                resonant_at=(
-                    parse_quantity(res_raw, "length", key=f"pulses[{i}].resonant_at")
-                    if res_raw is not None
-                    else None
-                ),
-            )
+        tau = psec.quantity("tau", "time")
+        t0 = psec.quantity("t0", "time")
+        omega = (
+            parse_quantity(omega_raw, "angular_frequency", key=f"pulses[{i}].omega")
+            if omega_raw is not None
+            else None
         )
+        resonant_at = (
+            parse_quantity(res_raw, "length", key=f"pulses[{i}].resonant_at")
+            if res_raw is not None
+            else None
+        )
+        if resonant_at is not None and not lo <= resonant_at <= hi:
+            raise ConfigError(
+                f"pulses[{i}].resonant_at: {res_raw!r} is outside the position "
+                f"range [{lo:g}, {hi:g}] m"
+            )
+        pulses.append(PulseEntry(tau=tau, t0=t0, omega=omega, resonant_at=resonant_at))
         psec.finish()
 
     ensemble = None

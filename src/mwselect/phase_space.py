@@ -23,7 +23,11 @@ import numpy as np
 from .breit_rabi import FieldConfig, Level
 from .dynamics import g_effective, spread_width
 from .errors import EmptyIntersectionError, LevelMismatchError
-from .probability import averaged_probability_batch, point_probability
+from .probability import (
+    averaged_probability_batch,
+    averaged_probability_bound,
+    point_probability,
+)
 from .selection import PulseSpec, SelectionResult, detuning, select
 
 _CHUNK = 8192  # atoms per vectorized batch
@@ -275,7 +279,9 @@ class MonteCarloResult:
     """Per-atom outcomes plus the predicted cell.
 
     z_final/v_final are at the second pulse's time and are NaN for atoms
-    lost at either stage.
+    lost at either stage.  quadrature_rows counts the atoms whose packet
+    average was computed at pulse 1 and at pulse 2; it is bookkeeping and
+    stays out of summary().
     """
 
     z0: np.ndarray
@@ -286,6 +292,7 @@ class MonteCarloResult:
     v_final: np.ndarray
     cell: SelectionCell
     delta_t: float
+    quadrature_rows: tuple[int, int]
     spec: EnsembleSpec = field(repr=False)
 
     @property
@@ -361,16 +368,24 @@ def _accept(
     pulse: PulseSpec,
     cfg: FieldConfig,
     spec: EnsembleSpec,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
+    """One pulse's decisions for atoms at z, and how many needed quadrature.
+
+    In averaged Bernoulli mode the packet average p is computed only for
+    atoms that pass the survival draw and have u below
+    averaged_probability_bound: for the others u >= bound >= p, so u < p
+    is false whatever the quadrature would give.
+    """
+    keep = eff < spec.survival_efficiency
     if spec.decision_mode == "band":
-        keep = np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0
-    else:
-        if spec.probability_mode == "point":
-            p = point_probability(z, pulse, cfg)
-        else:
-            p = averaged_probability_batch(z, dz, pulse, cfg)
-        keep = u < p
-    return keep & (eff < spec.survival_efficiency)
+        inside = np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0
+        return keep & inside, 0
+    if spec.probability_mode == "point":
+        return keep & (u < point_probability(z, pulse, cfg)), 0
+    keep &= u < averaged_probability_bound(z, dz, pulse, cfg)
+    (rows,) = np.nonzero(keep)
+    keep[rows] = u[rows] < averaged_probability_batch(z[rows], dz, pulse, cfg)
+    return keep, rows.size
 
 
 def run_monte_carlo(
@@ -385,7 +400,10 @@ def run_monte_carlo(
     Atoms are processed in chunks of _CHUNK to bound the size of the
     quadrature arrays; results are bit-identical for any chunk size
     because all draws are made up front and all per-atom arithmetic is
-    row-independent.
+    row-independent.  For the same reason only the pulse-1 survivors of a
+    chunk are decided at pulse 2, and quadrature runs only where the
+    Rabi-envelope bound leaves the decision open (see _accept): the
+    outcomes are bit-identical to averaging every atom at both pulses.
     """
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
@@ -411,16 +429,23 @@ def run_monte_carlo(
     survived_both = np.empty(n, dtype=bool)
     z_final = np.empty(n)
     v_final = np.empty(n)
+    quadrature_rows = [0, 0]
 
     for start in range(0, n, _CHUNK):
         idx = slice(start, start + _CHUNK)
         z = z0[idx]
         v = v0[idx]
-        ok1 = _accept(u1[idx], e1[idx], z, dz_first, pulse_first, cfg, spec)
+        ok1, rows = _accept(u1[idx], e1[idx], z, dz_first, pulse_first, cfg, spec)
+        quadrature_rows[0] += rows
         z2 = z + v * delta_t - 0.5 * g * delta_t * delta_t
         v2 = v - g * delta_t
-        ok2 = _accept(u2[idx], e2[idx], z2, dz_second, pulse_second, cfg, spec)
-        ok2 &= ok1
+        (alive,) = np.nonzero(ok1)
+        ok2 = np.zeros_like(ok1)
+        ok2[alive], rows = _accept(
+            u2[idx][alive], e2[idx][alive], z2[alive],
+            dz_second, pulse_second, cfg, spec,
+        )
+        quadrature_rows[1] += rows
         survived_first[idx] = ok1
         survived_both[idx] = ok2
         z_final[idx] = np.where(ok2, z2, np.nan)
@@ -438,5 +463,6 @@ def run_monte_carlo(
         v_final=v_final,
         cell=cell,
         delta_t=delta_t,
+        quadrature_rows=tuple(quadrature_rows),
         spec=spec,
     )

@@ -11,7 +11,9 @@ and falls to 1/2 where |detuning| = 2*omega0.  A packet of rms width dz
 samples p over its Gaussian position density; the average is done with
 an adaptive Simpson rule (error-controlled, for single packets) or a
 fixed-order Gauss-Legendre rule (fast and partition-stable, for Monte
-Carlo batches).
+Carlo batches).  averaged_probability_bound caps the batch rule from the
+Rabi envelope, so a Monte Carlo decision that the average cannot change
+skips the quadrature.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .breit_rabi import FieldConfig
+from .breit_rabi import FieldConfig, d_transition_dz, field_coordinate, kappa
 from .dynamics import WavepacketState
 from .errors import LevelMismatchError, QuadratureError
 from .selection import PulseSpec, detuning
 
 _SCALE_FLOOR = 1e-12  # absolute floor for the relative-error scale
+_MAX_PHASE_PER_NODE = 1.4  # rad of detuning phase per node the fixed rule resolves
+_BOUND_ROUNDOFF = 1e-12  # relative float slack of averaged_probability_bound
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,19 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _packet_rule(
+    dz: float, order: int, window_sigmas: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Node offsets, combined weights (density * quadrature weight), half-window."""
+    if dz <= 0.0:
+        raise ValueError("dz must be positive")
+    nodes, weights = _gauss_legendre(order)
+    half = window_sigmas * dz
+    offsets = half * nodes
+    gauss = np.exp(-0.5 * (offsets / dz) ** 2) / (math.sqrt(2.0 * math.pi) * dz)
+    return offsets, gauss * weights * half, half
+
+
 def averaged_probability_batch(
     centers: np.ndarray,
     dz: float,
@@ -205,20 +222,88 @@ def averaged_probability_batch(
     Fixed-order Gauss-Legendre version of transition_probability: one
     (n_centers, order) evaluation of the point probability, reduced row
     by row, so a batch split into chunks reproduces the unsplit result
-    bit for bit.  No error estimate is made.  At order 201, against a
-    4M-point midpoint sum at 25 G/cm and tau = 10 us, the error is below
-    2e-12 for dz from 3 to 100 um, but 2.4e-2 at dz = 300 um, where the
-    window holds too many detuning oscillations for a fixed rule.
+    bit for bit.
+
+    A fixed rule resolves only so many detuning oscillations across the
+    window.  The detuning phase changes across a window by at most
+    max|d omega/dz| * 2*half * tau/2; the transition is convex in z, so
+    over all windows of the call that maximum slope sits at the lowest
+    or the highest window end (two slope evaluations per call).  Above
+    1.4 rad per node QuadratureError is raised.  Against a 2M-point
+    midpoint sum the rule is within 5e-12 up to that limit (orders 101
+    and 201; Rb87, Na23, Cs133; tau 5-20 us) and degrades beyond it:
+    5e-10 at 1.5 rad per node for order 101, 1e-8 at 1.8 for order 201,
+    2.4e-2 at 3.9.  At 25 G/cm and tau = 10 us the limit falls at dz =
+    107 um: dz = 100 um passes (within 2e-12), dz = 300 um raises.
     """
-    if dz <= 0.0:
-        raise ValueError("dz must be positive")
     centers = np.asarray(centers, dtype=float)
-    nodes, weights = _gauss_legendre(order)
-    half = window_sigmas * dz
-    offsets = half * nodes
-    gauss = np.exp(-0.5 * (offsets / dz) ** 2) / (math.sqrt(2.0 * math.pi) * dz)
-    factors = gauss * weights * half  # combined density * quadrature weight
+    offsets, factors, half = _packet_rule(dz, order, window_sigmas)
+    if centers.size:
+        ends = np.array([centers.min() - half, centers.max() + half])
+        slope = float(np.max(np.abs(d_transition_dz(pulse.branch, ends, cfg))))
+        phase = slope * half * pulse.tau
+        if not phase <= _MAX_PHASE_PER_NODE * order:
+            raise QuadratureError(
+                f"packet width {dz:.6g} m is too wide for the {order}-node rule: "
+                f"the detuning phase changes by {phase:.6g} rad across the window, "
+                f"more than the {_MAX_PHASE_PER_NODE * order:.6g} rad it resolves"
+            )
     z_grid = centers[:, None] + offsets[None, :]
     vals = point_probability(z_grid, pulse, cfg)
     out = np.sum(vals * factors[None, :], axis=1)
     return np.clip(out, 0.0, 1.0)
+
+
+def averaged_probability_bound(
+    centers: np.ndarray,
+    dz: float,
+    pulse: PulseSpec,
+    cfg: FieldConfig,
+    order: int = 201,
+    window_sigmas: float = 8.0,
+) -> np.ndarray:
+    """Upper bound on averaged_probability_batch, row by row, from 4 evaluations.
+
+    The batch value is sum_j f_j * p(z_j) over nodes z_j inside the
+    window [a, b] = [c - half, c + half], with weights f_j >= 0, and
+    each p(z_j) <= 4*w0^2/(delta(z_j)^2 + 4*w0^2), the Rabi envelope.
+    In the units of breit_rabi the transition is 1/2 + b*u + s/2 with
+    s = sqrt(1 + 2*r*u + u^2) and u affine in z, so T''(u) = (1 - r^2)/
+    (2*s^3) > 0 (r = F-/F+ < 1): the detuning delta(z) is convex in z
+    (strictly, for a nonzero gradient) for every species, sigma and bias.  On [a, b] it
+    therefore lies above both end tangents and below the chord, and
+
+        |delta| >= delta_min = max(0, min_[a,b] max(tangent_a, tangent_b),
+                                   -max(delta(a), delta(b))),
+
+    the first term being delta(a) if delta'(a) >= 0, delta(b) if
+    delta'(b) <= 0, and the tangents' crossing value otherwise.  Hence
+
+        batch <= envelope(delta_min) * sum_j f_j.
+
+    Float error is covered by subtracting 1e-12 * S from delta_min and
+    adding 1e-12 to the weight sum, where S = omega_A + delta_W * (1 +
+    |x(0)| + |kappa| * (|a| + |b|)) bounds, to a factor of about 3,
+    every term met in detuning, its slope, the tangents and the crossing
+    (each rounded a few tens of times at most); the rest of the chain is
+    a few roundings relative to 1.
+    """
+    centers = np.asarray(centers, dtype=float)
+    _, factors, half = _packet_rule(dz, order, window_sigmas)
+    lo = centers - half
+    hi = centers + half
+    d_lo, d_hi = (detuning(z, pulse, cfg) for z in (lo, hi))
+    s_lo, s_hi = (d_transition_dz(pulse.branch, z, cfg) for z in (lo, hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = (s_hi * d_lo - s_lo * d_hi + s_lo * s_hi * (hi - lo)) / (s_hi - s_lo)
+    above = np.where(s_lo >= 0.0, d_lo, np.where(s_hi <= 0.0, d_hi, crossing))
+    delta_min = np.maximum(above, -np.maximum(d_lo, d_hi))
+    scale = pulse.omega_A + cfg.species.delta_W * (
+        1.0
+        + abs(float(field_coordinate(cfg, 0.0)))
+        + abs(kappa(cfg)) * (np.abs(lo) + np.abs(hi))
+    )
+    delta_min = np.maximum(delta_min - _BOUND_ROUNDOFF * scale, 0.0)
+    w0 = pulse.coupling_omega0
+    envelope = 4.0 * w0 * w0 / (delta_min * delta_min + 4.0 * w0 * w0)
+    return envelope * (float(np.sum(factors)) + _BOUND_ROUNDOFF)

@@ -260,8 +260,8 @@ def test_non_finite_values_exit_2(config_path, tmp_path, capsys, command, overri
 
 def test_unreachable_frequency_reports_finite_range(config_path, tmp_path, capsys):
     rc = main([
-        "select", str(config_path), "--set", "pulses.0.resonant_at=-1e300 m",
-        "-o", str(tmp_path / "o.json"),
+        "select", str(config_path), "--set", "pulses.0.omega=1e300 rad/s",
+        "--set", "pulses.0.resonant_at=null", "-o", str(tmp_path / "o.json"),
     ])
     err = capsys.readouterr().err
     assert rc == 3
@@ -270,6 +270,31 @@ def test_unreachable_frequency_reports_finite_range(config_path, tmp_path, capsy
     lo, hi = (float(x) for x in match.groups())
     assert np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi
     assert "nan" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["2 m", "-1e300 m", "-1.0000001 m"])
+def test_resonant_at_outside_position_range_exits_2(
+    value, config_path, tmp_path, capsys
+):
+    rc = main([
+        "select", str(config_path), "--set", f"pulses.1.resonant_at={value}",
+        "-o", str(tmp_path / "o.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "pulses[1].resonant_at" in err and "[-1, 1] m" in err
+    assert "Traceback" not in err
+
+
+def test_too_wide_packet_simulate_exits_3(config_path, tmp_path, capsys):
+    rc = main([
+        "simulate", str(config_path), "--set", "ensemble.decision_mode=bernoulli",
+        "--set", "ensemble.dz0=300 um", "--csv", str(tmp_path / "atoms.csv"),
+        "-o", str(tmp_path / "sim.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "too wide" in err and "Traceback" not in err
 
 
 def test_missing_sections_exit_2(tmp_path, capsys):
@@ -357,3 +382,31 @@ def test_any_single_override_exits_cleanly(tmp_path_factory, path, value):
         argv = [command, str(_SHIPPED), "--set", f"{path}={value}", "-o", str(out)]
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2, 3)
+
+
+def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
+    """The block-wise writer gives the bytes of the row-wise _csv path."""
+    from types import SimpleNamespace
+
+    from mwselect import cli
+
+    n = 23
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[:3] = (-0.0, 0.0, 1e-300)
+    first = rng.random(n) < 0.7
+    both = first & (rng.random(n) < 0.6)
+    result = SimpleNamespace(
+        n_total=n, z0=values, v0=values[::-1].copy(),
+        survived_first=first, survived_both=both,
+        z_final=np.where(both, values * 0.5, np.nan),
+        v_final=np.where(both, -values, np.nan),
+    )
+    header = ["atom_index", "z0_m", "v0_m_s", "survived_first", "survived_both",
+              "z_final_m", "v_final_m_s"]
+    rows = zip(range(n), result.z0, result.v0, first, both,
+               result.z_final, result.v_final)
+    want = cli._csv(header, rows)
+    for block in (4096, 7, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        assert cli.simulation_csv(result) == want

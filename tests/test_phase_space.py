@@ -351,3 +351,128 @@ def test_summary_reports_counts(cfg, pulse_first, pulse_second):
     assert s["cell_velocity_support_m_s"] == result.cell.velocity_support
     if result.n_survived_both:
         assert s["survivor_v_range_m_s"] <= result.cell.velocity_support * 1.001
+
+
+def _every_atom_averaged(spec, pulse_first, pulse_second, cfg, delta_t):
+    """Reference run: every atom through the batch average at both pulses.
+
+    Decides each atom as run_monte_carlo did before the Rabi-envelope
+    rejection and the survivor-only second pulse: no bound, no pruning.
+    Blocks of 4096 rows keep the (rows, 201) arrays small; the batch rule
+    is partition-invariant, so blocking cannot change a value.
+    """
+    z0, v0, u1, e1, u2, e2 = phase_space._draws(spec)
+    g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, spec.sigma)
+    z2 = z0 + v0 * delta_t - 0.5 * g * delta_t * delta_t
+    v2 = v0 - g * delta_t
+    dz2 = mw.spread_width(spec.dz0, delta_t, cfg.species)
+
+    def average(z, dz, pulse):
+        return np.concatenate([
+            mw.averaged_probability_batch(z[i:i + 4096], dz, pulse, cfg)
+            for i in range(0, z.size, 4096)
+        ])
+
+    ok1 = (u1 < average(z0, spec.dz0, pulse_first)) & (e1 < spec.survival_efficiency)
+    ok2 = ok1 & (u2 < average(z2, dz2, pulse_second)) & (e2 < spec.survival_efficiency)
+    return ok1, ok2, np.where(ok2, z2, np.nan), np.where(ok2, v2, np.nan)
+
+
+def _pulse_pair(cfg, sigma, z_first, v_mean, delta_t=DELTA_T, tau=1e-5):
+    """Pulse 1 resonant at z_first, pulse 2 where an atom at v_mean lands."""
+    branch = mw.StretchedBranch(sigma)
+    g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, sigma)
+    z_second = z_first + v_mean * delta_t - 0.5 * g * delta_t * delta_t
+    return (
+        mw.PulseSpec.resonant_at(z_first, cfg, t0=0.0, tau=tau, branch=branch),
+        mw.PulseSpec.resonant_at(z_second, cfg, t0=delta_t, tau=tau, branch=branch),
+    )
+
+
+_THERMAL = dict(z_mean=0.0, z_rms=1e-3, v_mean=0.7192, v_rms=10e-3, dz0=3e-6)
+_MATCHED = dict(z_mean=0.0, z_rms=20e-6, v_mean=0.7192, v_rms=2e-3, dz0=3e-6)
+
+
+def _equivalence_cases():
+    rb87 = mw.get_species("Rb87")
+    na23 = mw.get_species("Na23")
+    headline = mw.FieldConfig(eta=0.25, bias=0.0, species=rb87)
+    biased = mw.FieldConfig(eta=0.25, bias=2e-5, species=rb87)
+    # Na23 at 2 T/m: the sigma=+1 transition has its minimum at z = -0.698 m
+    na_cfg = mw.FieldConfig(eta=2.0, bias=0.0, species=na23)
+    dt_short = 1e-3
+    return {
+        "thermal-a": (headline, 1, 0.0, 20000, 20260815, _THERMAL, DELTA_T),
+        "thermal-b": (headline, 1, 0.0, 10000, 11, _THERMAL, DELTA_T),
+        "matched-a": (headline, 1, 0.0, 4000, 20260815, _MATCHED, DELTA_T),
+        "matched-b": (headline, 1, 0.0, 4000, 12, _MATCHED, DELTA_T),
+        "sigma-minus": (headline, -1, 0.0, 4000, 5, _MATCHED, DELTA_T),
+        "bias": (biased, 1, 2e-3, 4000, 6, dict(_MATCHED, z_mean=2e-3), DELTA_T),
+        "na23-minimum": (
+            na_cfg, 1, -0.4, 5000, 7,
+            dict(z_mean=-0.55, z_rms=0.1, v_mean=0.0, v_rms=1e-3, dz0=3e-6),
+            dt_short,
+        ),
+        "wide-packet": (headline, 1, 0.0, 4000, 8, dict(_THERMAL, dz0=100e-6), DELTA_T),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+def test_monte_carlo_matches_every_atom_reference(case):
+    cfg, sigma, z_first, n, seed, cloud, delta_t = _equivalence_cases()[case]
+    p1, p2 = _pulse_pair(cfg, sigma, z_first, cloud["v_mean"], delta_t)
+    spec = mw.EnsembleSpec(n=n, seed=seed, sigma=sigma, **cloud)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg, delta_t)
+    want = _every_atom_averaged(spec, p1, p2, cfg, delta_t)
+    assert result.n_survived_both > 0
+    names = ("survived_first", "survived_both", "z_final", "v_final")
+    for name, ref in zip(names, want):
+        assert getattr(result, name).tobytes() == ref.tobytes(), name
+    rows1, rows2 = result.quadrature_rows
+    assert result.n_survived_first <= rows1 <= n
+    assert result.n_survived_both <= rows2 <= result.n_survived_first
+
+
+@pytest.mark.parametrize("mode", [
+    dict(probability_mode="point"),
+    dict(decision_mode="band"),
+    dict(survival_efficiency=0.5),
+])
+def test_every_mode_decides_pulse_two_for_survivors_only(
+    mode, cfg, pulse_first, pulse_second
+):
+    spec = _ensemble(n=4000, **mode)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    z0, v0, u1, e1, u2, e2 = phase_space._draws(spec)
+    g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, 1)
+    z2 = z0 + v0 * DELTA_T - 0.5 * g * DELTA_T**2
+    if spec.decision_mode == "band":
+        def flips(u, z, pulse):
+            return np.abs(mw.detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0
+    elif spec.probability_mode == "point":
+        def flips(u, z, pulse):
+            return u < mw.point_probability(z, pulse, cfg)
+    else:
+        dz2 = mw.spread_width(spec.dz0, DELTA_T, cfg.species)
+
+        def flips(u, z, pulse):
+            dz = spec.dz0 if pulse is pulse_first else dz2
+            return u < mw.averaged_probability_batch(z, dz, pulse, cfg)
+    eff = spec.survival_efficiency
+    ok1 = flips(u1, z0, pulse_first) & (e1 < eff)
+    ok2 = ok1 & flips(u2, z2, pulse_second) & (e2 < eff)
+    assert result.n_survived_both > 0
+    assert result.survived_first.tobytes() == ok1.tobytes()
+    assert result.survived_both.tobytes() == ok2.tobytes()
+    if "survival_efficiency" not in mode:
+        assert result.quadrature_rows == (0, 0)
+
+
+def test_thermal_cloud_rarely_needs_quadrature(cfg, pulse_first, pulse_second):
+    spec = mw.EnsembleSpec(n=20000, seed=20260815, **_THERMAL)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    rows1, rows2 = result.quadrature_rows
+    assert 0 < rows1 <= 0.05 * spec.n
+    assert 0 < rows2 <= result.n_survived_first
+    # bookkeeping only: the summary keeps its keys
+    assert not any("quadrature" in key for key in result.summary())

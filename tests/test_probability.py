@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwselect as mw
+from mwselect import probability
 from mwselect.breit_rabi import Level
 from mwselect.probability import adaptive_simpson
 
@@ -201,3 +204,101 @@ def test_probability_clamped_to_unit_interval(cfg, pulse_first):
     )
     assert np.all(batch >= 0.0)
     assert np.all(batch <= 1.0)
+
+
+def _rule_without_check(centers, dz, pulse, cfg, order=201):
+    """The batch rule's sum, bypassing its wide-packet check."""
+    offsets, factors, _ = probability._packet_rule(dz, order, 8.0)
+    vals = mw.point_probability(centers[:, None] + offsets[None, :], pulse, cfg)
+    return np.sum(vals * factors[None, :], axis=1)
+
+
+def _dz_at_phase_per_node(ratio, pulse, cfg, order=201):
+    """Packet width at which the check sees `ratio` rad per node at z = 0."""
+    slope = abs(float(mw.d_transition_dz(pulse.branch, 0.0, cfg)))
+    return ratio * order / (slope * 8.0 * pulse.tau)
+
+
+def test_batch_is_accurate_up_to_its_phase_limit(cfg, pulse_first):
+    centers = np.array([0.0, 5e-6, 2e-5])
+    limit = probability._MAX_PHASE_PER_NODE
+    for dz in (100e-6, _dz_at_phase_per_node(0.98 * limit, pulse_first, cfg)):
+        batch = mw.averaged_probability_batch(centers, dz, pulse_first, cfg)
+        for center, got in zip(centers, batch):
+            want = _riemann_average(pulse_first, cfg, center, dz, 8.0 * dz)
+            assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_batch_raises_past_its_phase_limit(cfg, pulse_first):
+    centers = np.array([0.0, 5e-6, 2e-5])
+    limit = probability._MAX_PHASE_PER_NODE
+    for dz in (300e-6, _dz_at_phase_per_node(1.02 * limit, pulse_first, cfg)):
+        with pytest.raises(mw.QuadratureError, match="too wide"):
+            mw.averaged_probability_batch(centers, dz, pulse_first, cfg)
+    # the limit is not far inside the rule's reach: 30% beyond it the
+    # unchecked sum is already off by more than 1e-9
+    dz = _dz_at_phase_per_node(1.3 * limit, pulse_first, cfg)
+    errors = [
+        abs(got - _riemann_average(pulse_first, cfg, c, dz, 8.0 * dz))
+        for c, got in zip(centers, _rule_without_check(centers, dz, pulse_first, cfg))
+    ]
+    assert max(errors) > 1e-9
+
+
+def test_batch_of_no_centers_is_empty(cfg, pulse_first):
+    out = mw.averaged_probability_batch(np.array([]), 300e-6, pulse_first, cfg)
+    assert out.shape == (0,)
+
+
+_NA23_2T = mw.FieldConfig(eta=2.0, bias=0.0, species=mw.get_species("Na23"))
+_NA23_MINIMUM = -0.6980126  # m, where the sigma=+1 transition turns over
+
+
+def test_bound_holds_across_the_transition_minimum():
+    branch = mw.StretchedBranch(1)
+    t_min = float(mw.transition_angular_frequency(branch, _NA23_MINIMUM, _NA23_2T))
+    centers = _NA23_MINIMUM + np.linspace(-2e-3, 2e-3, 81)
+    for offset in (-3e6, -3e5, 0.0, 3e5, 3e6):  # rad/s from the minimum
+        pulse = mw.PulseSpec(t0=0.0, tau=1e-5, omega_A=t_min + offset, branch=branch)
+        for dz in (3e-6, 1e-4):
+            batch = mw.averaged_probability_batch(centers, dz, pulse, _NA23_2T)
+            bound = probability.averaged_probability_bound(centers, dz, pulse, _NA23_2T)
+            assert np.all(batch <= bound)
+            if offset <= -3e5:  # below the minimum: no window reaches resonance
+                assert np.all(bound < 0.7)
+
+
+def _bound_cases():
+    rb87 = mw.get_species("Rb87")
+    return st.sampled_from([
+        (mw.FieldConfig(eta=0.25, bias=0.0, species=rb87), 1, 0.0),
+        (mw.FieldConfig(eta=0.25, bias=0.0, species=rb87), -1, 1e-2),
+        (mw.FieldConfig(eta=-0.25, bias=3e-5, species=rb87), 1, 0.0),
+        (mw.FieldConfig(eta=0.1, bias=0.0, species=mw.get_species("Cs133")), 1, 0.2),
+        (_NA23_2T, 1, _NA23_MINIMUM),
+    ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_bound_cases(),
+    detuning_widths=st.floats(-30.0, 30.0),
+    log_dz=st.floats(-7.0, -4.0),
+    tau=st.floats(2e-6, 5e-5),
+    spread=st.floats(0.0, 40.0),
+)
+def test_bound_is_never_below_the_batch(case, detuning_widths, log_dz, tau, spread):
+    cfg, sigma, z_ref = case
+    branch = mw.StretchedBranch(sigma)
+    omega = float(mw.transition_angular_frequency(branch, z_ref, cfg))
+    pulse = mw.PulseSpec(
+        t0=0.0, tau=tau, omega_A=omega + detuning_widths * math.pi / tau, branch=branch
+    )
+    dz = 10.0**log_dz
+    centers = z_ref + dz * spread * np.linspace(-1.0, 1.0, 41)
+    try:
+        batch = mw.averaged_probability_batch(centers, dz, pulse, cfg)
+    except mw.QuadratureError:
+        return  # outside the rule's reach; nothing to bound
+    bound = probability.averaged_probability_bound(centers, dz, pulse, cfg)
+    assert np.all(batch <= bound)
