@@ -68,9 +68,7 @@ from .phase_space import (
     selection_cell,
 )
 from .probability import (
-    QuadratureInfo,
     QuadratureSettings,
-    adaptive_simpson,
     averaged_probability_batch,
     detuning_ratio_profile,
     point_probability,
@@ -108,7 +106,6 @@ __all__ = [
     "PhysicsDomainError",
     "PulseSpec",
     "QuadratureError",
-    "QuadratureInfo",
     "QuadratureSettings",
     "SelectionCell",
     "SelectionResult",
@@ -118,7 +115,6 @@ __all__ = [
     "WavepacketState",
     "ZeroGradientError",
     "acceleration",
-    "adaptive_simpson",
     "available_species",
     "averaged_probability_batch",
     "band_from_first_pulse",

@@ -51,7 +51,7 @@ from .phase_space import (
     run_monte_carlo,
     selection_cell,
 )
-from .probability import transition_probability
+from .probability import RULE_ORDER, transition_probability
 from .selection import select, validity_diagnostic
 
 _TWO_PI = 2.0 * np.pi
@@ -212,7 +212,7 @@ def cmd_probability(run: RunConfig, args) -> None:
         state = WavepacketState.minimum_uncertainty(
             z=z_c, v=0.0, dz=dz_now, level=Level.LOWER, sigma=run.sigma
         )
-        p, info = transition_probability(
+        p, error = transition_probability(
             state, pulse, cfg, settings=run.quadrature, detail=True
         )
         per_pulse.append(
@@ -222,11 +222,7 @@ def cmd_probability(run: RunConfig, args) -> None:
                 "z_center_m": z_c,
                 "packet_width_m": dz_now,
                 "probability": p,
-                "quadrature": {
-                    "error": info.error,
-                    "evals": info.evals,
-                    "intervals": info.intervals,
-                },
+                "quadrature": {"nodes": RULE_ORDER, "error": error},
             }
         )
     result = {"dz0_m": dz0, "pulses": per_pulse}
@@ -304,7 +300,10 @@ def cmd_simulate(run: RunConfig, args) -> None:
         csv_path is not None,
         "simulate needs a per-atom CSV path (output.csv in the config or --csv)",
     )
-    result = run_monte_carlo(spec, pulses[0], pulses[1], cfg, delta_t)
+    result = run_monte_carlo(
+        spec, pulses[0], pulses[1], cfg, delta_t,
+        window_sigmas=run.quadrature.window_sigmas,
+    )
     _emit(simulation_csv(result), csv_path)
     summary = result.summary()
     inside = result.cell.contains(result.z_final, result.v_final)

@@ -331,7 +331,6 @@ def from_dict(data: dict) -> RunConfig:
             v_rms=esec.quantity("v_rms", "velocity"),
             dz0=esec.quantity("dz0", "length"),
             seed=esec.integer("seed"),
-            probability_mode=esec.text("probability_mode", default="averaged"),
             decision_mode=esec.text("decision_mode", default="bernoulli"),
             survival_efficiency=esec.number("survival_efficiency", default=1.0),
         )
@@ -368,14 +367,10 @@ def from_dict(data: dict) -> RunConfig:
     qdata = top.take("quadrature", default=None)
     if qdata is not None:
         qsec = _Section(qdata, "quadrature")
-        values = dict(
-            window_sigmas=qsec.number("window_sigmas", default=8.0),
-            rel_tol=qsec.number("rel_tol", default=1e-10),
-            max_subdivisions=qsec.integer("max_subdivisions", default=32768),
-        )
+        window_sigmas = qsec.number("window_sigmas", default=8.0)
         qsec.finish()
         try:
-            quad = QuadratureSettings(**values)
+            quad = QuadratureSettings(window_sigmas=window_sigmas)
         except ValueError as exc:
             raise ConfigError(f"quadrature: {exc}") from None
     else:
@@ -442,7 +437,6 @@ def to_dict(run: RunConfig) -> dict:
             "v_rms": format_quantity(e.v_rms, "velocity"),
             "dz0": format_quantity(e.dz0, "length"),
             "seed": e.seed,
-            "probability_mode": e.probability_mode,
             "decision_mode": e.decision_mode,
             "survival_efficiency": e.survival_efficiency,
         }
@@ -461,11 +455,7 @@ def to_dict(run: RunConfig) -> dict:
             "turns": a.turns,
             "displacement": format_quantity(a.displacement, "length"),
         }
-    out["quadrature"] = {
-        "window_sigmas": run.quadrature.window_sigmas,
-        "rel_tol": run.quadrature.rel_tol,
-        "max_subdivisions": run.quadrature.max_subdivisions,
-    }
+    out["quadrature"] = {"window_sigmas": run.quadrature.window_sigmas}
     if run.output.csv is not None or run.output.json is not None:
         od = {}
         if run.output.csv is not None:

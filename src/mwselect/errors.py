@@ -34,8 +34,4 @@ class LevelMismatchError(PhysicsDomainError):
 
 
 class QuadratureError(PhysicsDomainError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved_rel_error: float | None = None):
-        super().__init__(message)
-        self.achieved_rel_error = achieved_rel_error
+    """Packet too wide for the fixed packet-average rule to resolve."""

@@ -23,11 +23,7 @@ import numpy as np
 from .breit_rabi import FieldConfig, Level
 from .dynamics import g_effective, spread_width
 from .errors import EmptyIntersectionError, LevelMismatchError
-from .probability import (
-    averaged_probability_batch,
-    averaged_probability_bound,
-    point_probability,
-)
+from .probability import averaged_probability_batch, averaged_probability_bound
 from .selection import PulseSpec, SelectionResult, detuning, select
 
 _CHUNK = 8192  # atoms per vectorized batch
@@ -225,7 +221,6 @@ def marginal_velocity(
     return v, length / cell.area
 
 
-_PROBABILITY_MODES = ("averaged", "point")
 _DECISION_MODES = ("bernoulli", "band")
 
 
@@ -235,12 +230,10 @@ class EnsembleSpec:
 
     Positions and velocities are drawn from independent Gaussians at the
     first pulse's time; dz0 is each atom's quantum packet width there.
-    probability_mode picks how the flip probability is computed
-    ("averaged" over the packet, or "point" at the packet center);
-    decision_mode is "bernoulli" (accept with that probability) or
-    "band" (accept exactly when the Rabi envelope is at least 1/2, the
-    deterministic geometric rule).  survival_efficiency applies an
-    extra per-stage Bernoulli loss.
+    decision_mode is "bernoulli" (accept with the flip probability
+    averaged over the packet) or "band" (accept exactly when the Rabi
+    envelope is at least 1/2, the deterministic geometric rule).
+    survival_efficiency applies an extra per-stage Bernoulli loss.
     """
 
     n: int
@@ -251,7 +244,6 @@ class EnsembleSpec:
     dz0: float
     seed: int
     sigma: int = 1
-    probability_mode: str = "averaged"
     decision_mode: str = "bernoulli"
     survival_efficiency: float = 1.0
 
@@ -266,8 +258,6 @@ class EnsembleSpec:
             raise ValueError("seed must fit in 64 bits")
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        if self.probability_mode not in _PROBABILITY_MODES:
-            raise ValueError(f"probability_mode must be one of {_PROBABILITY_MODES}")
         if self.decision_mode not in _DECISION_MODES:
             raise ValueError(f"decision_mode must be one of {_DECISION_MODES}")
         if not 0.0 < self.survival_efficiency <= 1.0:
@@ -368,11 +358,12 @@ def _accept(
     pulse: PulseSpec,
     cfg: FieldConfig,
     spec: EnsembleSpec,
+    window_sigmas: float,
 ) -> tuple[np.ndarray, int]:
     """One pulse's decisions for atoms at z, and how many needed quadrature.
 
-    In averaged Bernoulli mode the packet average p is computed only for
-    atoms that pass the survival draw and have u below
+    In Bernoulli mode the packet average p is computed only for atoms
+    that pass the survival draw and have u below
     averaged_probability_bound: for the others u >= bound >= p, so u < p
     is false whatever the quadrature would give.
     """
@@ -380,11 +371,13 @@ def _accept(
     if spec.decision_mode == "band":
         inside = np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0
         return keep & inside, 0
-    if spec.probability_mode == "point":
-        return keep & (u < point_probability(z, pulse, cfg)), 0
-    keep &= u < averaged_probability_bound(z, dz, pulse, cfg)
+    keep &= u < averaged_probability_bound(
+        z, dz, pulse, cfg, window_sigmas=window_sigmas
+    )
     (rows,) = np.nonzero(keep)
-    keep[rows] = u[rows] < averaged_probability_batch(z[rows], dz, pulse, cfg)
+    keep[rows] = u[rows] < averaged_probability_batch(
+        z[rows], dz, pulse, cfg, window_sigmas=window_sigmas
+    )
     return keep, rows.size
 
 
@@ -394,6 +387,7 @@ def run_monte_carlo(
     pulse_second: PulseSpec,
     cfg: FieldConfig,
     delta_t: float,
+    window_sigmas: float = 8.0,
 ) -> MonteCarloResult:
     """Sample the cloud through both pulses.
 
@@ -404,6 +398,8 @@ def run_monte_carlo(
     chunk are decided at pulse 2, and quadrature runs only where the
     Rabi-envelope bound leaves the decision open (see _accept): the
     outcomes are bit-identical to averaging every atom at both pulses.
+    window_sigmas is the half-width of the packet-average window, in
+    packet widths (QuadratureSettings.window_sigmas).
     """
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
@@ -435,7 +431,9 @@ def run_monte_carlo(
         idx = slice(start, start + _CHUNK)
         z = z0[idx]
         v = v0[idx]
-        ok1, rows = _accept(u1[idx], e1[idx], z, dz_first, pulse_first, cfg, spec)
+        ok1, rows = _accept(
+            u1[idx], e1[idx], z, dz_first, pulse_first, cfg, spec, window_sigmas
+        )
         quadrature_rows[0] += rows
         z2 = z + v * delta_t - 0.5 * g * delta_t * delta_t
         v2 = v - g * delta_t
@@ -443,7 +441,7 @@ def run_monte_carlo(
         ok2 = np.zeros_like(ok1)
         ok2[alive], rows = _accept(
             u2[idx][alive], e2[idx][alive], z2[alive],
-            dz_second, pulse_second, cfg, spec,
+            dz_second, pulse_second, cfg, spec, window_sigmas,
         )
         quadrature_rows[1] += rows
         survived_first[idx] = ok1

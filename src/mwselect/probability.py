@@ -8,11 +8,12 @@ flips the state with probability
 
 which is 1 on resonance for the pi-pulse coupling omega0 = pi/(2*tau)
 and falls to 1/2 where |detuning| = 2*omega0.  A packet of rms width dz
-samples p over its Gaussian position density; the average is done with
-an adaptive Simpson rule (error-controlled, for single packets) or a
-fixed-order Gauss-Legendre rule (fast and partition-stable, for Monte
-Carlo batches).  averaged_probability_bound caps the batch rule from the
-Rabi envelope, so a Monte Carlo decision that the average cannot change
+samples p over its Gaussian position density; the average is one
+fixed-order Gauss-Legendre rule (averaged_probability_batch), taken row
+by row for Monte Carlo batches and as a one-row call for a single packet
+(transition_probability, which can also report the rule's error
+estimate).  averaged_probability_bound caps the rule from the Rabi
+envelope, so a Monte Carlo decision that the average cannot change
 skips the quadrature.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from .dynamics import WavepacketState
 from .errors import LevelMismatchError, QuadratureError
 from .selection import PulseSpec, detuning
 
-_SCALE_FLOOR = 1e-12  # absolute floor for the relative-error scale
 _MAX_PHASE_PER_NODE = 1.4  # rad of detuning phase per node the fixed rule resolves
 _BOUND_ROUNDOFF = 1e-12  # relative float slack of averaged_probability_bound
+RULE_ORDER = 201  # nodes of the packet-average rule
+_ESTIMATE_ORDER = 101  # lower order whose gap to the full rule estimates its error
 
 
 @dataclass(frozen=True)
@@ -40,92 +41,16 @@ class QuadratureSettings:
     """Knobs for the packet average.
 
     window_sigmas is the half-width of the integration window in units
-    of the packet width; below 5 the truncated tail is no longer
-    negligible at the default tolerance, so smaller values are rejected.
+    of the packet width; below 5 the truncated Gaussian tail (5.7e-7 of
+    the weight at 5) is no longer negligible, so smaller values are
+    rejected.
     """
 
     window_sigmas: float = 8.0
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 32768
 
     def __post_init__(self) -> None:
         if self.window_sigmas < 5.0:
             raise ValueError("window_sigmas must be at least 5")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-@dataclass(frozen=True)
-class QuadratureInfo:
-    """Result bookkeeping: estimate, error estimate, work done."""
-
-    value: float
-    error: float
-    evals: int
-    intervals: int
-
-
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    max_subdivisions: int = 32768,
-) -> QuadratureInfo:
-    """Adaptive Simpson integration of f over [a, b].
-
-    Refines the interval stack until each piece passes the Richardson
-    test |S_halves - S| <= 15 * tol_piece, with the budget apportioned
-    by subinterval width.  The accepted value per piece includes the
-    /15 Richardson correction.  Raises QuadratureError (carrying the
-    achieved relative error) if the subdivision budget runs out.
-    """
-    if not b > a:
-        raise ValueError("integration bounds must satisfy a < b")
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    evals = 3
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    scale = max(abs(whole), _SCALE_FLOOR)
-    total = 0.0
-    err = 0.0
-    intervals = 0
-    splits = 0
-    # stack entries: left, right, f(left), f(mid), f(right), simpson, tol
-    stack = [(a, b, fa, fm, fb, whole, rel_tol * scale)]
-    while stack:
-        x0, x1, f0, fmid, f1, s, tol = stack.pop()
-        mid = 0.5 * (x0 + x1)
-        lm = 0.5 * (x0 + mid)
-        rm = 0.5 * (mid + x1)
-        flm = f(lm)
-        frm = f(rm)
-        evals += 2
-        s_left = (mid - x0) * (f0 + 4.0 * flm + fmid) / 6.0
-        s_right = (x1 - mid) * (fmid + 4.0 * frm + f1) / 6.0
-        delta = s_left + s_right - s
-        degenerate = lm <= x0 or rm >= x1  # interval at float resolution
-        if abs(delta) <= 15.0 * tol or degenerate:
-            total += s_left + s_right + delta / 15.0
-            err += abs(delta) / 15.0
-            intervals += 1
-            continue
-        splits += 1
-        if splits > max_subdivisions:
-            achieved = (err + abs(delta)) / scale
-            raise QuadratureError(
-                f"adaptive Simpson exceeded {max_subdivisions} subdivisions "
-                f"(achieved relative error {achieved:.3e}, requested {rel_tol:.3e})",
-                achieved_rel_error=achieved,
-            )
-        half_tol = 0.5 * tol
-        stack.append((x0, mid, f0, flm, fmid, s_left, half_tol))
-        stack.append((mid, x1, fmid, frm, f1, s_right, half_tol))
-    return QuadratureInfo(value=total, error=err, evals=evals, intervals=intervals)
 
 
 def detuning_ratio_profile(r):
@@ -157,10 +82,12 @@ def transition_probability(
 ):
     """Pulse flip probability averaged over the packet's position density.
 
-    Integrates the Gaussian density (center state.z, width state.dz)
-    against point_probability over +/- window_sigmas widths, then clamps
-    to [0, 1] against roundoff.  The pulse must address the packet's
-    stretched pair (matching sigma).
+    A one-row averaged_probability_batch call at center state.z and
+    width state.dz over +/- window_sigmas widths, so it shares the
+    batch rule's QuadratureError check.  With detail=True it returns
+    (p, error), where error = |p - p_101| is the gap to the same rule
+    at order 101, which resolves less and so overstates the error of p.
+    The pulse must address the packet's stretched pair (matching sigma).
     """
     if settings is None:
         settings = QuadratureSettings()
@@ -169,25 +96,13 @@ def transition_probability(
             f"pulse drives the sigma={pulse.branch.sigma} pair but the packet "
             f"has sigma={state.sigma}"
         )
-    center = state.z
-    width = state.dz
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * width)
-
-    def integrand(z: float) -> float:
-        gauss = norm * math.exp(-0.5 * ((z - center) / width) ** 2)
-        return gauss * float(point_probability(z, pulse, cfg))
-
-    info = adaptive_simpson(
-        integrand,
-        center - settings.window_sigmas * width,
-        center + settings.window_sigmas * width,
-        rel_tol=settings.rel_tol,
-        max_subdivisions=settings.max_subdivisions,
-    )
-    value = min(1.0, max(0.0, info.value))
-    if detail:
-        return value, info
-    return value
+    centers = np.array([state.z])
+    dz, window = state.dz, settings.window_sigmas
+    (value,) = averaged_probability_batch(centers, dz, pulse, cfg, window_sigmas=window)
+    if not detail:
+        return float(value)
+    (coarse,) = _rule_sum(centers, dz, pulse, cfg, _ESTIMATE_ORDER, window)
+    return float(value), float(abs(value - coarse))
 
 
 @lru_cache(maxsize=8)
@@ -214,15 +129,16 @@ def averaged_probability_batch(
     dz: float,
     pulse: PulseSpec,
     cfg: FieldConfig,
-    order: int = 201,
+    order: int = RULE_ORDER,
     window_sigmas: float = 8.0,
 ) -> np.ndarray:
     """Packet-averaged flip probability for many centers at a common width.
 
-    Fixed-order Gauss-Legendre version of transition_probability: one
-    (n_centers, order) evaluation of the point probability, reduced row
-    by row, so a batch split into chunks reproduces the unsplit result
-    bit for bit.
+    The package's one packet-average rule: the Gaussian density times
+    the point probability, integrated by fixed-order Gauss-Legendre over
+    +/- window_sigmas widths as one (n_centers, order) evaluation reduced
+    row by row, so a batch split into chunks reproduces the unsplit
+    result bit for bit.
 
     A fixed rule resolves only so many detuning oscillations across the
     window.  The detuning phase changes across a window by at most
@@ -237,7 +153,7 @@ def averaged_probability_batch(
     107 um: dz = 100 um passes (within 2e-12), dz = 300 um raises.
     """
     centers = np.asarray(centers, dtype=float)
-    offsets, factors, half = _packet_rule(dz, order, window_sigmas)
+    half = window_sigmas * dz
     if centers.size:
         ends = np.array([centers.min() - half, centers.max() + half])
         slope = float(np.max(np.abs(d_transition_dz(pulse.branch, ends, cfg))))
@@ -248,10 +164,14 @@ def averaged_probability_batch(
                 f"the detuning phase changes by {phase:.6g} rad across the window, "
                 f"more than the {_MAX_PHASE_PER_NODE * order:.6g} rad it resolves"
             )
-    z_grid = centers[:, None] + offsets[None, :]
-    vals = point_probability(z_grid, pulse, cfg)
-    out = np.sum(vals * factors[None, :], axis=1)
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(_rule_sum(centers, dz, pulse, cfg, order, window_sigmas), 0.0, 1.0)
+
+
+def _rule_sum(centers, dz, pulse, cfg, order, window_sigmas) -> np.ndarray:
+    """Gauss-Legendre sums of averaged_probability_batch, unchecked and unclipped."""
+    offsets, factors, _ = _packet_rule(dz, order, window_sigmas)
+    vals = point_probability(centers[:, None] + offsets[None, :], pulse, cfg)
+    return np.sum(vals * factors[None, :], axis=1)
 
 
 def averaged_probability_bound(
@@ -259,7 +179,7 @@ def averaged_probability_bound(
     dz: float,
     pulse: PulseSpec,
     cfg: FieldConfig,
-    order: int = 201,
+    order: int = RULE_ORDER,
     window_sigmas: float = 8.0,
 ) -> np.ndarray:
     """Upper bound on averaged_probability_batch, row by row, from 4 evaluations.

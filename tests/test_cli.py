@@ -135,7 +135,8 @@ def test_probability_json(config_path, tmp_path):
     assert pulses[1]["probability"] == pytest.approx(0.8208, abs=2e-3)
     assert pulses[1]["packet_width_m"] == pytest.approx(4.5419e-6, rel=1e-3)
     for entry in pulses:
-        assert entry["quadrature"]["evals"] > 0
+        assert entry["quadrature"]["nodes"] == 201
+        assert 0.0 <= entry["quadrature"]["error"] < 1e-10
 
 
 def test_bands_csv(config_path, tmp_path):
@@ -196,6 +197,28 @@ def test_simulate_rejects_workers_key(config_path, tmp_path, capsys):
     assert "unknown keys 'workers'" in err and "Traceback" not in err
 
 
+def test_simulate_uses_quadrature_window(monkeypatch, tmp_path):
+    from mwselect import phase_space
+
+    seen = {}
+    for name in ("averaged_probability_batch", "averaged_probability_bound"):
+        def spy(*args, _real=getattr(phase_space, name), _name=name, **kwargs):
+            seen.setdefault(_name, set()).add(kwargs.get("window_sigmas"))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(phase_space, name, spy)
+    rc = main([
+        "simulate", str(CONFIGS / "rb87_10us.yaml"), "--set", "ensemble.n=2000",
+        "--set", "quadrature.window_sigmas=5.5",
+        "--csv", str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "sim.json"),
+    ])
+    assert rc == 0
+    assert seen == {
+        "averaged_probability_batch": {5.5},
+        "averaged_probability_bound": {5.5},
+    }
+
+
 def test_coils_json(config_path, tmp_path):
     out = tmp_path / "coils.json"
     assert main(["coils", str(config_path), "-o", str(out)]) == 0
@@ -243,7 +266,7 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys, argv_tail, needle):
         ("simulate", "ensemble.dz0=nan m"),
         ("simulate", "ensemble.z_rms=inf m"),
         ("probability", "quadrature.window_sigmas=.nan"),
-        ("probability", "quadrature.rel_tol=.nan"),
+        ("simulate", "quadrature.window_sigmas=.nan"),
     ],
 )
 def test_non_finite_values_exit_2(config_path, tmp_path, capsys, command, override):
@@ -357,7 +380,10 @@ def _leaf_paths(node, prefix=""):
 
 
 _SHIPPED = CONFIGS / "rb87_10us.yaml"
-_LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text()))
+# keys that older configs still carry: every command must reject them with exit 2
+_RETIRED = ["ensemble.probability_mode", "quadrature.max_subdivisions",
+            "quadrature.rel_tol"]
+_LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text())) + _RETIRED
 _ALL_UNITS = sorted({u for table in cf._UNITS.values() for u in table})
 _OVERRIDE_VALUES = st.one_of(
     st.builds(
@@ -377,11 +403,15 @@ _OVERRIDE_VALUES = st.one_of(
 @settings(max_examples=3, deadline=None)
 @given(value=_OVERRIDE_VALUES)
 def test_any_single_override_exits_cleanly(tmp_path_factory, path, value):
-    out = tmp_path_factory.getbasetemp() / "fuzz.out"
-    for command in ("scan", "select", "probability", "bands", "coils"):
-        argv = [command, str(_SHIPPED), "--set", f"{path}={value}", "-o", str(out)]
+    base = tmp_path_factory.getbasetemp()
+    # simulate runs 2000 atoms unless the override sets ensemble.n itself
+    simulate = ["--set", "ensemble.n=2000", "--csv", str(base / "fuzz.csv")]
+    for command in ("scan", "select", "probability", "bands", "coils", "simulate"):
+        argv = [command, str(_SHIPPED), *(simulate if command == "simulate" else []),
+                "--set", f"{path}={value}", "-o", str(base / "fuzz.out")]
         with contextlib.redirect_stderr(io.StringIO()):
-            assert main(argv) in (0, 2, 3)
+            rc = main(argv)
+        assert rc == 2 if path in _RETIRED else rc in (0, 2, 3)
 
 
 def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):

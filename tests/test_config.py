@@ -115,6 +115,10 @@ class TestFromDict:
             lambda d: d["apparatus"].update(wire_gauge=12),
             lambda d: d["quadrature"].update(order=7),
             lambda d: d["output"].update(fmt="csv"),
+            # keys that older configs still carry
+            lambda d: d["ensemble"].update(probability_mode="averaged"),
+            lambda d: d["quadrature"].update(rel_tol=1e-10),
+            lambda d: d["quadrature"].update(max_subdivisions=32768),
         ],
     )
     def test_unknown_keys_rejected_per_section(self, mutate):
@@ -127,7 +131,7 @@ class TestFromDict:
             apparatus={
                 "radius": "5 cm", "current": "1 A", "half_separation": "2.5 cm",
             },
-            quadrature={"rel_tol": 1e-8},
+            quadrature={"window_sigmas": 6.0},
             output={"csv": "out.csv"},
         )
         mutate(data)
@@ -157,7 +161,7 @@ class TestFromDict:
         data = _minimal(
             ensemble={
                 "n": 10, "z_rms": "1 mm", "v_rms": "1 cm/s", "dz0": "3 um",
-                "seed": 1, "probability_mode": "exact",
+                "seed": 1, "decision_mode": "maybe",
             }
         )
         with pytest.raises(mw.ConfigError, match="ensemble"):
@@ -170,9 +174,9 @@ class TestFromDict:
             cf.from_dict(_minimal(workers=0))
 
     def test_yaml_style_string_floats_accepted_for_plain_numbers(self):
-        # yaml 1.1 reads the scalar 1e-10 as a string; number() coerces it
-        run = cf.from_dict(_minimal(quadrature={"rel_tol": "1e-10"}))
-        assert run.quadrature.rel_tol == 1e-10
+        # yaml 1.1 reads a scalar like 6e0 as a string; number() coerces it
+        run = cf.from_dict(_minimal(quadrature={"window_sigmas": "6e0"}))
+        assert run.quadrature.window_sigmas == 6.0
 
     def test_round_trip_identity(self):
         run = cf.load_config(CONFIG_DIR / "rb87_10us.yaml")

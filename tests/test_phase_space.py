@@ -154,8 +154,6 @@ def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         _ensemble(seed=-1)
     with pytest.raises(ValueError):
-        _ensemble(probability_mode="exact")
-    with pytest.raises(ValueError):
         _ensemble(decision_mode="maybe")
     with pytest.raises(ValueError):
         _ensemble(survival_efficiency=0.0)
@@ -238,19 +236,11 @@ def test_monte_carlo_decision_modes_differ(cfg, pulse_first, pulse_second):
         _ensemble(n=3000, decision_mode="band"),
         pulse_first, pulse_second, cfg, DELTA_T,
     )
-    point = mw.run_monte_carlo(
-        _ensemble(n=3000, probability_mode="point"),
-        pulse_first, pulse_second, cfg, DELTA_T,
-    )
-    counts = {
-        bern.n_survived_first,
-        band.n_survived_first,
-        point.n_survived_first,
-    }
-    assert all(c > 0 for c in counts)
+    assert bern.n_survived_first > 0 and band.n_survived_first > 0
+    assert not np.array_equal(bern.survived_first, band.survived_first)
     # same cloud in every mode
     np.testing.assert_array_equal(bern.z0, band.z0)
-    np.testing.assert_array_equal(bern.v0, point.v0)
+    np.testing.assert_array_equal(bern.v0, band.v0)
 
 
 def test_monte_carlo_validates_timing_and_sigma(cfg, branch, pulse_first, pulse_second):
@@ -434,7 +424,7 @@ def test_monte_carlo_matches_every_atom_reference(case):
 
 
 @pytest.mark.parametrize("mode", [
-    dict(probability_mode="point"),
+    dict(),
     dict(decision_mode="band"),
     dict(survival_efficiency=0.5),
 ])
@@ -449,9 +439,6 @@ def test_every_mode_decides_pulse_two_for_survivors_only(
     if spec.decision_mode == "band":
         def flips(u, z, pulse):
             return np.abs(mw.detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0
-    elif spec.probability_mode == "point":
-        def flips(u, z, pulse):
-            return u < mw.point_probability(z, pulse, cfg)
     else:
         dz2 = mw.spread_width(spec.dz0, DELTA_T, cfg.species)
 
@@ -464,7 +451,7 @@ def test_every_mode_decides_pulse_two_for_survivors_only(
     assert result.n_survived_both > 0
     assert result.survived_first.tobytes() == ok1.tobytes()
     assert result.survived_both.tobytes() == ok2.tobytes()
-    if "survival_efficiency" not in mode:
+    if spec.decision_mode == "band":
         assert result.quadrature_rows == (0, 0)
 
 
