@@ -23,10 +23,14 @@ import numpy as np
 from .breit_rabi import FieldConfig, Level
 from .dynamics import g_effective, spread_width
 from .errors import EmptyIntersectionError, LevelMismatchError
-from .probability import averaged_probability_batch, averaged_probability_bound
+from .probability import (
+    averaged_probability_batch,
+    averaged_probability_bound,
+    interpolation_tolerance,
+)
 from .selection import PulseSpec, SelectionResult, detuning, select
 
-_CHUNK = 8192  # atoms per vectorized batch
+_TABLE_STEP = 0.125  # largest grid step of a pulse's probability table, in dz
 _PARALLEL_TOL = 1e-15
 
 
@@ -269,9 +273,10 @@ class MonteCarloResult:
     """Per-atom outcomes plus the predicted cell.
 
     z_final/v_final are at the second pulse's time and are NaN for atoms
-    lost at either stage.  quadrature_rows counts the atoms whose packet
-    average was computed at pulse 1 and at pulse 2; it is bookkeeping and
-    stays out of summary().
+    lost at either stage.  quadrature_rows counts, at pulse 1 and at
+    pulse 2, the atoms whose decision the Rabi-envelope bound left open
+    (decided from the pulse's table or by their own packet average); it
+    is bookkeeping and stays out of summary().
     """
 
     z0: np.ndarray
@@ -339,7 +344,7 @@ def _draws(spec: EnsembleSpec) -> tuple[np.ndarray, ...]:
 
     Each quantity has its own counter-based stream keyed by (seed, k)
     and filled in atom order, so atom i always gets element i: the draws
-    do not depend on n or on how the atoms are later chunked.
+    do not depend on n.
     """
     streams = [
         np.random.Generator(np.random.Philox(key=[spec.seed, k])) for k in range(6)
@@ -360,12 +365,18 @@ def _accept(
     spec: EnsembleSpec,
     window_sigmas: float,
 ) -> tuple[np.ndarray, int]:
-    """One pulse's decisions for atoms at z, and how many needed quadrature.
+    """One pulse's decisions for atoms at z, and how many the bound left open.
 
-    In Bernoulli mode the packet average p is computed only for atoms
+    In Bernoulli mode the packet average p is needed only for atoms
     that pass the survival draw and have u below
     averaged_probability_bound: for the others u >= bound >= p, so u < p
-    is false whatever the quadrature would give.
+    is false whatever the quadrature would give.  When the open atoms
+    are dense enough that a grid of step <= dz*_TABLE_STEP over their
+    span has fewer points than there are open atoms, p is tabulated on
+    that grid and interpolated; an atom whose u is more than
+    interpolation_tolerance from the interpolant is decided from it, and
+    only the rest are averaged one by one.  Either way every decision
+    equals u < averaged_probability_batch(z) bit for bit.
     """
     keep = eff < spec.survival_efficiency
     if spec.decision_mode == "band":
@@ -375,10 +386,29 @@ def _accept(
         z, dz, pulse, cfg, window_sigmas=window_sigmas
     )
     (rows,) = np.nonzero(keep)
+    n_open = rows.size
+    if n_open:
+        lo, hi = float(z[rows].min()), float(z[rows].max())
+        steps = (hi - lo) / (_TABLE_STEP * dz)
+        points = math.ceil(min(steps, n_open)) + 1
+        if points < n_open:
+            # linspace ends exactly at lo and hi, so the table's phase check
+            # covers the same span as a direct call on the open rows would
+            grid = np.linspace(lo, hi, points)
+            table = averaged_probability_batch(
+                grid, dz, pulse, cfg, window_sigmas=window_sigmas
+            )
+            approx = np.interp(z[rows], grid, table)
+            step = (hi - lo) / max(points - 1, 1)
+            sure = np.abs(u[rows] - approx) > interpolation_tolerance(
+                step, dz, window_sigmas
+            )
+            keep[rows[sure]] = u[rows[sure]] < approx[sure]
+            rows = rows[~sure]
     keep[rows] = u[rows] < averaged_probability_batch(
         z[rows], dz, pulse, cfg, window_sigmas=window_sigmas
     )
-    return keep, rows.size
+    return keep, n_open
 
 
 def run_monte_carlo(
@@ -391,15 +421,13 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Sample the cloud through both pulses.
 
-    Atoms are processed in chunks of _CHUNK to bound the size of the
-    quadrature arrays; results are bit-identical for any chunk size
-    because all draws are made up front and all per-atom arithmetic is
-    row-independent.  For the same reason only the pulse-1 survivors of a
-    chunk are decided at pulse 2, and quadrature runs only where the
-    Rabi-envelope bound leaves the decision open (see _accept): the
-    outcomes are bit-identical to averaging every atom at both pulses.
-    window_sigmas is the half-width of the packet-average window, in
-    packet widths (QuadratureSettings.window_sigmas).
+    All draws are made up front and all per-atom arithmetic is
+    row-independent, so pulse 1 is decided for every atom at once and
+    pulse 2 only for the pulse-1 survivors, each with at most one
+    probability table (see _accept): the outcomes are bit-identical to
+    averaging every atom at both pulses.  window_sigmas is the
+    half-width of the packet-average window, in packet widths
+    (QuadratureSettings.window_sigmas).
     """
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
@@ -414,40 +442,25 @@ def run_monte_carlo(
             f"pulse centers are {gap:g} s apart but delta_t = {delta_t:g} s"
         )
 
-    n = spec.n
     z0, v0, u1, e1, u2, e2 = _draws(spec)
-
-    dz_first = spec.dz0
     dz_second = spread_width(spec.dz0, delta_t, cfg.species)
     g = g_effective(cfg.species, cfg.eta, Level.UPPER, spec.sigma)
 
-    survived_first = np.empty(n, dtype=bool)
-    survived_both = np.empty(n, dtype=bool)
-    z_final = np.empty(n)
-    v_final = np.empty(n)
-    quadrature_rows = [0, 0]
-
-    for start in range(0, n, _CHUNK):
-        idx = slice(start, start + _CHUNK)
-        z = z0[idx]
-        v = v0[idx]
-        ok1, rows = _accept(
-            u1[idx], e1[idx], z, dz_first, pulse_first, cfg, spec, window_sigmas
-        )
-        quadrature_rows[0] += rows
-        z2 = z + v * delta_t - 0.5 * g * delta_t * delta_t
-        v2 = v - g * delta_t
-        (alive,) = np.nonzero(ok1)
-        ok2 = np.zeros_like(ok1)
-        ok2[alive], rows = _accept(
-            u2[idx][alive], e2[idx][alive], z2[alive],
-            dz_second, pulse_second, cfg, spec, window_sigmas,
-        )
-        quadrature_rows[1] += rows
-        survived_first[idx] = ok1
-        survived_both[idx] = ok2
-        z_final[idx] = np.where(ok2, z2, np.nan)
-        v_final[idx] = np.where(ok2, v2, np.nan)
+    survived_first, rows1 = _accept(
+        u1, e1, z0, spec.dz0, pulse_first, cfg, spec, window_sigmas
+    )
+    (alive,) = np.nonzero(survived_first)
+    z2 = z0[alive] + v0[alive] * delta_t - 0.5 * g * delta_t * delta_t
+    ok2, rows2 = _accept(
+        u2[alive], e2[alive], z2, dz_second, pulse_second, cfg, spec, window_sigmas
+    )
+    kept = alive[ok2]
+    survived_both = np.zeros_like(survived_first)
+    survived_both[kept] = True
+    z_final = np.full(spec.n, np.nan)
+    z_final[kept] = z2[ok2]
+    v_final = np.full(spec.n, np.nan)
+    v_final[kept] = v0[kept] - g * delta_t
 
     band1 = band_from_first_pulse(select(pulse_first, cfg), cfg, delta_t)
     band2 = band_from_second_pulse(select(pulse_second, cfg))
@@ -461,6 +474,6 @@ def run_monte_carlo(
         v_final=v_final,
         cell=cell,
         delta_t=delta_t,
-        quadrature_rows=tuple(quadrature_rows),
+        quadrature_rows=(rows1, rows2),
         spec=spec,
     )

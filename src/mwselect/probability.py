@@ -14,7 +14,10 @@ by row for Monte Carlo batches and as a one-row call for a single packet
 (transition_probability, which can also report the rule's error
 estimate).  averaged_probability_bound caps the rule from the Rabi
 envelope, so a Monte Carlo decision that the average cannot change
-skips the quadrature.
+skips the quadrature, and interpolation_tolerance bounds how far a
+linear interpolation of the rule on a grid of centers can be from the
+rule itself, so a decision far enough from that interpolant needs no
+quadrature of its own either.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ _MAX_PHASE_PER_NODE = 1.4  # rad of detuning phase per node the fixed rule resol
 _BOUND_ROUNDOFF = 1e-12  # relative float slack of averaged_probability_bound
 RULE_ORDER = 201  # nodes of the packet-average rule
 _ESTIMATE_ORDER = 101  # lower order whose gap to the full rule estimates its error
+_RULE_ERROR = 5e-12  # calibrated gap of the rule to the windowed average (see the batch)
+_CURVATURE = 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)  # 2*phi(1), see below
+_FLOAT_SLACK = 1e-9  # absolute slack of interpolation_tolerance for rounding
+_BLOCK = 1024  # rows of one (rows, order) evaluation in _rule_sum
 
 
 @dataclass(frozen=True)
@@ -168,10 +175,43 @@ def averaged_probability_batch(
 
 
 def _rule_sum(centers, dz, pulse, cfg, order, window_sigmas) -> np.ndarray:
-    """Gauss-Legendre sums of averaged_probability_batch, unchecked and unclipped."""
+    """Gauss-Legendre sums of averaged_probability_batch, unchecked and unclipped.
+
+    At most _BLOCK rows are evaluated at a time, which bounds the memory
+    of the (rows, order) arrays; rows are summed independently, so the
+    block size does not change a bit of the result.
+    """
     offsets, factors, _ = _packet_rule(dz, order, window_sigmas)
-    vals = point_probability(centers[:, None] + offsets[None, :], pulse, cfg)
-    return np.sum(vals * factors[None, :], axis=1)
+    out = np.empty(centers.size)
+    for start in range(0, centers.size, _BLOCK):
+        block = centers[start:start + _BLOCK, None] + offsets[None, :]
+        vals = point_probability(block, pulse, cfg)
+        out[start:start + _BLOCK] = np.sum(vals * factors[None, :], axis=1)
+    return out
+
+
+def interpolation_tolerance(step: float, dz: float, window_sigmas: float) -> float:
+    """Bound on |linear interpolant - averaged_probability_batch| between grid points.
+
+    The batch values at centers spaced by step (having passed the phase
+    check) are interpolated linearly; at any center in between, the
+    interpolant is within
+
+        eps = step^2/8 * 2*phi(1)/dz^2 + 2*(5e-12 + erfc(W/sqrt(2))) + 1e-9
+
+    of the batch value there (W = window_sigmas, phi the normal density).
+    The exact Gaussian average P has P'' = int (p - 1/2) G'' because
+    int G'' = 0, so 0 <= p <= 1 gives |P''| <= int|G''|/2 = 2*phi(1)/dz^2
+    = 0.4839/dz^2, and interpolating P is off by at most step^2/8 times
+    that.  At the grid and at the center the rule differs from P by at
+    most its calibrated 5e-12 plus the Gaussian mass outside its window,
+    erfc(W/sqrt(2)) (1.2e-15 at 8, 5.7e-7 at the minimum of 5); clipping
+    to [0, 1] does not widen the gap, and 1e-9 covers rounding.  At step
+    = dz/8 and W = 8, eps = 9.45e-4.
+    """
+    smooth = step * step / 8.0 * _CURVATURE / (dz * dz)
+    rule = _RULE_ERROR + math.erfc(window_sigmas / math.sqrt(2.0))
+    return smooth + 2.0 * rule + _FLOAT_SLACK
 
 
 def averaged_probability_bound(

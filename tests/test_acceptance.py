@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mwselect as mw
-from mwselect import phase_space
+from mwselect import probability
 from mwselect.breit_rabi import Level
 from mwselect.constants import CONST
 
@@ -184,12 +184,12 @@ def test_criterion_9_numerical_properties(
     fd_rel = float(np.max(np.abs(fd / exact - 1.0)))
     checks.append(("derivatives", fd_rel < 1e-6, f"max rel {fd_rel:.2e}"))
 
-    # adaptive quadrature vs a brute-force midpoint Riemann sum
+    # the packet-average rule vs a brute-force midpoint Riemann sum
     dz = mw.spread_width(DZ0, DELTA_T, rb87)
     state = mw.WavepacketState.minimum_uncertainty(
         z=Z_SECOND, v=0.0, dz=dz, level=Level.LOWER, sigma=1
     )
-    adaptive = mw.transition_probability(state, pulse_second, cfg)
+    rule = mw.transition_probability(state, pulse_second, cfg)
     n = 1_000_000
     lo, hi = Z_SECOND - 8.0 * dz, Z_SECOND + 8.0 * dz
     mid = lo + (np.arange(n) + 0.5) * (hi - lo) / n
@@ -200,18 +200,18 @@ def test_criterion_9_numerical_properties(
         np.sum(gauss * mw.point_probability(mid, pulse_second, cfg))
         * (hi - lo) / n
     )
-    quad_rel = abs(adaptive / riemann - 1.0)
+    quad_rel = abs(rule / riemann - 1.0)
     checks.append(("quadrature vs Riemann", quad_rel < 1e-8,
                    f"rel {quad_rel:.2e}"))
 
-    # the chunk size must not change a single byte
+    # the block size of the packet-average rule must not change a single byte
     spec = mw.EnsembleSpec(
         n=20000, z_mean=0.0, z_rms=1e-3, v_mean=0.7192, v_rms=1e-2,
         dz0=DZ0, seed=SEED,
     )
     runs = []
-    for chunk in (8192, 1024, 7):
-        monkeypatch.setattr(phase_space, "_CHUNK", chunk)
+    for block in (8192, 1024, 7):
+        monkeypatch.setattr(probability, "_BLOCK", block)
         runs.append(
             mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
         )
@@ -223,7 +223,7 @@ def test_criterion_9_numerical_properties(
         and r.v_final.tobytes() == runs[0].v_final.tobytes()
         for r in runs[1:]
     )
-    checks.append(("8192/1024/7-atom chunk determinism", identical,
+    checks.append(("8192/1024/7-row block determinism", identical,
                    "byte-identical"))
 
     # survivors of a wide cloud map out the analytic velocity cell

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mwselect as mw
-from mwselect import phase_space
+from mwselect import phase_space, probability
 from mwselect.breit_rabi import Level
 
 DELTA_T = 28e-3
@@ -176,10 +176,11 @@ def test_draws_are_a_prefix_of_longer_runs():
 def test_monte_carlo_chunk_size_invariance(
     monkeypatch, cfg, pulse_first, pulse_second
 ):
+    # the row blocks of the packet-average rule are the only partition of a run
     spec = _ensemble(n=300)
     runs = []
-    for chunk in (8192, 64, 7):
-        monkeypatch.setattr(phase_space, "_CHUNK", chunk)
+    for block in (8192, 64, 7):
+        monkeypatch.setattr(probability, "_BLOCK", block)
         runs.append(mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T))
     assert runs[0].n_survived_both > 0
     for other in runs[1:]:
@@ -343,11 +344,14 @@ def test_summary_reports_counts(cfg, pulse_first, pulse_second):
         assert s["survivor_v_range_m_s"] <= result.cell.velocity_support * 1.001
 
 
-def _every_atom_averaged(spec, pulse_first, pulse_second, cfg, delta_t):
+def _every_atom_averaged(
+    spec, pulse_first, pulse_second, cfg, delta_t, window_sigmas=8.0
+):
     """Reference run: every atom through the batch average at both pulses.
 
     Decides each atom as run_monte_carlo did before the Rabi-envelope
-    rejection and the survivor-only second pulse: no bound, no pruning.
+    rejection, the survivor-only second pulse and the probability
+    tables: no bound, no pruning, no interpolation.
     Blocks of 4096 rows keep the (rows, 201) arrays small; the batch rule
     is partition-invariant, so blocking cannot change a value.
     """
@@ -359,7 +363,9 @@ def _every_atom_averaged(spec, pulse_first, pulse_second, cfg, delta_t):
 
     def average(z, dz, pulse):
         return np.concatenate([
-            mw.averaged_probability_batch(z[i:i + 4096], dz, pulse, cfg)
+            mw.averaged_probability_batch(
+                z[i:i + 4096], dz, pulse, cfg, window_sigmas=window_sigmas
+            )
             for i in range(0, z.size, 4096)
         ])
 
@@ -455,11 +461,75 @@ def test_every_mode_decides_pulse_two_for_survivors_only(
         assert result.quadrature_rows == (0, 0)
 
 
-def test_thermal_cloud_rarely_needs_quadrature(cfg, pulse_first, pulse_second):
+def _batch_rows(monkeypatch):
+    """Spy on the Monte Carlo's batch calls; returns the list of row counts."""
+    rows = []
+
+    def spy(centers, *args, **kwargs):
+        rows.append(np.asarray(centers).size)
+        return mw.averaged_probability_batch(centers, *args, **kwargs)
+
+    monkeypatch.setattr(phase_space, "averaged_probability_batch", spy)
+    return rows
+
+
+def test_thermal_cloud_rarely_needs_quadrature(
+    monkeypatch, cfg, pulse_first, pulse_second
+):
+    batch_rows = _batch_rows(monkeypatch)
     spec = mw.EnsembleSpec(n=20000, seed=20260815, **_THERMAL)
     result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
     rows1, rows2 = result.quadrature_rows
     assert 0 < rows1 <= 0.05 * spec.n
     assert 0 < rows2 <= result.n_survived_first
+    # the open atoms of a wide cloud are sparse: no table, one direct call each
+    assert batch_rows == [rows1, rows2]
     # bookkeeping only: the summary keeps its keys
     assert not any("quadrature" in key for key in result.summary())
+
+
+def test_matched_cloud_is_decided_from_tables(
+    monkeypatch, cfg, pulse_first, pulse_second
+):
+    batch_rows = _batch_rows(monkeypatch)
+    spec = mw.EnsembleSpec(n=50000, seed=20260815, **_MATCHED)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    rows1, rows2 = result.quadrature_rows
+    assert rows1 > 0.8 * spec.n
+    # per pulse one table call and one call for the atoms it cannot decide
+    assert len(batch_rows) == 4
+    assert 0 < sum(batch_rows) < 0.05 * (rows1 + rows2)
+
+
+def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
+    """Uniforms 1e-6 and 1e-5 from the rule's value: only the fallback decides them.
+
+    The interpolation error of the table reaches about 3e-4, so deciding
+    such atoms from the table, or with a tolerance below that error,
+    flips decisions; the run must still match the every-atom reference.
+    """
+    cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
+    p1, p2 = _pulse_pair(cfg, -1, 0.0, _MATCHED["v_mean"])
+    spec = mw.EnsembleSpec(n=4000, seed=5, sigma=-1, **_MATCHED)
+    window = 5.0
+    z0, v0, u1, e1, u2, e2 = phase_space._draws(spec)
+    g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, -1)
+    z2 = z0 + v0 * DELTA_T - 0.5 * g * DELTA_T * DELTA_T
+    dz2 = mw.spread_width(spec.dz0, DELTA_T, cfg.species)
+    rng = np.random.default_rng(17)
+    top = np.nextafter(1.0, 0.0)
+
+    def next_to_rule(z, dz, pulse):
+        exact = mw.averaged_probability_batch(z, dz, pulse, cfg, window_sigmas=window)
+        offset = rng.choice([-1e-5, -1e-6, 1e-6, 1e-5], size=z.size)
+        return np.clip(exact + offset, 0.0, top)
+
+    draws = (z0, v0, next_to_rule(z0, spec.dz0, p1), e1,
+             next_to_rule(z2, dz2, p2), e2)
+    monkeypatch.setattr(phase_space, "_draws", lambda _spec: draws)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg, DELTA_T, window_sigmas=window)
+    want = _every_atom_averaged(spec, p1, p2, cfg, DELTA_T, window_sigmas=window)
+    assert 0 < result.n_survived_both < result.n_survived_first < spec.n
+    names = ("survived_first", "survived_both", "z_final", "v_final")
+    for name, ref in zip(names, want):
+        assert getattr(result, name).tobytes() == ref.tobytes(), name
