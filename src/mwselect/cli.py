@@ -33,6 +33,7 @@ from .breit_rabi import (
     transition_angular_frequency,
 )
 from .config import (
+    ApparatusEntry,
     RunConfig,
     load_config,
     to_dict,
@@ -109,7 +110,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _displacement(run: RunConfig) -> float:
-    return run.apparatus.displacement if run.apparatus is not None else 1e-2
+    """The apparatus lever arm, or ApparatusEntry's default without one."""
+    return (run.apparatus or ApparatusEntry).displacement
 
 
 def cmd_scan(run: RunConfig, args) -> None:

@@ -3,21 +3,22 @@
 Every dimensional value in a config file is a string "number unit"
 ("25 G/cm", "10 us", "0 T"); bare numbers for dimensional keys are
 rejected so nobody ever guesses a unit.  Internally everything is SI.
-to_dict/from_dict round-trip exactly: serialization uses repr floats
-with canonical SI units.
+One key table per section (_RUN) drives from_dict and to_dict, which
+round-trip exactly: serialization uses repr floats with canonical SI units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .breit_rabi import _POSITION_RANGE, FieldConfig, StretchedBranch
 from .constants import get_species
-from .errors import ConfigError, UnknownSpeciesError
+from .errors import ConfigError
 from .phase_space import EnsembleSpec
 from .probability import QuadratureSettings
 from .selection import PulseSpec
@@ -48,14 +49,10 @@ _UNITS: dict[str, dict[str, float]] = {
     "current": {"A": 1.0, "mA": 1e-3},
 }
 
+# the SI unit of each kind is the one of scale 1
 _CANONICAL_UNIT = {
-    "length": "m",
-    "time": "s",
-    "field": "T",
-    "gradient": "T/m",
-    "velocity": "m/s",
-    "angular_frequency": "rad/s",
-    "current": "A",
+    kind: next(unit for unit, scale in table.items() if scale == 1.0)
+    for kind, table in _UNITS.items()
 }
 
 
@@ -93,71 +90,6 @@ def parse_quantity(value, kind: str, key: str = "value") -> float:
 def format_quantity(value: float, kind: str) -> str:
     """Canonical SI string for a quantity, exact under parse_quantity."""
     return f"{value!r} {_CANONICAL_UNIT[kind]}"
-
-
-_MISSING = object()
-
-
-class _Section:
-    """Dict wrapper that pops known keys and rejects the rest."""
-
-    def __init__(self, data, name: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{name}: expected a mapping, got {type(data).__name__}")
-        self._data = dict(data)
-        self._name = name
-
-    def take(self, key: str, default=_MISSING):
-        if key in self._data:
-            return self._data.pop(key)
-        if default is _MISSING:
-            raise ConfigError(f"{self._name}: missing required key {key!r}")
-        return default
-
-    def quantity(self, key: str, kind: str, default=_MISSING) -> float:
-        raw = self.take(key, default)
-        if raw is default and default is not _MISSING:
-            return raw
-        return parse_quantity(raw, kind, key=f"{self._name}.{key}")
-
-    def integer(self, key: str, default=_MISSING) -> int:
-        raw = self.take(key, default)
-        if raw is default and default is not _MISSING:
-            return raw
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(f"{self._name}.{key}: expected an integer, got {raw!r}")
-        return raw
-
-    def number(self, key: str, default=_MISSING) -> float:
-        raw = self.take(key, default)
-        if raw is default and default is not _MISSING:
-            return raw
-        if isinstance(raw, bool):
-            raise ConfigError(f"{self._name}.{key}: expected a number, got {raw!r}")
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{self._name}.{key}: expected a number, got {raw!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise ConfigError(
-                f"{self._name}.{key}: expected a finite number, got {raw!r}"
-            )
-        return value
-
-    def text(self, key: str, default=_MISSING) -> str:
-        raw = self.take(key, default)
-        if raw is default and default is not _MISSING:
-            return raw
-        if not isinstance(raw, str):
-            raise ConfigError(f"{self._name}.{key}: expected a string, got {raw!r}")
-        return raw
-
-    def finish(self) -> None:
-        if self._data:
-            extra = ", ".join(sorted(map(repr, self._data)))
-            raise ConfigError(f"{self._name}: unknown keys {extra}")
 
 
 @dataclass(frozen=True)
@@ -267,203 +199,170 @@ class RunConfig:
         raise ConfigError("delta_t is not set and fewer than two pulses are defined")
 
 
+@dataclass(frozen=True)
+class _Schema:
+    """One config section: its builder and its (key, kind, default) rows.
+
+    A kind is a unit kind of _UNITS, "position" (a length inside
+    _POSITION_RANGE), "int", "sigma" (+1 or -1), "number", "text",
+    "species", a nested _Schema, or [kind] for a list of that kind.
+    A MISSING default makes the key required; a None default lets it be
+    null or absent, and then the dataclass's own default applies.
+    """
+
+    build: Callable
+    table: tuple
+
+
+def _schema(cls, *rows, build=None, **defaults) -> _Schema:
+    """Schema for cls from (key, kind) rows; defaults are cls's unless given."""
+    by_name = {f.name: f for f in fields(cls)}
+    table = []
+    for key, kind in rows:
+        f = by_name[key]
+        default = defaults.get(key, f.default)
+        required = default is MISSING and f.default_factory is MISSING
+        if isinstance(kind, (_Schema, list)) and not required:
+            default = None  # an optional section is absent, not empty
+        table.append((key, kind, default))
+    return _Schema(build or cls, tuple(table))
+
+
+def _run_config(ensemble=None, **values) -> RunConfig:
+    """RunConfig whose ensemble carries the top-level sigma."""
+    run = RunConfig(**values)
+    if ensemble is not None:
+        run = replace(run, ensemble=replace(ensemble, sigma=run.sigma))
+    return run
+
+
+_RUN = _schema(
+    RunConfig,
+    ("species", "species"),
+    ("field", _schema(FieldEntry, ("gradient", "gradient"), ("bias", "field"),
+                      bias=0.0)),
+    ("sigma", "sigma"),
+    ("delta_t", "time"),
+    ("pulses", [_schema(
+        PulseEntry,
+        ("tau", "time"), ("t0", "time"),
+        ("omega", "angular_frequency"), ("resonant_at", "position"),
+    )]),
+    ("ensemble", _schema(
+        EnsembleSpec,
+        ("n", "int"), ("z_mean", "length"), ("z_rms", "length"),
+        ("v_mean", "velocity"), ("v_rms", "velocity"), ("dz0", "length"),
+        ("seed", "int"), ("decision_mode", "text"), ("survival_efficiency", "number"),
+        z_mean=0.0, v_mean=0.0,
+    )),
+    ("scan", _schema(ScanEntry, ("z_min", "length"), ("z_max", "length"),
+                     ("points", "int"))),
+    ("apparatus", _schema(
+        ApparatusEntry,
+        ("radius", "length"), ("current", "current"), ("half_separation", "length"),
+        ("turns", "int"), ("displacement", "length"),
+    )),
+    ("quadrature", _schema(QuadratureSettings, ("window_sigmas", "number"))),
+    ("output", _schema(OutputEntry, ("csv", "text"), ("json", "text"))),
+    build=_run_config,
+)
+
+
+def _value(raw, kind, key: str):
+    """Parse one config value of the given kind; key names it in errors."""
+    if isinstance(kind, _Schema):
+        return _parse_section(raw, kind, key)
+    if isinstance(kind, list):
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list, got {type(raw).__name__}")
+        return tuple(_value(item, kind[0], f"{key}[{i}]") for i, item in enumerate(raw))
+    if kind in _UNITS:
+        return parse_quantity(raw, kind, key)
+    if kind == "position":
+        value = parse_quantity(raw, "length", key)
+        lo, hi = _POSITION_RANGE
+        if not lo <= value <= hi:
+            raise ConfigError(
+                f"{key}: {raw!r} is outside the position range [{lo:g}, {hi:g}] m"
+            )
+        return value
+    if kind in ("int", "sigma"):
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise ConfigError(f"{key}: expected an integer, got {raw!r}")
+        if kind == "sigma" and raw not in (1, -1):
+            raise ConfigError("sigma must be +1 or -1")
+        return raw
+    if kind == "number":
+        try:
+            value = None if isinstance(raw, bool) else float(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None:
+            raise ConfigError(f"{key}: expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return value
+    if not isinstance(raw, str):  # "text" and "species"
+        raise ConfigError(f"{key}: expected a string, got {raw!r}")
+    if kind == "species":
+        get_species(raw)
+    return raw
+
+
+def _parse_section(raw, schema: _Schema, name: str):
+    """Pop every key of the table, reject the rest, build the section."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: expected a mapping, got {type(raw).__name__}")
+    data = dict(raw)
+    values = {}
+    for key, kind, default in schema.table:
+        value = data.pop(key, default)
+        if value is MISSING:
+            raise ConfigError(f"{name}: missing required key {key!r}")
+        if value is None and default is None:
+            continue
+        if value is not default:
+            # the root names its sections and quantities by their bare key
+            bare = name == "config" and (not isinstance(kind, str) or kind in _UNITS)
+            value = _value(value, kind, key if bare else f"{name}.{key}")
+        values[key] = value
+    if data:
+        extra = ", ".join(sorted(map(repr, data)))
+        raise ConfigError(f"{name}: unknown keys {extra}")
+    try:
+        return schema.build(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _dump(value, kind):
+    """Inverse of _value: canonical SI strings, None for an absent value."""
+    if value is None:
+        return None
+    if isinstance(kind, _Schema):
+        out = {}
+        for key, sub, _ in kind.table:
+            item = _dump(getattr(value, key), sub)
+            if item not in (None, [], {}):
+                out[key] = item
+        return out
+    if isinstance(kind, list):
+        return [_dump(item, kind[0]) for item in value]
+    if kind == "position":
+        return format_quantity(value, "length")
+    return format_quantity(value, kind) if kind in _UNITS else value
+
+
 def from_dict(data: dict) -> RunConfig:
     """Build a validated RunConfig from a parsed YAML mapping."""
-    top = _Section(data, "config")
-    species_name = top.text("species")
-    try:
-        get_species(species_name)
-    except UnknownSpeciesError as exc:
-        raise ConfigError(str(exc)) from None
-
-    fsec = _Section(top.take("field"), "field")
-    field_entry = FieldEntry(
-        gradient=fsec.quantity("gradient", "gradient"),
-        bias=fsec.quantity("bias", "field", default=0.0),
-    )
-    fsec.finish()
-
-    sigma = top.integer("sigma", default=1)
-    if sigma not in (1, -1):
-        raise ConfigError("sigma must be +1 or -1")
-    delta_t_raw = top.take("delta_t", default=None)
-    delta_t = (
-        parse_quantity(delta_t_raw, "time", key="delta_t")
-        if delta_t_raw is not None
-        else None
-    )
-
-    pulses = []
-    lo, hi = _POSITION_RANGE
-    for i, pdata in enumerate(top.take("pulses", default=[]) or []):
-        psec = _Section(pdata, f"pulses[{i}]")
-        omega_raw = psec.take("omega", default=None)
-        res_raw = psec.take("resonant_at", default=None)
-        tau = psec.quantity("tau", "time")
-        t0 = psec.quantity("t0", "time")
-        omega = (
-            parse_quantity(omega_raw, "angular_frequency", key=f"pulses[{i}].omega")
-            if omega_raw is not None
-            else None
-        )
-        resonant_at = (
-            parse_quantity(res_raw, "length", key=f"pulses[{i}].resonant_at")
-            if res_raw is not None
-            else None
-        )
-        if resonant_at is not None and not lo <= resonant_at <= hi:
-            raise ConfigError(
-                f"pulses[{i}].resonant_at: {res_raw!r} is outside the position "
-                f"range [{lo:g}, {hi:g}] m"
-            )
-        pulses.append(PulseEntry(tau=tau, t0=t0, omega=omega, resonant_at=resonant_at))
-        psec.finish()
-
-    ensemble = None
-    edata = top.take("ensemble", default=None)
-    if edata is not None:
-        esec = _Section(edata, "ensemble")
-        values = dict(
-            n=esec.integer("n"),
-            z_mean=esec.quantity("z_mean", "length", default=0.0),
-            z_rms=esec.quantity("z_rms", "length"),
-            v_mean=esec.quantity("v_mean", "velocity", default=0.0),
-            v_rms=esec.quantity("v_rms", "velocity"),
-            dz0=esec.quantity("dz0", "length"),
-            seed=esec.integer("seed"),
-            decision_mode=esec.text("decision_mode", default="bernoulli"),
-            survival_efficiency=esec.number("survival_efficiency", default=1.0),
-        )
-        esec.finish()
-        try:
-            ensemble = EnsembleSpec(sigma=sigma, **values)
-        except ValueError as exc:
-            raise ConfigError(f"ensemble: {exc}") from None
-
-    scan = None
-    sdata = top.take("scan", default=None)
-    if sdata is not None:
-        ssec = _Section(sdata, "scan")
-        scan = ScanEntry(
-            z_min=ssec.quantity("z_min", "length"),
-            z_max=ssec.quantity("z_max", "length"),
-            points=ssec.integer("points"),
-        )
-        ssec.finish()
-
-    apparatus = None
-    adata = top.take("apparatus", default=None)
-    if adata is not None:
-        asec = _Section(adata, "apparatus")
-        apparatus = ApparatusEntry(
-            radius=asec.quantity("radius", "length"),
-            current=asec.quantity("current", "current"),
-            half_separation=asec.quantity("half_separation", "length"),
-            turns=asec.integer("turns", default=1),
-            displacement=asec.quantity("displacement", "length", default=1e-2),
-        )
-        asec.finish()
-
-    qdata = top.take("quadrature", default=None)
-    if qdata is not None:
-        qsec = _Section(qdata, "quadrature")
-        window_sigmas = qsec.number("window_sigmas", default=8.0)
-        qsec.finish()
-        try:
-            quad = QuadratureSettings(window_sigmas=window_sigmas)
-        except ValueError as exc:
-            raise ConfigError(f"quadrature: {exc}") from None
-    else:
-        quad = QuadratureSettings()
-
-    odata = top.take("output", default=None)
-    if odata is not None:
-        osec = _Section(odata, "output")
-        output = OutputEntry(
-            csv=osec.text("csv", default=None), json=osec.text("json", default=None)
-        )
-        osec.finish()
-    else:
-        output = OutputEntry()
-
-    top.finish()
-
-    return RunConfig(
-        species=species_name,
-        field=field_entry,
-        sigma=sigma,
-        delta_t=delta_t,
-        pulses=tuple(pulses),
-        ensemble=ensemble,
-        scan=scan,
-        apparatus=apparatus,
-        quadrature=quad,
-        output=output,
-    )
+    return _value(data, _RUN, "config")
 
 
 def to_dict(run: RunConfig) -> dict:
     """Serialize with canonical SI unit strings; inverse of from_dict."""
-    out: dict = {
-        "species": run.species,
-        "field": {
-            "gradient": format_quantity(run.field.gradient, "gradient"),
-            "bias": format_quantity(run.field.bias, "field"),
-        },
-        "sigma": run.sigma,
-    }
-    if run.delta_t is not None:
-        out["delta_t"] = format_quantity(run.delta_t, "time")
-    if run.pulses:
-        plist = []
-        for p in run.pulses:
-            pd = {
-                "tau": format_quantity(p.tau, "time"),
-                "t0": format_quantity(p.t0, "time"),
-            }
-            if p.omega is not None:
-                pd["omega"] = format_quantity(p.omega, "angular_frequency")
-            if p.resonant_at is not None:
-                pd["resonant_at"] = format_quantity(p.resonant_at, "length")
-            plist.append(pd)
-        out["pulses"] = plist
-    if run.ensemble is not None:
-        e = run.ensemble
-        out["ensemble"] = {
-            "n": e.n,
-            "z_mean": format_quantity(e.z_mean, "length"),
-            "z_rms": format_quantity(e.z_rms, "length"),
-            "v_mean": format_quantity(e.v_mean, "velocity"),
-            "v_rms": format_quantity(e.v_rms, "velocity"),
-            "dz0": format_quantity(e.dz0, "length"),
-            "seed": e.seed,
-            "decision_mode": e.decision_mode,
-            "survival_efficiency": e.survival_efficiency,
-        }
-    if run.scan is not None:
-        out["scan"] = {
-            "z_min": format_quantity(run.scan.z_min, "length"),
-            "z_max": format_quantity(run.scan.z_max, "length"),
-            "points": run.scan.points,
-        }
-    if run.apparatus is not None:
-        a = run.apparatus
-        out["apparatus"] = {
-            "radius": format_quantity(a.radius, "length"),
-            "current": format_quantity(a.current, "current"),
-            "half_separation": format_quantity(a.half_separation, "length"),
-            "turns": a.turns,
-            "displacement": format_quantity(a.displacement, "length"),
-        }
-    out["quadrature"] = {"window_sigmas": run.quadrature.window_sigmas}
-    if run.output.csv is not None or run.output.json is not None:
-        od = {}
-        if run.output.csv is not None:
-            od["csv"] = run.output.csv
-        if run.output.json is not None:
-            od["json"] = run.output.json
-        out["output"] = od
-    return out
+    return _dump(run, _RUN)
 
 
 def apply_overrides(data: dict, assignments: list[str]) -> dict:

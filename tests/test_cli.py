@@ -383,7 +383,8 @@ _SHIPPED = CONFIGS / "rb87_10us.yaml"
 # keys that older configs still carry: every command must reject them with exit 2
 _RETIRED = ["ensemble.probability_mode", "quadrature.max_subdivisions",
             "quadrature.rel_tol"]
-_LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text())) + _RETIRED
+_SECTIONS = ["field", "pulses", "ensemble", "scan", "apparatus", "quadrature", "output"]
+_LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text())) + _RETIRED + _SECTIONS
 _ALL_UNITS = sorted({u for table in cf._UNITS.values() for u in table})
 _OVERRIDE_VALUES = st.one_of(
     st.builds(
@@ -412,6 +413,46 @@ def test_any_single_override_exits_cleanly(tmp_path_factory, path, value):
         with contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv)
         assert rc == 2 if path in _RETIRED else rc in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "value,type_name",
+    [("5", "int"), ("0", "int"), ("true", "bool"), ("false", "bool"), ("abc", "str"),
+     ("2.5", "float"), ("{tau: 1 us}", "dict")],
+)
+def test_non_list_pulses_exit_2(tmp_path, capsys, value, type_name):
+    argv = ["select", str(_SHIPPED), "--set", f"pulses={value}",
+            "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: pulses: expected a list, got {type_name}\n"
+
+
+# every key a section must carry, under the name its errors give the section
+_REQUIRED_KEYS = {
+    "config": ["species", "field"],
+    "field": ["gradient"],
+    "pulses[0]": ["tau", "t0"],
+    "pulses[1]": ["tau", "t0"],
+    "ensemble": ["n", "z_rms", "v_rms", "dz0", "seed"],
+    "scan": ["z_min", "z_max", "points"],
+    "apparatus": ["radius", "current", "half_separation"],
+}
+
+
+@pytest.mark.parametrize(
+    "section,key", [(s, k) for s, keys in _REQUIRED_KEYS.items() for k in keys]
+)
+def test_missing_required_key_exits_2(tmp_path, capsys, section, key):
+    data = yaml.safe_load(_SHIPPED.read_text())
+    name, _, index = section.rstrip("]").partition("[")
+    node = data if section == "config" else data[name]
+    if index:
+        node = node[int(index)]
+    del node[key]
+    path = tmp_path / "missing.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert main(["select", str(path), "-o", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"error: {section}: missing required key {key!r}\n"
 
 
 def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 import mwselect as mw
@@ -178,6 +179,10 @@ class TestFromDict:
         run = cf.from_dict(_minimal(quadrature={"window_sigmas": "6e0"}))
         assert run.quadrature.window_sigmas == 6.0
 
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(mw.ConfigError, match="window_sigmas: expected a number"):
+            cf.from_dict(_minimal(quadrature={"window_sigmas": 10**400}))
+
     def test_round_trip_identity(self):
         run = cf.load_config(CONFIG_DIR / "rb87_10us.yaml")
         assert cf.from_dict(cf.to_dict(run)) == run
@@ -250,6 +255,13 @@ class TestLoadAndResolve:
         assert run.field.gradient == 0.25
         assert len(run.pulses) == 2
         assert run.ensemble is not None and run.scan is not None
+
+    def test_readme_config_block_is_the_shipped_config(self):
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        shipped = cf.load_config(CONFIG_DIR / "rb87_10us.yaml")
+        assert cf.from_dict(yaml.safe_load(block)) == shipped
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(mw.ConfigError, match="cannot read"):
