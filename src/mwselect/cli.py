@@ -56,7 +56,7 @@ from .probability import RULE_ORDER, transition_probability
 from .selection import select, validity_diagnostic
 
 _TWO_PI = 2.0 * np.pi
-_CSV_BLOCK = 4096  # atoms per block of the simulate CSV
+_CSV_BLOCK = 32768  # rows formatted at a time; bounds the writer's working memory
 
 
 def _format_cell(value) -> str:
@@ -69,11 +69,133 @@ def _format_cell(value) -> str:
     return f"{float(value):.16e}"
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+# The "%.16e" kernel.  For |x| in [1e-11, 1e17), k = floor(log10|x|) and
+# q = 16 - k lie in [0, 27], and 10**q = 2**q * 5**q with 5**27 < 2**64 is
+# exact in an x87 extended or IEEE quad long double.  Its product with |x|,
+# y in [1e16, 1e17), is then within half an ulp of the exact Y = |x| * 10**q,
+# and that ulp, at most 2**-7, divides 1/2.  So unless y is itself a tie (a
+# half-integer), Y lies on the same side of every tie as y, and rint(y) is
+# Y rounded to the 17-digit mantissa.  It stays below 1e17: the largest
+# double below each power of ten up to 1e17 is more than 4e-17 below it.
+# NaN is written as "nan"; every other value goes through _format_cell, as
+# does every value on a platform with another long double.
+_EXACT = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_FIELD = 24  # widest cell: "-4.9406564584124654e-324"
+_U64 = np.uint64
+
+
+def _words(texts) -> np.ndarray:
+    """4-byte ASCII texts as uint32 words that keep their bytes in memory order."""
+    return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
+
+
+# A fast-path cell is six words: NUL, sign or NUL, the lead digit and the
+# point; four groups of four digits; and the exponent.
+_HEADS = _words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
+_QUAD = np.uint32(10_000)
+_QUADS = _words(f"{i:04d}" for i in range(_QUAD))
+_TAILS = _words(f"e{e:+03d}" for e in range(-11, 17))
+
+
+def _mantissas(x: np.ndarray):
+    """(ok, mant, exp): x = mant * 10**(exp - 16) to 17 digits where ok."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(np.abs(x)))
+    ok = (k >= -11) & (k <= 16) & _EXACT
+    a = np.where(ok, np.abs(x), 1.0).astype(np.longdouble)
+    q = np.where(ok, 16 - k, 16).astype(np.intp)
+    y = a * _POW10[q]
+    # log10 can be one off next to a power of ten
+    off = (y < 1e16) | (y >= 1e17)
+    if off.any():
+        q[off] += np.where(y[off] < 1e16, 1, -1)
+        ok[off] &= (q[off] >= 0) & (q[off] <= 27)
+        q[off & ~ok] = 16
+        y[off] = a[off] * _POW10[q[off]]
+        ok[off] &= (y[off] >= 1e16) & (y[off] < 1e17)
+    nearest = np.rint(y)
+    ok &= np.abs(y - nearest) < 0.5
+    return ok, np.where(ok, nearest, 1e16).astype(_U64), 16 - q
+
+
+def _float_column(values: np.ndarray) -> np.ndarray:
+    """Each float's "%.16e" text as a NUL-padded (n, _FIELD) uint8 row."""
+    x = np.asarray(values, dtype=np.float64)
+    nan = np.isnan(x)
+    todo = np.flatnonzero(~nan)
+    ok, mant, exp = _mantissas(x[todo])
+    negative = x[todo] < 0
+    # every integer op pairs equal dtypes: before NEP 50 a uint32 array times
+    # a uint64 scalar that fits in 32 bits stayed uint32 and overflowed
+    hi = mant // _U64(10**8)
+    lo = (mant - hi * _U64(10**8)).astype(np.uint32)
+    lead, hi = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
+    words = np.empty((_FIELD // 4, len(todo)), np.uint32)
+    np.take(_HEADS, lead + 10 * negative, out=words[0])
+    for row, group in enumerate((*np.divmod(hi, _QUAD), *np.divmod(lo, _QUAD))):
+        np.take(_QUADS, group, out=words[row + 1])
+    np.take(_TAILS, exp + 11, out=words[5])
+    out = np.zeros((len(x), _FIELD), np.uint8)
+    out.view(np.uint32)[todo] = words.T
+    out[nan, :3] = np.frombuffer(b"nan", np.uint8)
+    slow = todo[~ok]
+    if slow.size:
+        cells = _text_column(x[slow].tolist())
+        out[slow] = 0
+        out[slow, : cells.shape[1]] = cells
+    return out
+
+
+def _int_column(values: np.ndarray) -> np.ndarray:
+    """Nonnegative integers as right-aligned, NUL-padded uint8 rows."""
+    v = np.asarray(values, dtype=_U64)[:, None]
+    powers = _U64(10) ** np.arange(len(str(int(v.max()))))[::-1].astype(_U64)
+    out = (v // powers % _U64(10)).astype(np.uint8) + np.uint8(ord("0"))
+    out[(v < powers) & (powers > 1)] = 0  # leading zeros
+    return out
+
+
+def _text_column(cells) -> np.ndarray:
+    """Cells written by _format_cell as a NUL-padded uint8 matrix."""
+    text = np.array([_format_cell(c).encode() for c in cells], dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), -1)
+
+
+def _column(cells) -> np.ndarray:
+    """A column's _format_cell text as NUL-padded uint8 rows."""
+    values = np.asarray(cells)
+    if values.dtype.kind == "f":
+        return _float_column(values)
+    if values.dtype.kind in "biu" and not (values < 0).any():
+        return _int_column(values)
+    return _text_column(cells)
+
+
+def _lines(columns: list[np.ndarray]) -> str:
+    """CSV lines from NUL-padded uint8 columns of equal length."""
+    width = sum(c.shape[1] + 1 for c in columns)
+    table = np.zeros((len(columns[0]), width), np.uint8)
+    at = 0
+    for col in columns:
+        table[:, at : at + col.shape[1]] = col
+        at += col.shape[1] + 1
+        table[:, at - 1] = ord(",")
+    table[:, -1] = ord("\n")
+    return table[table != 0].tobytes().decode("ascii")
+
+
+def _csv(header: list[str], columns: list) -> str:
+    """CSV text of equal-length columns, written _CSV_BLOCK rows at a time.
+
+    A column is an array or a sequence of cells; every cell reads as
+    _format_cell writes it.
+    """
+    blocks = [",".join(header) + "\n"]
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        blocks.append(_lines([_column(col[rows]) for col in columns]))
+    return "".join(blocks)
 
 
 def _jsonable(obj):
@@ -101,7 +223,10 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, newline="")
+        try:
+            Path(path).write_text(text, newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -126,10 +251,9 @@ def cmd_scan(run: RunConfig, args) -> None:
     v_lower = eigenvalue(lower, x, cfg.species)
     v_upper = eigenvalue(upper, x, cfg.species)
     omega = transition_angular_frequency(lower, z, cfg)
-    rows = zip(z, x, v_lower, v_upper, omega / _TWO_PI, omega - omega_ref)
     text = _csv(
         ["z_m", "kz", "V_minus_J", "V_plus_J", "transition_Hz", "detuning_rad_s"],
-        rows,
+        [z, x, v_lower, v_upper, omega / _TWO_PI, omega - omega_ref],
     )
     _emit(text, args.output or run.output.csv)
 
@@ -257,38 +381,21 @@ def cmd_bands(run: RunConfig, args) -> None:
     for j, (z, v) in enumerate(poly):
         rows.append(("cell", j, z, v))
     _emit(
-        _csv(["element", "vertex", "z_m", "v_m_s"], rows),
+        _csv(["element", "vertex", "z_m", "v_m_s"], list(zip(*rows))),
         args.output or run.output.csv,
     )
 
 
 def simulation_csv(result: MonteCarloResult) -> str:
-    """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms.
-
-    Built column by column in blocks of _CSV_BLOCK atoms; the cells are
-    the ones _format_cell writes, and a lost atom's finals are written
-    as "nan" without formatting.
-    """
-    fmt = "{:.16e}".format
-    lines = [
-        "atom_index,z0_m,v0_m_s,survived_first,survived_both,z_final_m,v_final_m_s"
-    ]
-    for start in range(0, result.n_total, _CSV_BLOCK):
-        idx = slice(start, start + _CSV_BLOCK)
-        both = result.survived_both[idx].tolist()
-        finals = [
-            [fmt(x) if ok else "nan" for x, ok in zip(col[idx].tolist(), both)]
-            for col in (result.z_final, result.v_final)
-        ]
-        lines.extend(map(",".join, zip(
-            map(str, range(start, start + len(both))),
-            map(fmt, result.z0[idx].tolist()),
-            map(fmt, result.v0[idx].tolist()),
-            ("1" if ok else "0" for ok in result.survived_first[idx].tolist()),
-            ("1" if ok else "0" for ok in both),
-            *finals,
-        )))
-    return "\n".join(lines) + "\n"
+    """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms."""
+    both = result.survived_both
+    return _csv(
+        ["atom_index", "z0_m", "v0_m_s", "survived_first", "survived_both",
+         "z_final_m", "v_final_m_s"],
+        [np.arange(result.n_total), result.z0, result.v0, result.survived_first,
+         both, np.where(both, result.z_final, np.nan),
+         np.where(both, result.v_final, np.nan)],
+    )
 
 
 def cmd_simulate(run: RunConfig, args) -> None:

@@ -25,6 +25,15 @@ from .selection import PulseSpec
 
 _TWO_PI = 2.0 * math.pi
 
+# libyaml's parser where PyYAML was built with it; both build the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Largest scan.points and ensemble.n.  At its peak a run holds about 250
+# bytes per simulate atom (its draws, outcomes and CSV line) or 330 per scan
+# point, so this keeps one run under about 3.5 GB; a larger Monte Carlo can
+# be split into runs with different seeds.
+_MAX_SIZE = 10**7
+
 _UNITS: dict[str, dict[str, float]] = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9},
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9},
@@ -204,7 +213,8 @@ class _Schema:
     """One config section: its builder and its (key, kind, default) rows.
 
     A kind is a unit kind of _UNITS, "position" (a length inside
-    _POSITION_RANGE), "int", "sigma" (+1 or -1), "number", "text",
+    _POSITION_RANGE), "int", "size" (an int up to _MAX_SIZE), "sigma"
+    (+1 or -1), "number", "text",
     "species", a nested _Schema, or [kind] for a list of that kind.
     A MISSING default makes the key required; a None default lets it be
     null or absent, and then the dataclass's own default applies.
@@ -250,13 +260,13 @@ _RUN = _schema(
     )]),
     ("ensemble", _schema(
         EnsembleSpec,
-        ("n", "int"), ("z_mean", "length"), ("z_rms", "length"),
+        ("n", "size"), ("z_mean", "length"), ("z_rms", "length"),
         ("v_mean", "velocity"), ("v_rms", "velocity"), ("dz0", "length"),
         ("seed", "int"), ("decision_mode", "text"), ("survival_efficiency", "number"),
         z_mean=0.0, v_mean=0.0,
     )),
     ("scan", _schema(ScanEntry, ("z_min", "length"), ("z_max", "length"),
-                     ("points", "int"))),
+                     ("points", "size"))),
     ("apparatus", _schema(
         ApparatusEntry,
         ("radius", "length"), ("current", "current"), ("half_separation", "length"),
@@ -286,11 +296,13 @@ def _value(raw, kind, key: str):
                 f"{key}: {raw!r} is outside the position range [{lo:g}, {hi:g}] m"
             )
         return value
-    if kind in ("int", "sigma"):
+    if kind in ("int", "size", "sigma"):
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"{key}: expected an integer, got {raw!r}")
         if kind == "sigma" and raw not in (1, -1):
             raise ConfigError("sigma must be +1 or -1")
+        if kind == "size" and raw > _MAX_SIZE:
+            raise ConfigError(f"{key}: must be at most {_MAX_SIZE}")
         return raw
     if kind == "number":
         try:
@@ -377,7 +389,7 @@ def apply_overrides(data: dict, assignments: list[str]) -> dict:
         if not sep or not path:
             raise ConfigError(f"--set expects dotted.path=value, got {item!r}")
         try:
-            value = yaml.safe_load(raw_value)
+            value = yaml.load(raw_value, Loader=_YAML_LOADER)
         except yaml.YAMLError:
             value = raw_value
         except ValueError as exc:  # e.g. an integer past Python's digit limit
@@ -428,7 +440,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"invalid YAML in {p}: {exc}") from None
     if data is None:

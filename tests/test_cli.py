@@ -455,8 +455,17 @@ def test_missing_required_key_exits_2(tmp_path, capsys, section, key):
     assert capsys.readouterr().err == f"error: {section}: missing required key {key!r}\n"
 
 
+def _rowwise_csv(header, rows) -> str:
+    """Reference CSV text: every cell through cli._format_cell, row by row."""
+    from mwselect import cli
+
+    lines = [",".join(header)]
+    lines += [",".join(cli._format_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
-    """The block-wise writer gives the bytes of the row-wise _csv path."""
+    """The block-wise writer gives the bytes of the row-wise reference."""
     from types import SimpleNamespace
 
     from mwselect import cli
@@ -477,7 +486,97 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
               "z_final_m", "v_final_m_s"]
     rows = zip(range(n), result.z0, result.v0, first, both,
                result.z_final, result.v_final)
-    want = cli._csv(header, rows)
+    want = _rowwise_csv(header, rows)
     for block in (4096, 7, 1):
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         assert cli.simulation_csv(result) == want
+
+
+def _kernel_cells(values) -> list[str]:
+    """What the "%.16e" kernel writes for each value, NUL padding removed."""
+    from mwselect import cli
+
+    table = cli._float_column(np.asarray(values, dtype=np.float64))
+    return [bytes(row[row != 0]).decode() for row in table]
+
+
+def _reference_cells(values) -> list[str]:
+    from mwselect import cli
+
+    return [cli._format_cell(float(v)) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_kernel_matches_format_cell_for_any_bit_pattern(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _kernel_cells(values) == _reference_cells(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(1e-12, 1e17) | st.floats(-1e17, -1e-12),
+                       min_size=1, max_size=64))
+def test_float_kernel_matches_format_cell_in_the_fast_range(values):
+    assert _kernel_cells(values) == _reference_cells(values)
+
+
+# Doubles whose long-double product |x| * 10**q lands exactly on a
+# half-integer while the exact product does not: rint would round them
+# to the even neighbour, one unit off in the 17th digit.
+_LONG_DOUBLE_TIES = [
+    0.43042710632523073, 80604300759.26736, 41.98962885468695,
+    4.749231150374778e-10, 16280065.250188, 967914518.5979359,
+    8.503502347870858e-10, 7.123034373246319e-07,
+]
+
+
+def test_float_kernel_edge_values():
+    decades = [10.0**j for j in range(-12, 18)]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+             1e15 + 0.25, np.nan, -np.nan, np.inf, -np.inf, *_LONG_DOUBLE_TIES]
+    for d in decades:
+        edges += [d, -d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]
+    assert _kernel_cells(edges) == _reference_cells(edges)
+    assert _kernel_cells([1e15 + 0.25]) == ["1.0000000000000002e+15"]
+
+
+@pytest.mark.parametrize("cloud", [[], ['ensemble.z_rms="20 um"', 'ensemble.v_rms="2 mm/s"']],
+                         ids=["thermal", "matched"])
+def test_simulate_csv_is_the_same_without_the_fast_path(monkeypatch, tmp_path, cloud):
+    from mwselect import cli
+
+    def simulate(name):
+        sets = ["ensemble.n=20000", "ensemble.seed=11", *cloud]
+        argv = ["simulate", str(_SHIPPED), *[a for s in sets for a in ("--set", s)],
+                "--csv", str(tmp_path / name), "-o", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        return (tmp_path / name).read_bytes()
+
+    fast = simulate("fast.csv")
+    monkeypatch.setattr(cli, "_EXACT", False)
+    assert not cli._mantissas(np.array([1.0, 2.5e-3]))[0].any()
+    assert simulate("slow.csv") == fast
+
+
+@pytest.mark.parametrize("command,path", [("scan", "scan.points"),
+                                          ("simulate", "ensemble.n")])
+def test_sizes_above_the_limit_exit_2(tmp_path, capsys, command, path):
+    argv = [command, str(_SHIPPED), "--set", f"{path}={10**30}",
+            "--csv", str(tmp_path / "a.csv"), "-o", str(tmp_path / "out")]
+    if command != "simulate":
+        del argv[4:6]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: must be at most 10000000\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv_tail,shown", [
+    (["--set", "output.csv=''"], "''"),
+    (["--csv", "missing/dir/atoms.csv"], "'missing/dir/atoms.csv'"),
+])
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv_tail, shown):
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", str(_SHIPPED), "--set", "ensemble.n=100", *argv_tail,
+            "-o", "out.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {shown}: ")

@@ -263,6 +263,24 @@ class TestLoadAndResolve:
         shipped = cf.load_config(CONFIG_DIR / "rb87_10us.yaml")
         assert cf.from_dict(yaml.safe_load(block)) == shipped
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_yaml_loader_reads_what_safe_load_reads(self, path):
+        text = path.read_text()
+        assert yaml.load(text, Loader=cf._YAML_LOADER) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("section,key", [("scan", "points"), ("ensemble", "n")])
+    def test_size_limit_is_inclusive(self, section, key):
+        data = _two_pulse(
+            scan={"z_min": "-1 cm", "z_max": "1 cm", "points": 2},
+            ensemble={"n": 1, "z_rms": "1 mm", "v_rms": "1 cm/s", "dz0": "3 um",
+                      "seed": 1},
+        )
+        data[section][key] = 10**7
+        assert getattr(getattr(cf.from_dict(data), section), key) == 10**7
+        data[section][key] = 10**7 + 1
+        with pytest.raises(mw.ConfigError, match=f"{section}.{key}: must be at most"):
+            cf.from_dict(data)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(mw.ConfigError, match="cannot read"):
             cf.load_config(tmp_path / "nope.yaml")
