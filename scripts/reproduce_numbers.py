@@ -70,9 +70,7 @@ def main() -> None:
 
     print("\n== phase-space selection cell ==")
     sel1 = mw.select(p1, cfg, delta_t=DELTA_T)
-    band1 = mw.band_from_first_pulse(sel1, cfg, DELTA_T)
-    band2 = mw.band_from_second_pulse(mw.select(p2, cfg))
-    cell = mw.selection_cell(band1, band2)
+    cell = mw.selection_cell(sel1, mw.select(p2, cfg), cfg, DELTA_T)
     print(f"v_center  = {cell.v_center * 1e3:+.4f} mm/s at the second pulse")
     print(f"v support = {cell.velocity_support * 1e3:.4f} mm/s, "
           f"cell area = {cell.area:.4e} m^2/s")

@@ -47,7 +47,6 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
-    EmptyIntersectionError,
     LevelMismatchError,
     NoBracketError,
     PhysicsDomainError,
@@ -60,8 +59,6 @@ from .phase_space import (
     MonteCarloResult,
     PhaseSpaceBand,
     SelectionCell,
-    band_from_first_pulse,
-    band_from_second_pulse,
     cell_polygon,
     marginal_velocity,
     run_monte_carlo,
@@ -94,7 +91,6 @@ __all__ = [
     "CONST",
     "CoilPair",
     "ConfigError",
-    "EmptyIntersectionError",
     "EnergyScale",
     "EnsembleSpec",
     "FieldConfig",
@@ -117,8 +113,6 @@ __all__ = [
     "acceleration",
     "available_species",
     "averaged_probability_batch",
-    "band_from_first_pulse",
-    "band_from_second_pulse",
     "cell_polygon",
     "current_for_gradient",
     "d_eigenvalue_dkz",

@@ -46,8 +46,6 @@ from .dynamics import WavepacketState, spread_width
 from .errors import ConfigError, PhysicsDomainError
 from .phase_space import (
     MonteCarloResult,
-    band_from_first_pulse,
-    band_from_second_pulse,
     cell_polygon,
     run_monte_carlo,
     selection_cell,
@@ -309,9 +307,7 @@ def cmd_select(run: RunConfig, args) -> None:
     if delta_t is None:
         result["note"] = "velocity widths need delta_t or two pulses"
     elif len(pulses) >= 2:
-        band1 = band_from_first_pulse(sels[0], cfg, delta_t)
-        band2 = band_from_second_pulse(sels[1])
-        cell = selection_cell(band1, band2)
+        cell = selection_cell(sels[0], sels[1], cfg, delta_t)
         result["pair"] = {
             "delta_t_s": delta_t,
             "v_center_m_s": cell.v_center,
@@ -360,9 +356,10 @@ def cmd_bands(run: RunConfig, args) -> None:
     pulses = to_pulses(run, cfg)
     _require(len(pulses) >= 2, "bands command needs two pulses")
     delta_t = run.effective_delta_t()
-    band1 = band_from_first_pulse(select(pulses[0], cfg), cfg, delta_t)
-    band2 = band_from_second_pulse(select(pulses[1], cfg))
-    cell = selection_cell(band1, band2)
+    cell = selection_cell(
+        select(pulses[0], cfg), select(pulses[1], cfg), cfg, delta_t
+    )
+    band1, band2 = cell.band_first, cell.band_second
     poly = cell_polygon(cell)
     v_half = cell.velocity_support  # draw band edges over twice the cell extent
     v_lo, v_hi = cell.v_center - v_half, cell.v_center + v_half
@@ -371,7 +368,7 @@ def cmd_bands(run: RunConfig, args) -> None:
     def edge_rows(name: str, band, offset: float):
         c = band.center + offset
         for j, v in enumerate((v_lo, v_hi)):
-            z = (c - band.a_v * v) / band.a_z
+            z = c - band.a_v * v
             rows.append((name, j, z, v))
 
     edge_rows("first_band_low", band1, -band1.half_width)
@@ -388,13 +385,11 @@ def cmd_bands(run: RunConfig, args) -> None:
 
 def simulation_csv(result: MonteCarloResult) -> str:
     """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms."""
-    both = result.survived_both
     return _csv(
         ["atom_index", "z0_m", "v0_m_s", "survived_first", "survived_both",
          "z_final_m", "v_final_m_s"],
         [np.arange(result.n_total), result.z0, result.v0, result.survived_first,
-         both, np.where(both, result.z_final, np.nan),
-         np.where(both, result.v_final, np.nan)],
+         result.survived_both, result.z_final, result.v_final],
     )
 
 

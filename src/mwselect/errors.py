@@ -25,10 +25,6 @@ class NoBracketError(PhysicsDomainError):
     """Target value is not attained inside the root-finding interval."""
 
 
-class EmptyIntersectionError(PhysicsDomainError):
-    """The two selection bands do not overlap."""
-
-
 class LevelMismatchError(PhysicsDomainError):
     """Operation called for a hyperfine level it does not apply to."""
 

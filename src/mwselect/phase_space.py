@@ -22,7 +22,7 @@ import numpy as np
 
 from .breit_rabi import FieldConfig, Level
 from .dynamics import g_effective, spread_width
-from .errors import EmptyIntersectionError, LevelMismatchError
+from .errors import LevelMismatchError
 from .probability import (
     averaged_probability_batch,
     averaged_probability_bound,
@@ -31,18 +31,17 @@ from .probability import (
 from .selection import PulseSpec, SelectionResult, detuning, select
 
 _TABLE_STEP = 0.125  # largest grid step of a pulse's probability table, in dz
-_PARALLEL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
 class PhaseSpaceBand:
-    """Linear band {(z, v): |a_z*z + a_v*v - center| <= half_width}.
+    """Position band {(z, v): |z + a_v*v - center| <= half_width}.
 
-    Coordinates are taken at the second pulse's time.  A pulse's own
-    band has a_z = 1; a_v encodes how far back in time it acts.
+    Coordinates are taken at the second pulse's time; a_v encodes how
+    far back in time the pulse acts (-delta_t for the first, 0 for the
+    second).
     """
 
-    a_z: float
     a_v: float
     center: float
     half_width: float
@@ -50,41 +49,11 @@ class PhaseSpaceBand:
     def __post_init__(self) -> None:
         if self.half_width <= 0.0:
             raise ValueError("half_width must be positive")
-        if self.a_z == 0.0 and self.a_v == 0.0:
-            raise ValueError("band normal (a_z, a_v) must be nonzero")
 
     def contains(self, z, v):
         """Membership test; vectorizes, and NaN coordinates test False."""
-        s = self.a_z * np.asarray(z) + self.a_v * np.asarray(v)
+        s = np.asarray(z) + self.a_v * np.asarray(v)
         return np.abs(s - self.center) <= self.half_width
-
-
-def band_from_first_pulse(
-    sel: SelectionResult, cfg: FieldConfig, delta_t: float
-) -> PhaseSpaceBand:
-    """First pulse's acceptance band, pushed forward to the second pulse.
-
-    Backtracking z(t2) - v(t2)*delta_t - g_eff*delta_t^2/2 recovers the
-    position at the first pulse, so the band tilts with slope 1/delta_t
-    in (z, v).  Uses the upper-branch g because accepted atoms spend the
-    gap on the upper branch.
-    """
-    if delta_t <= 0.0:
-        raise ValueError("delta_t must be positive")
-    g = g_effective(cfg.species, cfg.eta, Level.UPPER, sel.pulse.branch.sigma)
-    return PhaseSpaceBand(
-        a_z=1.0,
-        a_v=-delta_t,
-        center=sel.z_center + 0.5 * g * delta_t * delta_t,
-        half_width=0.5 * sel.position_width,
-    )
-
-
-def band_from_second_pulse(sel: SelectionResult) -> PhaseSpaceBand:
-    """Second pulse's band: a vertical position slice at its own time."""
-    return PhaseSpaceBand(
-        a_z=1.0, a_v=0.0, center=sel.z_center, half_width=0.5 * sel.position_width
-    )
 
 
 @dataclass(frozen=True)
@@ -92,8 +61,8 @@ class SelectionCell:
     """Bounded intersection of the two pulse bands.
 
     z_center/v_center is the cell midpoint; velocity_support the full
-    extent of selected velocities; area the parallelogram area, equal to
-    delta_z1*delta_z2/delta_t for the standard band pair.
+    extent of selected velocities; area the parallelogram area
+    delta_z1*delta_z2/delta_t.
     """
 
     band_first: PhaseSpaceBand
@@ -110,92 +79,63 @@ class SelectionCell:
         """Same cell with both half-widths scaled by factor (tolerance tests)."""
         if factor <= 0.0:
             raise ValueError("factor must be positive")
-        b1 = PhaseSpaceBand(
-            self.band_first.a_z,
-            self.band_first.a_v,
-            self.band_first.center,
-            self.band_first.half_width * factor,
+        b1, b2 = self.band_first, self.band_second
+        return _cell(
+            PhaseSpaceBand(b1.a_v, b1.center, b1.half_width * factor),
+            PhaseSpaceBand(b2.a_v, b2.center, b2.half_width * factor),
         )
-        b2 = PhaseSpaceBand(
-            self.band_second.a_z,
-            self.band_second.a_v,
-            self.band_second.center,
-            self.band_second.half_width * factor,
-        )
-        return selection_cell(b1, b2)
 
 
 def selection_cell(
-    band_first: PhaseSpaceBand, band_second: PhaseSpaceBand
+    first: SelectionResult, second: SelectionResult, cfg: FieldConfig, delta_t: float
 ) -> SelectionCell:
-    """Intersect two bands into a bounded cell.
+    """The velocity class two resolved pulses select, delta_t apart.
 
-    Raises EmptyIntersectionError for parallel disjoint bands and
-    ValueError for parallel overlapping ones (an unbounded strip).
+    The second pulse's slice is a vertical band at its own time.  The
+    first pulse's slice is pushed forward to it: backtracking z(t2) -
+    v(t2)*delta_t - g_eff*delta_t^2/2 recovers the position at the first
+    pulse, so that band tilts with slope 1/delta_t in (z, v).  It uses the
+    upper-branch g because accepted atoms spend the gap on the upper
+    branch.
     """
-    det = band_first.a_z * band_second.a_v - band_first.a_v * band_second.a_z
-    norm = math.hypot(band_first.a_z, band_first.a_v) * math.hypot(
-        band_second.a_z, band_second.a_v
+    if delta_t <= 0.0:
+        raise ValueError("delta_t must be positive")
+    g = g_effective(cfg.species, cfg.eta, Level.UPPER, first.pulse.branch.sigma)
+    return _cell(
+        PhaseSpaceBand(-delta_t, first.z_center + 0.5 * g * delta_t * delta_t,
+                       0.5 * first.position_width),
+        PhaseSpaceBand(0.0, second.z_center, 0.5 * second.position_width),
     )
-    if abs(det) <= _PARALLEL_TOL * norm:
-        # parallel normals: compare the two strips along the common normal
-        scale = math.hypot(band_second.a_z, band_second.a_v) / math.hypot(
-            band_first.a_z, band_first.a_v
-        )
-        sign = 1.0 if (
-            band_first.a_z * band_second.a_z + band_first.a_v * band_second.a_v
-        ) >= 0.0 else -1.0
-        c1 = sign * scale * band_first.center
-        w1 = scale * band_first.half_width
-        if abs(c1 - band_second.center) > w1 + band_second.half_width:
-            raise EmptyIntersectionError(
-                "parallel bands do not overlap: no phase-space cell is selected"
-            )
-        raise ValueError("parallel overlapping bands bound no finite cell")
+
+
+def _cell(b1: PhaseSpaceBand, b2: PhaseSpaceBand) -> SelectionCell:
+    """Intersect two bands; det = a_v2 - a_v1 = delta_t > 0 for a pulse pair."""
+    det = b2.a_v - b1.a_v
     # cell center solves both band equations at their centers
-    z_c = (
-        band_first.center * band_second.a_v - band_second.center * band_first.a_v
-    ) / det
-    v_c = (
-        band_first.a_z * band_second.center - band_second.a_z * band_first.center
-    ) / det
+    z_c = (b1.center * b2.a_v - b2.center * b1.a_v) / det
+    v_c = (b2.center - b1.center) / det
     # velocity extent: v ranges over solutions as both offsets span their widths
-    v_half = (
-        abs(band_second.a_z) * band_first.half_width
-        + abs(band_first.a_z) * band_second.half_width
-    ) / abs(det)
-    area = 4.0 * band_first.half_width * band_second.half_width / abs(det)
-    return SelectionCell(
-        band_first=band_first,
-        band_second=band_second,
-        z_center=z_c,
-        v_center=v_c,
-        velocity_support=2.0 * v_half,
-        area=area,
-    )
+    v_half = (b1.half_width + b2.half_width) / det
+    area = 4.0 * b1.half_width * b2.half_width / det
+    return SelectionCell(b1, b2, z_c, v_c, 2.0 * v_half, area)
 
 
 def cell_polygon(cell: SelectionCell) -> np.ndarray:
-    """Vertices of the cell as a (4, 2) array of (z, v), counterclockwise."""
+    """Vertices of the cell as a (4, 2) array of (z, v), counterclockwise.
+
+    The corners run counterclockwise in the band offsets, and the map to
+    (z, v) has determinant 1/det > 0, so it keeps that orientation.
+    """
     b1, b2 = cell.band_first, cell.band_second
-    det = b1.a_z * b2.a_v - b1.a_v * b2.a_z
+    det = b2.a_v - b1.a_v
     corners = []
     for s1, s2 in ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)):
         c1 = b1.center + s1 * b1.half_width
         c2 = b2.center + s2 * b2.half_width
         z = (c1 * b2.a_v - c2 * b1.a_v) / det
-        v = (b1.a_z * c2 - b2.a_z * c1) / det
+        v = (c2 - c1) / det
         corners.append((z, v))
-    poly = np.asarray(corners)
-    # enforce counterclockwise orientation via the shoelace sign
-    area2 = 0.0
-    for i in range(4):
-        z0, v0 = poly[i]
-        z1, v1 = poly[(i + 1) % 4]
-        area2 += z0 * v1 - z1 * v0
-    if area2 < 0.0:
-        poly = poly[::-1].copy()
-    return poly
+    return np.asarray(corners)
 
 
 def marginal_velocity(
@@ -204,23 +144,20 @@ def marginal_velocity(
     """Velocity marginal of the uniform density on the cell.
 
     Returns (v, density) with density integrating to 1 over the support;
-    for equal band widths the shape is an isosceles triangle.  Assumes
-    the standard band pair (a_z = 1 for both, tilted first band).
+    for equal band widths the shape is an isosceles triangle.
     """
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
     b1, b2 = cell.band_first, cell.band_second
-    if b1.a_z == 0.0 or b2.a_z == 0.0:
-        raise ValueError("marginal_velocity expects position-slice bands (a_z != 0)")
     half = 0.5 * cell.velocity_support
     v = np.linspace(cell.v_center - half, cell.v_center + half, resolution)
     # slice length in z at fixed v: overlap of the two position intervals
-    lo1 = (b1.center - b1.half_width - b1.a_v * v) / b1.a_z
-    hi1 = (b1.center + b1.half_width - b1.a_v * v) / b1.a_z
-    lo2 = (b2.center - b2.half_width - b2.a_v * v) / b2.a_z
-    hi2 = (b2.center + b2.half_width - b2.a_v * v) / b2.a_z
-    lo = np.maximum(np.minimum(lo1, hi1), np.minimum(lo2, hi2))
-    hi = np.minimum(np.maximum(lo1, hi1), np.maximum(lo2, hi2))
+    lo = np.maximum(
+        b1.center - b1.half_width - b1.a_v * v, b2.center - b2.half_width - b2.a_v * v
+    )
+    hi = np.minimum(
+        b1.center + b1.half_width - b1.a_v * v, b2.center + b2.half_width - b2.a_v * v
+    )
     length = np.clip(hi - lo, 0.0, None)
     return v, length / cell.area
 
@@ -256,8 +193,9 @@ class EnsembleSpec:
             raise ValueError("n must be at least 1")
         if self.z_rms < 0.0 or self.v_rms < 0.0:
             raise ValueError("z_rms and v_rms must be nonnegative")
-        if self.dz0 <= 0.0:
-            raise ValueError("dz0 must be positive")
+        # 1 pm is far below any atomic packet; 1 m is the position range
+        if not 1e-12 <= self.dz0 <= 1.0:
+            raise ValueError("dz0 must lie in [1 pm, 1 m]")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if self.sigma not in (1, -1):
@@ -462,9 +400,9 @@ def run_monte_carlo(
     v_final = np.full(spec.n, np.nan)
     v_final[kept] = v0[kept] - g * delta_t
 
-    band1 = band_from_first_pulse(select(pulse_first, cfg), cfg, delta_t)
-    band2 = band_from_second_pulse(select(pulse_second, cfg))
-    cell = selection_cell(band1, band2)
+    cell = selection_cell(
+        select(pulse_first, cfg), select(pulse_second, cfg), cfg, delta_t
+    )
     return MonteCarloResult(
         z0=z0,
         v0=v0,

@@ -219,7 +219,6 @@ def averaged_probability_bound(
     dz: float,
     pulse: PulseSpec,
     cfg: FieldConfig,
-    order: int = RULE_ORDER,
     window_sigmas: float = 8.0,
 ) -> np.ndarray:
     """Upper bound on averaged_probability_batch, row by row, from 4 evaluations.
@@ -249,7 +248,7 @@ def averaged_probability_bound(
     a few roundings relative to 1.
     """
     centers = np.asarray(centers, dtype=float)
-    _, factors, half = _packet_rule(dz, order, window_sigmas)
+    _, factors, half = _packet_rule(dz, RULE_ORDER, window_sigmas)
     lo = centers - half
     hi = centers + half
     d_lo, d_hi = (detuning(z, pulse, cfg) for z in (lo, hi))

@@ -25,7 +25,7 @@ from .breit_rabi import (
     transition_angular_frequency,
 )
 from .constants import CONST, AtomSpecies
-from .errors import ZeroGradientError
+from .errors import PhysicsDomainError, ZeroGradientError
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -173,10 +173,17 @@ def validity_diagnostic(
         raise ZeroGradientError("validity diagnostic requires a nonzero gradient")
     eps = epsilon(cfg)
     d_w = cfg.species.delta_W
-    scaled_p = momentum / (CONST.hbar * k)
+    hbar_k = CONST.hbar * k
     spread = complex(k * k * width_initial * width_initial, eps * d_w * t_pulse)
+    norm_sq = 2.0 * math.pi * k * k * width_at_pulse * width_at_pulse
+    if hbar_k == 0.0 or spread == 0.0 or norm_sq == 0.0:
+        raise PhysicsDomainError(
+            "validity diagnostic: the gradient terms underflow for this "
+            "gradient and packet width"
+        )
+    scaled_p = momentum / hbar_k
     term = abs(scaled_p * scaled_p + 1.0 / (2.0 * spread))
-    norm = (2.0 * math.pi * k * k * width_at_pulse * width_at_pulse) ** -0.25
+    norm = norm_sq ** -0.25
     return eps * term * (math.pi * d_w / pulse.rabi_at_resonance) * norm
 
 

@@ -126,9 +126,9 @@ def test_criterion_6_trajectory_apex(cfg, rb87, report):
 
 
 def test_criterion_7_selection_cell(cfg, pulse_first, pulse_second, report):
-    band1 = mw.band_from_first_pulse(mw.select(pulse_first, cfg), cfg, DELTA_T)
-    band2 = mw.band_from_second_pulse(mw.select(pulse_second, cfg))
-    cell = mw.selection_cell(band1, band2)
+    cell = mw.selection_cell(
+        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg, DELTA_T
+    )
     dv10 = mw.velocity_width(mw.position_width(pulse_first, cfg, 0.0), DELTA_T)
     v, density = mw.marginal_velocity(cell, resolution=4097)
     lit = v[density > 0]
@@ -227,9 +227,9 @@ def test_criterion_9_numerical_properties(
                    "byte-identical"))
 
     # survivors of a wide cloud map out the analytic velocity cell
-    band1 = mw.band_from_first_pulse(mw.select(pulse_first, cfg), cfg, DELTA_T)
-    band2 = mw.band_from_second_pulse(mw.select(pulse_second, cfg))
-    cell = mw.selection_cell(band1, band2)
+    cell = mw.selection_cell(
+        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg, DELTA_T
+    )
     g = mw.g_effective(rb87, cfg.eta, Level.UPPER, 1)
     wide = mw.EnsembleSpec(
         n=100_000, z_mean=0.0, z_rms=1e-4,

@@ -71,6 +71,12 @@ def test_scan_golden_bytes(tmp_path):
     assert out.read_bytes() == (DATA / "scan_golden.csv").read_bytes()
 
 
+def test_bands_golden_bytes(tmp_path):
+    out = tmp_path / "bands.csv"
+    assert main(["bands", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "bands_golden.csv").read_bytes()
+
+
 def test_scan_csv_shape_and_format(config_path, tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", str(config_path), "-o", str(out)]) == 0
@@ -318,6 +324,28 @@ def test_too_wide_packet_simulate_exits_3(config_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "too wide" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,override",
+    [
+        ("simulate", "ensemble.dz0=1e-320 m"),
+        ("select", "ensemble.dz0=1e-320 m"),
+        ("probability", "ensemble.dz0=1e-320 m"),
+        ("select", "ensemble.dz0=1e-200 m"),
+        ("probability", "ensemble.dz0=1e300 m"),
+        ("select", "field.gradient=1e-300 T/m"),
+    ],
+)
+def test_underflowing_inputs_exit_cleanly(config_path, tmp_path, capsys, command, override):
+    argv = [command, str(config_path), "--set", override, "-o", str(tmp_path / "o")]
+    if command == "simulate":
+        argv += ["--csv", str(tmp_path / "atoms.csv")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (2, 3)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_sections_exit_2(tmp_path, capsys):

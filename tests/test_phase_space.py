@@ -9,17 +9,36 @@ from mwselect.breit_rabi import Level
 
 DELTA_T = 28e-3
 
+# (sigma, z1, z2, tau1, tau2, delta_t) of a pulse pair
+PAIRS = {
+    "shipped": (1, 0.0, 1e-2, 10e-6, 10e-6, DELTA_T),
+    "sigma_minus": (-1, 0.0, 1e-2, 10e-6, 10e-6, DELTA_T),
+    "second_below_first": (1, 0.0, -1e-2, 10e-6, 10e-6, DELTA_T),
+    "unequal_tau": (1, 0.0, 1e-2, 10e-6, 5e-6, DELTA_T),
+    "delta_t_1ms": (1, 0.0, 1e-3, 10e-6, 10e-6, 1e-3),
+    "delta_t_50ms": (1, 0.0, 1e-2, 10e-6, 10e-6, 50e-3),
+}
+
 
 @pytest.fixture(scope="module")
-def bands(cfg, pulse_first, pulse_second):
-    b1 = mw.band_from_first_pulse(mw.select(pulse_first, cfg), cfg, DELTA_T)
-    b2 = mw.band_from_second_pulse(mw.select(pulse_second, cfg))
-    return b1, b2
+def cell(cfg, pulse_first, pulse_second):
+    return mw.selection_cell(
+        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg, DELTA_T
+    )
 
 
 @pytest.fixture(scope="module")
-def cell(bands):
-    return mw.selection_cell(*bands)
+def bands(cell):
+    return cell.band_first, cell.band_second
+
+
+def _pair(cfg, sigma, z1, z2, tau1, tau2, delta_t):
+    branch = mw.StretchedBranch(sigma=sigma)
+    sels = [
+        mw.select(mw.PulseSpec.resonant_at(z, cfg, t0=t0, tau=tau, branch=branch), cfg)
+        for z, t0, tau in ((z1, 0.0, tau1), (z2, delta_t, tau2))
+    ]
+    return (*sels, mw.selection_cell(*sels, cfg, delta_t))
 
 
 def _ensemble(**overrides):
@@ -47,7 +66,6 @@ def test_band_membership_and_nan(bands):
 def test_first_band_geometry(cfg, rb87, bands, pulse_first):
     b1, b2 = bands
     g = mw.g_effective(rb87, cfg.eta, Level.UPPER, 1)
-    assert b1.a_z == 1.0
     assert b1.a_v == -DELTA_T
     assert b1.center == pytest.approx(0.5 * g * DELTA_T**2, rel=1e-12)
     assert b1.half_width == pytest.approx(
@@ -57,15 +75,21 @@ def test_first_band_geometry(cfg, rb87, bands, pulse_first):
     assert b2.center == pytest.approx(1e-2, abs=1e-9)
 
 
-def test_cell_center_and_widths(cfg, bands, cell):
-    b1, b2 = bands
-    assert cell.z_center == pytest.approx(b2.center, rel=1e-12)
-    assert cell.v_center == pytest.approx((b2.center - b1.center) / DELTA_T, rel=1e-12)
+def test_shipped_cell_velocity(cell):
     assert cell.v_center == pytest.approx(-4.8986e-3, rel=1e-3)
-    want_support = 2.0 * (b1.half_width + b2.half_width) / DELTA_T
-    assert cell.velocity_support == pytest.approx(want_support, rel=1e-12)
-    want_area = 4.0 * b1.half_width * b2.half_width / DELTA_T
-    assert cell.area == pytest.approx(want_area, rel=1e-12)
+
+
+@pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+def test_cell_center_and_widths(cfg, pair):
+    sel1, sel2, cell = _pair(cfg, *pair)
+    delta_t = pair[-1]
+    g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, sel1.pulse.branch.sigma)
+    c1 = sel1.z_center + 0.5 * g * delta_t**2
+    w1, w2 = sel1.position_width, sel2.position_width
+    assert cell.z_center == pytest.approx(sel2.z_center, rel=1e-12)
+    assert cell.v_center == pytest.approx((sel2.z_center - c1) / delta_t, rel=1e-12)
+    assert cell.velocity_support == pytest.approx((w1 + w2) / delta_t, rel=1e-12)
+    assert cell.area == pytest.approx(w1 * w2 / delta_t, rel=1e-12)
 
 
 def test_cell_membership_matches_band_intersection(bands, cell):
@@ -78,7 +102,11 @@ def test_cell_membership_matches_band_intersection(bands, cell):
     )
 
 
-def test_polygon_is_counterclockwise_and_on_boundaries(bands, cell):
+@pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+def test_polygon_is_counterclockwise_and_on_boundaries(cfg, pair):
+    # cell_polygon does no shoelace reversal: its corner order must come out
+    # counterclockwise for every pulse pair by itself
+    cell = _pair(cfg, *pair)[-1]
     poly = mw.cell_polygon(cell)
     assert poly.shape == (4, 2)
     area2 = 0.0
@@ -88,10 +116,10 @@ def test_polygon_is_counterclockwise_and_on_boundaries(bands, cell):
         area2 += z0 * v1 - z1 * v0
     assert area2 > 0.0
     assert 0.5 * area2 == pytest.approx(cell.area, rel=1e-9)
-    b1, b2 = bands
+    b1, b2 = cell.band_first, cell.band_second
     for z, v in poly:
-        r1 = abs(b1.a_z * z + b1.a_v * v - b1.center)
-        r2 = abs(b2.a_z * z + b2.a_v * v - b2.center)
+        r1 = abs(z + b1.a_v * v - b1.center)
+        r2 = abs(z + b2.a_v * v - b2.center)
         assert r1 == pytest.approx(b1.half_width, rel=1e-9)
         assert r2 == pytest.approx(b2.half_width, rel=1e-9)
 
@@ -118,21 +146,16 @@ def test_marginal_support_matches_width_sum(cell, cfg, pulse_first, pulse_second
     assert support == pytest.approx((w1 + w2) / DELTA_T, rel=0.01)
 
 
-def test_parallel_bands(cell):
-    apart = mw.PhaseSpaceBand(1.0, 0.0, 0.0, 1e-5)
-    far = mw.PhaseSpaceBand(1.0, 0.0, 1.0, 1e-5)
-    with pytest.raises(mw.EmptyIntersectionError):
-        mw.selection_cell(apart, far)
-    overlapping = mw.PhaseSpaceBand(2.0, 0.0, 1e-5, 1e-5)
-    with pytest.raises(ValueError, match="no finite cell"):
-        mw.selection_cell(apart, overlapping)
-
-
 def test_band_validation():
     with pytest.raises(ValueError):
-        mw.PhaseSpaceBand(1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        mw.PhaseSpaceBand(0.0, 0.0, 0.0, 1.0)
+        mw.PhaseSpaceBand(0.0, 0.0, 0.0)
+
+
+def test_selection_cell_needs_a_positive_gap(cfg, pulse_first, pulse_second):
+    sels = mw.select(pulse_first, cfg), mw.select(pulse_second, cfg)
+    for delta_t in (0.0, -DELTA_T):
+        with pytest.raises(ValueError, match="delta_t"):
+            mw.selection_cell(*sels, cfg, delta_t)
 
 
 def test_dilated_cell_scales_widths(cell):
@@ -149,8 +172,11 @@ def test_dilated_cell_scales_widths(cell):
 def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         _ensemble(n=0)
-    with pytest.raises(ValueError):
-        _ensemble(dz0=0.0)
+    for dz0 in (0.0, 9.9e-13, 1.01, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dz0"):
+            _ensemble(dz0=dz0)
+    for dz0 in (1e-12, 1.0):
+        assert _ensemble(dz0=dz0).dz0 == dz0
     with pytest.raises(ValueError):
         _ensemble(seed=-1)
     with pytest.raises(ValueError):
