@@ -70,7 +70,7 @@ def main() -> None:
 
     print("\n== phase-space selection cell ==")
     sel1 = mw.select(p1, cfg, delta_t=DELTA_T)
-    cell = mw.selection_cell(sel1, mw.select(p2, cfg), cfg, DELTA_T)
+    cell = mw.selection_cell(sel1, mw.select(p2, cfg), cfg)
     print(f"v_center  = {cell.v_center * 1e3:+.4f} mm/s at the second pulse")
     print(f"v support = {cell.velocity_support * 1e3:.4f} mm/s, "
           f"cell area = {cell.area:.4e} m^2/s")
@@ -80,7 +80,7 @@ def main() -> None:
         n=50_000, z_mean=0.0, z_rms=1e-4, v_mean=cell.v_center + g * DELTA_T,
         v_rms=3e-3, dz0=DZ0, seed=20260815, decision_mode="band",
     )
-    result = mw.run_monte_carlo(spec, p1, p2, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg)
     s = result.summary()
     print(f"survived first pulse: {s['n_survived_first']} / {s['n_total']}")
     print(f"survived both:        {s['n_survived_both']} "

@@ -307,7 +307,7 @@ def cmd_select(run: RunConfig, args) -> None:
     if delta_t is None:
         result["note"] = "velocity widths need delta_t or two pulses"
     elif len(pulses) >= 2:
-        cell = selection_cell(sels[0], sels[1], cfg, delta_t)
+        cell = selection_cell(sels[0], sels[1], cfg)
         result["pair"] = {
             "delta_t_s": delta_t,
             "v_center_m_s": cell.v_center,
@@ -355,10 +355,7 @@ def cmd_bands(run: RunConfig, args) -> None:
     cfg = to_field_config(run)
     pulses = to_pulses(run, cfg)
     _require(len(pulses) >= 2, "bands command needs two pulses")
-    delta_t = run.effective_delta_t()
-    cell = selection_cell(
-        select(pulses[0], cfg), select(pulses[1], cfg), cfg, delta_t
-    )
+    cell = selection_cell(select(pulses[0], cfg), select(pulses[1], cfg), cfg)
     band1, band2 = cell.band_first, cell.band_second
     poly = cell_polygon(cell)
     v_half = cell.velocity_support  # draw band edges over twice the cell extent
@@ -398,15 +395,13 @@ def cmd_simulate(run: RunConfig, args) -> None:
     pulses = to_pulses(run, cfg)
     _require(len(pulses) >= 2, "simulate command needs two pulses")
     spec = to_ensemble_spec(run)
-    delta_t = run.effective_delta_t()
     csv_path = args.csv or run.output.csv
     _require(
         csv_path is not None,
         "simulate needs a per-atom CSV path (output.csv in the config or --csv)",
     )
     result = run_monte_carlo(
-        spec, pulses[0], pulses[1], cfg, delta_t,
-        window_sigmas=run.quadrature.window_sigmas,
+        spec, pulses[0], pulses[1], cfg, window_sigmas=run.quadrature.window_sigmas
     )
     _emit(simulation_csv(result), csv_path)
     summary = result.summary()

@@ -122,8 +122,10 @@ class PulseEntry:
     resonant_at: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ConfigError("pulse tau must be positive")
+        # [1 ns, 1 s] holds every practical microwave pi pulse; far outside
+        # it 4*omega0^2 overflows or the flip profile underflows, silently
+        if not 1e-9 <= self.tau <= 1.0:
+            raise ConfigError(f"pulse tau = {self.tau!r} s is outside [1 ns, 1 s]")
         if (self.omega is None) == (self.resonant_at is None):
             raise ConfigError("pulse needs exactly one of 'omega' and 'resonant_at'")
         if self.omega is not None and self.omega <= 0.0:
@@ -188,23 +190,24 @@ class RunConfig:
             raise ConfigError("ensemble sigma must equal the top-level sigma")
         if self.delta_t is not None and self.delta_t <= 0.0:
             raise ConfigError("delta_t must be positive")
-        if self.delta_t is not None and len(self.pulses) >= 2:
+        if len(self.pulses) >= 2:
             gap = self.pulses[1].t0 - self.pulses[0].t0
-            if not math.isclose(gap, self.delta_t, rel_tol=1e-9, abs_tol=1e-15):
+            if gap <= 0.0:
+                raise ConfigError("pulses must be listed in increasing t0 order")
+            if self.delta_t is not None and not math.isclose(
+                gap, self.delta_t, rel_tol=1e-9, abs_tol=1e-15
+            ):
                 raise ConfigError(
                     f"delta_t = {self.delta_t!r} s but the first two pulses are "
                     f"{gap!r} s apart"
                 )
 
     def effective_delta_t(self) -> float:
-        """Explicit delta_t, or the gap between the first two pulses."""
+        """The gap between the first two pulses, or delta_t for a single pulse."""
+        if len(self.pulses) >= 2:
+            return self.pulses[1].t0 - self.pulses[0].t0
         if self.delta_t is not None:
             return self.delta_t
-        if len(self.pulses) >= 2:
-            gap = self.pulses[1].t0 - self.pulses[0].t0
-            if gap <= 0.0:
-                raise ConfigError("pulses must be listed in increasing t0 order")
-            return gap
         raise ConfigError("delta_t is not set and fewer than two pulses are defined")
 
 
@@ -262,7 +265,7 @@ _RUN = _schema(
         EnsembleSpec,
         ("n", "size"), ("z_mean", "length"), ("z_rms", "length"),
         ("v_mean", "velocity"), ("v_rms", "velocity"), ("dz0", "length"),
-        ("seed", "int"), ("decision_mode", "text"), ("survival_efficiency", "number"),
+        ("seed", "int"), ("decision_mode", "text"),
         z_mean=0.0, v_mean=0.0,
     )),
     ("scan", _schema(ScanEntry, ("z_min", "length"), ("z_max", "length"),

@@ -16,7 +16,7 @@ the effective g), and the second transfers it back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,9 +87,9 @@ class SelectionCell:
 
 
 def selection_cell(
-    first: SelectionResult, second: SelectionResult, cfg: FieldConfig, delta_t: float
+    first: SelectionResult, second: SelectionResult, cfg: FieldConfig
 ) -> SelectionCell:
-    """The velocity class two resolved pulses select, delta_t apart.
+    """The velocity class two resolved pulses select, their centers delta_t apart.
 
     The second pulse's slice is a vertical band at its own time.  The
     first pulse's slice is pushed forward to it: backtracking z(t2) -
@@ -98,8 +98,9 @@ def selection_cell(
     upper-branch g because accepted atoms spend the gap on the upper
     branch.
     """
+    delta_t = second.pulse.t0 - first.pulse.t0
     if delta_t <= 0.0:
-        raise ValueError("delta_t must be positive")
+        raise ValueError("the second pulse must come after the first")
     g = g_effective(cfg.species, cfg.eta, Level.UPPER, first.pulse.branch.sigma)
     return _cell(
         PhaseSpaceBand(-delta_t, first.z_center + 0.5 * g * delta_t * delta_t,
@@ -174,7 +175,6 @@ class EnsembleSpec:
     decision_mode is "bernoulli" (accept with the flip probability
     averaged over the packet) or "band" (accept exactly when the Rabi
     envelope is at least 1/2, the deterministic geometric rule).
-    survival_efficiency applies an extra per-stage Bernoulli loss.
     """
 
     n: int
@@ -186,7 +186,6 @@ class EnsembleSpec:
     seed: int
     sigma: int = 1
     decision_mode: str = "bernoulli"
-    survival_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -202,8 +201,6 @@ class EnsembleSpec:
             raise ValueError("sigma must be +1 or -1")
         if self.decision_mode not in _DECISION_MODES:
             raise ValueError(f"decision_mode must be one of {_DECISION_MODES}")
-        if not 0.0 < self.survival_efficiency <= 1.0:
-            raise ValueError("survival_efficiency must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -224,9 +221,7 @@ class MonteCarloResult:
     z_final: np.ndarray
     v_final: np.ndarray
     cell: SelectionCell
-    delta_t: float
     quadrature_rows: tuple[int, int]
-    spec: EnsembleSpec = field(repr=False)
 
     @property
     def n_total(self) -> int:
@@ -278,14 +273,15 @@ class MonteCarloResult:
 
 
 def _draws(spec: EnsembleSpec) -> tuple[np.ndarray, ...]:
-    """Initial z, v and the four decision uniforms u1, e1, u2, e2.
+    """Initial z, v and the decision uniforms u1, u2.
 
     Each quantity has its own counter-based stream keyed by (seed, k)
     and filled in atom order, so atom i always gets element i: the draws
-    do not depend on n.
+    do not depend on n.  u1 and u2 keep keys 2 and 4 (keys 3 and 5 fed a
+    retired survival draw), so every seed draws what it always drew.
     """
     streams = [
-        np.random.Generator(np.random.Philox(key=[spec.seed, k])) for k in range(6)
+        np.random.Generator(np.random.Philox(key=[spec.seed, k])) for k in (0, 1, 2, 4)
     ]
     n = spec.n
     z = spec.z_mean + spec.z_rms * streams[0].standard_normal(n)
@@ -295,7 +291,6 @@ def _draws(spec: EnsembleSpec) -> tuple[np.ndarray, ...]:
 
 def _accept(
     u: np.ndarray,
-    eff: np.ndarray,
     z: np.ndarray,
     dz: float,
     pulse: PulseSpec,
@@ -306,9 +301,8 @@ def _accept(
     """One pulse's decisions for atoms at z, and how many the bound left open.
 
     In Bernoulli mode the packet average p is needed only for atoms
-    that pass the survival draw and have u below
-    averaged_probability_bound: for the others u >= bound >= p, so u < p
-    is false whatever the quadrature would give.  When the open atoms
+    with u below averaged_probability_bound: for the others u >= bound
+    >= p, so u < p is false whatever the quadrature would give.  When the open atoms
     are dense enough that a grid of step <= dz*_TABLE_STEP over their
     span has fewer points than there are open atoms, p is tabulated on
     that grid and interpolated; an atom whose u is more than
@@ -316,11 +310,9 @@ def _accept(
     only the rest are averaged one by one.  Either way every decision
     equals u < averaged_probability_batch(z) bit for bit.
     """
-    keep = eff < spec.survival_efficiency
     if spec.decision_mode == "band":
-        inside = np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0
-        return keep & inside, 0
-    keep &= u < averaged_probability_bound(
+        return np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0, 0
+    keep = u < averaged_probability_bound(
         z, dz, pulse, cfg, window_sigmas=window_sigmas
     )
     (rows,) = np.nonzero(keep)
@@ -354,10 +346,9 @@ def run_monte_carlo(
     pulse_first: PulseSpec,
     pulse_second: PulseSpec,
     cfg: FieldConfig,
-    delta_t: float,
     window_sigmas: float = 8.0,
 ) -> MonteCarloResult:
-    """Sample the cloud through both pulses.
+    """Sample the cloud through both pulses, their centers delta_t apart.
 
     All draws are made up front and all per-atom arithmetic is
     row-independent, so pulse 1 is decided for every atom at once and
@@ -367,30 +358,26 @@ def run_monte_carlo(
     half-width of the packet-average window, in packet widths
     (QuadratureSettings.window_sigmas).
     """
+    delta_t = pulse_second.t0 - pulse_first.t0
     if delta_t <= 0.0:
-        raise ValueError("delta_t must be positive")
+        raise ValueError("the second pulse must come after the first")
     for pulse in (pulse_first, pulse_second):
         if pulse.branch.sigma != spec.sigma:
             raise LevelMismatchError(
                 "pulse addresses a different stretched pair than the ensemble"
             )
-    gap = pulse_second.t0 - pulse_first.t0
-    if not math.isclose(gap, delta_t, rel_tol=1e-9, abs_tol=0.0):
-        raise ValueError(
-            f"pulse centers are {gap:g} s apart but delta_t = {delta_t:g} s"
-        )
 
-    z0, v0, u1, e1, u2, e2 = _draws(spec)
+    z0, v0, u1, u2 = _draws(spec)
     dz_second = spread_width(spec.dz0, delta_t, cfg.species)
     g = g_effective(cfg.species, cfg.eta, Level.UPPER, spec.sigma)
 
     survived_first, rows1 = _accept(
-        u1, e1, z0, spec.dz0, pulse_first, cfg, spec, window_sigmas
+        u1, z0, spec.dz0, pulse_first, cfg, spec, window_sigmas
     )
     (alive,) = np.nonzero(survived_first)
     z2 = z0[alive] + v0[alive] * delta_t - 0.5 * g * delta_t * delta_t
     ok2, rows2 = _accept(
-        u2[alive], e2[alive], z2, dz_second, pulse_second, cfg, spec, window_sigmas
+        u2[alive], z2, dz_second, pulse_second, cfg, spec, window_sigmas
     )
     kept = alive[ok2]
     survived_both = np.zeros_like(survived_first)
@@ -400,9 +387,7 @@ def run_monte_carlo(
     v_final = np.full(spec.n, np.nan)
     v_final[kept] = v0[kept] - g * delta_t
 
-    cell = selection_cell(
-        select(pulse_first, cfg), select(pulse_second, cfg), cfg, delta_t
-    )
+    cell = selection_cell(select(pulse_first, cfg), select(pulse_second, cfg), cfg)
     return MonteCarloResult(
         z0=z0,
         v0=v0,
@@ -411,7 +396,5 @@ def run_monte_carlo(
         z_final=z_final,
         v_final=v_final,
         cell=cell,
-        delta_t=delta_t,
         quadrature_rows=(rows1, rows2),
-        spec=spec,
     )

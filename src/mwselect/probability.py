@@ -49,15 +49,16 @@ class QuadratureSettings:
 
     window_sigmas is the half-width of the integration window in units
     of the packet width; below 5 the truncated Gaussian tail (5.7e-7 of
-    the weight at 5) is no longer negligible, so smaller values are
-    rejected.
+    the weight at 5) is no longer negligible, and past about 38.6 the
+    Gaussian weight at the window's edge underflows to 0, so values
+    outside [5, 40] are rejected.
     """
 
     window_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.window_sigmas < 5.0:
-            raise ValueError("window_sigmas must be at least 5")
+        if not 5.0 <= self.window_sigmas <= 40.0:
+            raise ValueError("window_sigmas must lie in [5, 40]")
 
 
 def detuning_ratio_profile(r):

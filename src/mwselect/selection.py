@@ -191,7 +191,7 @@ def validity_diagnostic(
 class SelectionResult:
     """One pulse resolved: its resonance and the widths it selects, in SI units.
 
-    pulse is the spec that was resolved; velocity fields are None when no
+    pulse is the spec that was resolved; velocity_width is None when no
     pulse gap was supplied.
     """
 
@@ -202,7 +202,6 @@ class SelectionResult:
     rabi_at_resonance: float
     transition_slope: float
     velocity_width: float | None = None
-    delta_t: float | None = None
 
 
 def select(
@@ -218,11 +217,7 @@ def select(
     z_c = resonant_position(pulse.omega_A, pulse.branch, cfg)
     slope = float(d_transition_dz(pulse.branch, z_c, cfg))
     width = _width_at_slope(pulse, slope)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        width_lf = position_width_low_field(
-            pulse, cfg.species, cfg.eta, z_center=z_c, cfg=cfg
-        )
+    width_lf = position_width_low_field(pulse, cfg.species, cfg.eta)
     v_width = velocity_width(width, delta_t) if delta_t is not None else None
     return SelectionResult(
         pulse=pulse,
@@ -232,5 +227,4 @@ def select(
         rabi_at_resonance=pulse.rabi_at_resonance,
         transition_slope=slope,
         velocity_width=v_width,
-        delta_t=delta_t,
     )

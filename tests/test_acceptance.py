@@ -127,7 +127,7 @@ def test_criterion_6_trajectory_apex(cfg, rb87, report):
 
 def test_criterion_7_selection_cell(cfg, pulse_first, pulse_second, report):
     cell = mw.selection_cell(
-        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg, DELTA_T
+        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg
     )
     dv10 = mw.velocity_width(mw.position_width(pulse_first, cfg, 0.0), DELTA_T)
     v, density = mw.marginal_velocity(cell, resolution=4097)
@@ -212,9 +212,7 @@ def test_criterion_9_numerical_properties(
     runs = []
     for block in (8192, 1024, 7):
         monkeypatch.setattr(probability, "_BLOCK", block)
-        runs.append(
-            mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
-        )
+        runs.append(mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg))
     monkeypatch.undo()
     identical = all(
         r.z0.tobytes() == runs[0].z0.tobytes()
@@ -228,7 +226,7 @@ def test_criterion_9_numerical_properties(
 
     # survivors of a wide cloud map out the analytic velocity cell
     cell = mw.selection_cell(
-        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg, DELTA_T
+        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg
     )
     g = mw.g_effective(rb87, cfg.eta, Level.UPPER, 1)
     wide = mw.EnsembleSpec(
@@ -236,7 +234,7 @@ def test_criterion_9_numerical_properties(
         v_mean=cell.v_center + g * DELTA_T, v_rms=3e-3,
         dz0=DZ0, seed=SEED, decision_mode="band",
     )
-    result = mw.run_monte_carlo(wide, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(wide, pulse_first, pulse_second, cfg)
     kept_v = result.v_final[result.survived_both]
     ratio = (kept_v.max() - kept_v.min()) / cell.velocity_support
     checks.append((

@@ -77,6 +77,18 @@ def test_bands_golden_bytes(tmp_path):
     assert out.read_bytes() == (DATA / "bands_golden.csv").read_bytes()
 
 
+def test_simulate_golden_bytes(tmp_path):
+    # 400 atoms of the matched cloud: the bytes pin the draws (Philox keys
+    # 0, 1, 2 and 4), both pulses' decisions and the propagation
+    out = tmp_path / "atoms.csv"
+    assert main([
+        "simulate", str(CONFIGS / "rb87_10us.yaml"), "--set", "ensemble.n=400",
+        "--set", 'ensemble.z_rms="20 um"', "--set", 'ensemble.v_rms="2 mm/s"',
+        "--csv", str(out), "-o", str(tmp_path / "sim.json"),
+    ]) == 0
+    assert out.read_bytes() == (DATA / "simulate_golden.csv").read_bytes()
+
+
 def test_scan_csv_shape_and_format(config_path, tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", str(config_path), "-o", str(out)]) == 0
@@ -348,6 +360,78 @@ def test_underflowing_inputs_exit_cleanly(config_path, tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+_COMMAND_NAMES = ["scan", "select", "probability", "bands", "simulate", "coils"]
+
+
+def _argv(command, config, tmp_path, *overrides):
+    argv = [command, str(config), "-o", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--set", "ensemble.n=2000", "--csv", str(tmp_path / "atoms.csv")]
+    for item in overrides:
+        argv += ["--set", item]
+    return argv
+
+
+# far outside [1 ns, 1 s] and [5, 40], 4*omega0^2 overflows or the Gaussian
+# weight underflows, and a run would report no survivors or no probability
+@pytest.mark.parametrize(
+    "command,override",
+    [
+        ("simulate", 'pulses.0.tau="1e-300 s"'),
+        ("probability", 'pulses.0.tau="1e-300 s"'),
+        ("simulate", 'pulses.0.tau="1e300 s"'),
+        ("probability", 'pulses.0.tau="1e300 s"'),
+        ("simulate", "quadrature.window_sigmas=1e308"),
+        ("probability", "quadrature.window_sigmas=1e308"),
+        ("select", 'pulses.1.tau="0.999 ns"'),
+        ("select", 'pulses.1.tau="1.001 s"'),
+        ("select", 'pulses.1.tau="0 s"'),
+        ("probability", "quadrature.window_sigmas=40.01"),
+    ],
+)
+def test_out_of_range_tau_and_window_exit_2(tmp_path, capsys, command, override):
+    rc = main(_argv(command, CONFIGS / "rb87_10us.yaml", tmp_path, override))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "override",
+    ['pulses.0.tau="1 ns"', 'pulses.1.tau="1 s"', "quadrature.window_sigmas=40"],
+)
+def test_tau_and_window_bounds_are_inclusive(tmp_path, override):
+    argv = _argv("simulate", CONFIGS / "rb87_10us.yaml", tmp_path, override)
+    # a 1 s pulse is resolved only by a finer rule than the 201-node one
+    assert main(argv) in (0, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize(
+    "config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name
+)
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_shipped_configs_run_warning_free(tmp_path, command, config, sigma):
+    assert main(_argv(command, config, tmp_path, f"sigma={sigma}")) == 0
+
+
+@pytest.mark.parametrize("t0", ["0 s", "-1 ms"])
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_second_pulse_not_after_first_exits_2(tmp_path, capsys, command, t0):
+    data = yaml.safe_load((CONFIGS / "rb87_10us.yaml").read_text())
+    del data["delta_t"]
+    data["pulses"][1]["t0"] = t0
+    path = tmp_path / "order.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "error: pulses must be listed in increasing t0 order\n"
+    )
+
+
 def test_missing_sections_exit_2(tmp_path, capsys):
     data = {"species": "Rb87", "field": {"gradient": "25 G/cm"}}
     p = tmp_path / "min.yaml"
@@ -409,8 +493,8 @@ def _leaf_paths(node, prefix=""):
 
 _SHIPPED = CONFIGS / "rb87_10us.yaml"
 # keys that older configs still carry: every command must reject them with exit 2
-_RETIRED = ["ensemble.probability_mode", "quadrature.max_subdivisions",
-            "quadrature.rel_tol"]
+_RETIRED = ["ensemble.probability_mode", "ensemble.survival_efficiency",
+            "quadrature.max_subdivisions", "quadrature.rel_tol"]
 _SECTIONS = ["field", "pulses", "ensemble", "scan", "apparatus", "quadrature", "output"]
 _LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text())) + _RETIRED + _SECTIONS
 _ALL_UNITS = sorted({u for table in cf._UNITS.values() for u in table})

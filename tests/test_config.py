@@ -193,8 +193,17 @@ class TestFromDict:
 
 
 class TestEffectiveDeltaT:
-    def test_explicit_wins(self):
-        assert cf.from_dict(_two_pulse()).effective_delta_t() == 28e-3
+    def test_explicit_for_a_single_pulse(self):
+        data = _two_pulse()
+        data["pulses"] = data["pulses"][:1]
+        assert cf.from_dict(data).effective_delta_t() == 28e-3
+
+    def test_two_pulses_give_their_gap(self):
+        data = _two_pulse()
+        data["delta_t"] = "28.000000001 ms"  # agrees with the gap to 1e-9
+        data["pulses"][0]["t0"] = "1 ms"
+        data["pulses"][1]["t0"] = "29 ms"
+        assert cf.from_dict(data).effective_delta_t() == 29e-3 - 1e-3
 
     def test_from_pulse_gap(self):
         data = _two_pulse()

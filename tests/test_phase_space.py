@@ -23,7 +23,7 @@ PAIRS = {
 @pytest.fixture(scope="module")
 def cell(cfg, pulse_first, pulse_second):
     return mw.selection_cell(
-        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg, DELTA_T
+        mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg
     )
 
 
@@ -38,7 +38,7 @@ def _pair(cfg, sigma, z1, z2, tau1, tau2, delta_t):
         mw.select(mw.PulseSpec.resonant_at(z, cfg, t0=t0, tau=tau, branch=branch), cfg)
         for z, t0, tau in ((z1, 0.0, tau1), (z2, delta_t, tau2))
     ]
-    return (*sels, mw.selection_cell(*sels, cfg, delta_t))
+    return (*sels, mw.selection_cell(*sels, cfg))
 
 
 def _ensemble(**overrides):
@@ -152,10 +152,10 @@ def test_band_validation():
 
 
 def test_selection_cell_needs_a_positive_gap(cfg, pulse_first, pulse_second):
-    sels = mw.select(pulse_first, cfg), mw.select(pulse_second, cfg)
-    for delta_t in (0.0, -DELTA_T):
-        with pytest.raises(ValueError, match="delta_t"):
-            mw.selection_cell(*sels, cfg, delta_t)
+    first, second = mw.select(pulse_first, cfg), mw.select(pulse_second, cfg)
+    for pair in ((first, first), (second, first)):
+        with pytest.raises(ValueError, match="after the first"):
+            mw.selection_cell(*pair, cfg)
 
 
 def test_dilated_cell_scales_widths(cell):
@@ -182,8 +182,6 @@ def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         _ensemble(decision_mode="maybe")
     with pytest.raises(ValueError):
-        _ensemble(survival_efficiency=0.0)
-    with pytest.raises(ValueError):
         _ensemble(sigma=3)
 
 
@@ -207,7 +205,7 @@ def test_monte_carlo_chunk_size_invariance(
     runs = []
     for block in (8192, 64, 7):
         monkeypatch.setattr(probability, "_BLOCK", block)
-        runs.append(mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T))
+        runs.append(mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg))
     assert runs[0].n_survived_both > 0
     for other in runs[1:]:
         for name in ("survived_both", "z_final", "v_final"):
@@ -216,7 +214,7 @@ def test_monte_carlo_chunk_size_invariance(
 
 def test_monte_carlo_band_mode_survivors_fill_cell(cfg, pulse_first, pulse_second):
     spec = _ensemble(n=20000, decision_mode="band")
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     assert result.n_survived_both > 50
     inside = result.cell.contains(result.z_final, result.v_final)
     assert int(np.count_nonzero(inside)) == result.n_survived_both
@@ -228,7 +226,7 @@ def test_monte_carlo_band_mode_survivors_fill_cell(cfg, pulse_first, pulse_secon
 
 def test_monte_carlo_final_state_kinematics(cfg, rb87, pulse_first, pulse_second):
     spec = _ensemble(n=2000, decision_mode="band")
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     g = mw.g_effective(rb87, cfg.eta, Level.UPPER, 1)
     kept = result.survived_both
     z_expected = (
@@ -240,28 +238,11 @@ def test_monte_carlo_final_state_kinematics(cfg, rb87, pulse_first, pulse_second
     )
 
 
-def test_monte_carlo_survival_efficiency(cfg, pulse_first, pulse_second):
-    full = mw.run_monte_carlo(
-        _ensemble(n=4000, decision_mode="band"),
-        pulse_first, pulse_second, cfg, DELTA_T,
-    )
-    lossy = mw.run_monte_carlo(
-        _ensemble(n=4000, decision_mode="band", survival_efficiency=0.5),
-        pulse_first, pulse_second, cfg, DELTA_T,
-    )
-    ratio = lossy.n_survived_first / full.n_survived_first
-    assert 0.35 < ratio < 0.65
-    # physics acceptance is unchanged; losses are a subset of the full run
-    assert np.all(full.survived_first[lossy.survived_first])
-
-
 def test_monte_carlo_decision_modes_differ(cfg, pulse_first, pulse_second):
-    bern = mw.run_monte_carlo(
-        _ensemble(n=3000), pulse_first, pulse_second, cfg, DELTA_T
-    )
+    bern = mw.run_monte_carlo(_ensemble(n=3000), pulse_first, pulse_second, cfg)
     band = mw.run_monte_carlo(
         _ensemble(n=3000, decision_mode="band"),
-        pulse_first, pulse_second, cfg, DELTA_T,
+        pulse_first, pulse_second, cfg,
     )
     assert bern.n_survived_first > 0 and band.n_survived_first > 0
     assert not np.array_equal(bern.survived_first, band.survived_first)
@@ -272,14 +253,14 @@ def test_monte_carlo_decision_modes_differ(cfg, pulse_first, pulse_second):
 
 def test_monte_carlo_validates_timing_and_sigma(cfg, branch, pulse_first, pulse_second):
     spec = _ensemble(n=10)
-    with pytest.raises(ValueError, match="delta_t"):
-        mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T / 2)
+    with pytest.raises(ValueError, match="after the first"):
+        mw.run_monte_carlo(spec, pulse_second, pulse_first, cfg)
     minus = mw.EnsembleSpec(
         n=10, z_mean=0.0, z_rms=1e-4, v_mean=0.0, v_rms=1e-3, dz0=3e-6,
         seed=1, sigma=-1,
     )
     with pytest.raises(mw.LevelMismatchError):
-        mw.run_monte_carlo(minus, pulse_first, pulse_second, cfg, DELTA_T)
+        mw.run_monte_carlo(minus, pulse_first, pulse_second, cfg)
 
 
 def test_apex_point_lies_in_both_bands(bands, cell):
@@ -294,7 +275,7 @@ def test_first_band_survivors_trace_slope_one_over_delta_t(
     cfg, rb87, pulse_first, pulse_second
 ):
     spec = _ensemble(n=20000, v_rms=10e-3, decision_mode="band")
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     g = mw.g_effective(rb87, cfg.eta, Level.UPPER, 1)
     kept = result.survived_first
     assert int(np.count_nonzero(kept)) > 500
@@ -320,7 +301,7 @@ def test_band_survival_fraction_matches_analytic_integral(
         v_mean=cell.v_center + g * DELTA_T, v_rms=1.5e-3,
         dz0=3e-6, seed=7777, decision_mode="band",
     )
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
 
     # oracle: P = int over the first band of phi(z0) * P(v0 in the window
     # that lands the atom inside the second band)
@@ -355,13 +336,13 @@ def test_cloud_inside_both_bands_survives_fully(cfg, rb87, cell):
                                   branch=mw.StretchedBranch(1))
     p2 = mw.PulseSpec.resonant_at(cell.z_center, cfg, t0=DELTA_T, tau=1e-5,
                                   branch=mw.StretchedBranch(1))
-    result = mw.run_monte_carlo(spec, p1, p2, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg)
     assert result.summary()["fraction_both"] == 1.0
 
 
 def test_summary_reports_counts(cfg, pulse_first, pulse_second):
     spec = _ensemble(n=500, decision_mode="band")
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     s = result.summary()
     assert s["n_total"] == 500
     assert s["n_survived_both"] == result.n_survived_both
@@ -381,7 +362,7 @@ def _every_atom_averaged(
     Blocks of 4096 rows keep the (rows, 201) arrays small; the batch rule
     is partition-invariant, so blocking cannot change a value.
     """
-    z0, v0, u1, e1, u2, e2 = phase_space._draws(spec)
+    z0, v0, u1, u2 = phase_space._draws(spec)
     g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, spec.sigma)
     z2 = z0 + v0 * delta_t - 0.5 * g * delta_t * delta_t
     v2 = v0 - g * delta_t
@@ -395,8 +376,8 @@ def _every_atom_averaged(
             for i in range(0, z.size, 4096)
         ])
 
-    ok1 = (u1 < average(z0, spec.dz0, pulse_first)) & (e1 < spec.survival_efficiency)
-    ok2 = ok1 & (u2 < average(z2, dz2, pulse_second)) & (e2 < spec.survival_efficiency)
+    ok1 = u1 < average(z0, spec.dz0, pulse_first)
+    ok2 = ok1 & (u2 < average(z2, dz2, pulse_second))
     return ok1, ok2, np.where(ok2, z2, np.nan), np.where(ok2, v2, np.nan)
 
 
@@ -444,7 +425,7 @@ def test_monte_carlo_matches_every_atom_reference(case):
     cfg, sigma, z_first, n, seed, cloud, delta_t = _equivalence_cases()[case]
     p1, p2 = _pulse_pair(cfg, sigma, z_first, cloud["v_mean"], delta_t)
     spec = mw.EnsembleSpec(n=n, seed=seed, sigma=sigma, **cloud)
-    result = mw.run_monte_carlo(spec, p1, p2, cfg, delta_t)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg)
     want = _every_atom_averaged(spec, p1, p2, cfg, delta_t)
     assert result.n_survived_both > 0
     names = ("survived_first", "survived_both", "z_final", "v_final")
@@ -458,14 +439,13 @@ def test_monte_carlo_matches_every_atom_reference(case):
 @pytest.mark.parametrize("mode", [
     dict(),
     dict(decision_mode="band"),
-    dict(survival_efficiency=0.5),
 ])
 def test_every_mode_decides_pulse_two_for_survivors_only(
     mode, cfg, pulse_first, pulse_second
 ):
     spec = _ensemble(n=4000, **mode)
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
-    z0, v0, u1, e1, u2, e2 = phase_space._draws(spec)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
+    z0, v0, u1, u2 = phase_space._draws(spec)
     g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, 1)
     z2 = z0 + v0 * DELTA_T - 0.5 * g * DELTA_T**2
     if spec.decision_mode == "band":
@@ -477,9 +457,8 @@ def test_every_mode_decides_pulse_two_for_survivors_only(
         def flips(u, z, pulse):
             dz = spec.dz0 if pulse is pulse_first else dz2
             return u < mw.averaged_probability_batch(z, dz, pulse, cfg)
-    eff = spec.survival_efficiency
-    ok1 = flips(u1, z0, pulse_first) & (e1 < eff)
-    ok2 = ok1 & flips(u2, z2, pulse_second) & (e2 < eff)
+    ok1 = flips(u1, z0, pulse_first)
+    ok2 = ok1 & flips(u2, z2, pulse_second)
     assert result.n_survived_both > 0
     assert result.survived_first.tobytes() == ok1.tobytes()
     assert result.survived_both.tobytes() == ok2.tobytes()
@@ -504,7 +483,7 @@ def test_thermal_cloud_rarely_needs_quadrature(
 ):
     batch_rows = _batch_rows(monkeypatch)
     spec = mw.EnsembleSpec(n=20000, seed=20260815, **_THERMAL)
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     rows1, rows2 = result.quadrature_rows
     assert 0 < rows1 <= 0.05 * spec.n
     assert 0 < rows2 <= result.n_survived_first
@@ -519,7 +498,7 @@ def test_matched_cloud_is_decided_from_tables(
 ):
     batch_rows = _batch_rows(monkeypatch)
     spec = mw.EnsembleSpec(n=50000, seed=20260815, **_MATCHED)
-    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg, DELTA_T)
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     rows1, rows2 = result.quadrature_rows
     assert rows1 > 0.8 * spec.n
     # per pulse one table call and one call for the atoms it cannot decide
@@ -538,7 +517,7 @@ def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
     p1, p2 = _pulse_pair(cfg, -1, 0.0, _MATCHED["v_mean"])
     spec = mw.EnsembleSpec(n=4000, seed=5, sigma=-1, **_MATCHED)
     window = 5.0
-    z0, v0, u1, e1, u2, e2 = phase_space._draws(spec)
+    z0, v0, u1, u2 = phase_space._draws(spec)
     g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, -1)
     z2 = z0 + v0 * DELTA_T - 0.5 * g * DELTA_T * DELTA_T
     dz2 = mw.spread_width(spec.dz0, DELTA_T, cfg.species)
@@ -550,10 +529,9 @@ def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
         offset = rng.choice([-1e-5, -1e-6, 1e-6, 1e-5], size=z.size)
         return np.clip(exact + offset, 0.0, top)
 
-    draws = (z0, v0, next_to_rule(z0, spec.dz0, p1), e1,
-             next_to_rule(z2, dz2, p2), e2)
+    draws = (z0, v0, next_to_rule(z0, spec.dz0, p1), next_to_rule(z2, dz2, p2))
     monkeypatch.setattr(phase_space, "_draws", lambda _spec: draws)
-    result = mw.run_monte_carlo(spec, p1, p2, cfg, DELTA_T, window_sigmas=window)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg, window_sigmas=window)
     want = _every_atom_averaged(spec, p1, p2, cfg, DELTA_T, window_sigmas=window)
     assert 0 < result.n_survived_both < result.n_survived_first < spec.n
     names = ("survived_first", "survived_both", "z_final", "v_final")
