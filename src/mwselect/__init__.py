@@ -26,7 +26,6 @@ from .breit_rabi import (
     FieldConfig,
     Level,
     StretchedBranch,
-    d_eigenvalue_dkz,
     d_transition_dz,
     eigenvalue,
     epsilon,
@@ -36,15 +35,7 @@ from .breit_rabi import (
     transition_angular_frequency,
 )
 from .constants import CONST, AtomSpecies, available_species, get_species
-from .dynamics import (
-    WavepacketState,
-    acceleration,
-    evolve,
-    evolve_expected,
-    g_effective,
-    rk4_evolve,
-    spread_width,
-)
+from .dynamics import WavepacketState, evolve_expected, g_effective, spread_width
 from .errors import (
     ConfigError,
     LevelMismatchError,
@@ -77,7 +68,6 @@ from .selection import (
     detuning,
     position_width,
     position_width_low_field,
-    rabi_frequency,
     raman_velocity_width,
     select,
     validity_diagnostic,
@@ -110,18 +100,15 @@ __all__ = [
     "UnknownSpeciesError",
     "WavepacketState",
     "ZeroGradientError",
-    "acceleration",
     "available_species",
     "averaged_probability_batch",
     "cell_polygon",
     "current_for_gradient",
-    "d_eigenvalue_dkz",
     "d_transition_dz",
     "detuning",
     "detuning_ratio_profile",
     "eigenvalue",
     "epsilon",
-    "evolve",
     "evolve_expected",
     "field_coordinate",
     "g_effective",
@@ -135,10 +122,8 @@ __all__ = [
     "point_probability",
     "position_width",
     "position_width_low_field",
-    "rabi_frequency",
     "raman_velocity_width",
     "resonant_position",
-    "rk4_evolve",
     "run_monte_carlo",
     "select",
     "selection_cell",

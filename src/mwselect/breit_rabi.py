@@ -153,13 +153,6 @@ def eigenvalue(branch: StretchedBranch, kz, species: AtomSpecies):
     )
 
 
-def d_eigenvalue_dkz(branch: StretchedBranch, kz, species: AtomSpecies):
-    """Analytic derivative of eigenvalue with respect to kz (J per unit kz)."""
-    return CONST.hbar * species.delta_W * _slope_dimensionless(
-        branch.level, branch.sigma, kz, species
-    )
-
-
 def _transition_dimensionless(sigma: int, x, species: AtomSpecies):
     return _energy_dimensionless(Level.UPPER, sigma, x, species) - (
         _energy_dimensionless(Level.LOWER, sigma, x, species)

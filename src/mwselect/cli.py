@@ -29,7 +29,7 @@ from .breit_rabi import (
     eigenvalue,
     field_coordinate,
     kappa,
-    resonant_position,
+    resonant_position,  # noqa: F401  (unused here; perfbench's tracer test reads it)
     transition_angular_frequency,
 )
 from .config import (
@@ -328,7 +328,7 @@ def cmd_probability(run: RunConfig, args) -> None:
     dz0 = run.ensemble.dz0
     per_pulse = []
     for i, pulse in enumerate(pulses):
-        z_c = resonant_position(pulse.omega_A, pulse.branch, cfg)
+        z_c = select(pulse, cfg).z_center
         elapsed = pulse.t0 - pulses[0].t0
         dz_now = spread_width(dz0, elapsed, cfg.species)
         state = WavepacketState.minimum_uncertainty(

@@ -19,7 +19,7 @@ import yaml
 from .breit_rabi import _POSITION_RANGE, FieldConfig, StretchedBranch
 from .constants import get_species
 from .errors import ConfigError
-from .phase_space import EnsembleSpec
+from .phase_space import _MAX_SIZE, EnsembleSpec
 from .probability import QuadratureSettings
 from .selection import PulseSpec
 
@@ -27,12 +27,6 @@ _TWO_PI = 2.0 * math.pi
 
 # libyaml's parser where PyYAML was built with it; both build the same objects
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-# Largest scan.points and ensemble.n.  At its peak a run holds about 250
-# bytes per simulate atom (its draws, outcomes and CSV line) or 330 per scan
-# point, so this keeps one run under about 3.5 GB; a larger Monte Carlo can
-# be split into runs with different seeds.
-_MAX_SIZE = 10**7
 
 _UNITS: dict[str, dict[str, float]] = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9},
@@ -122,14 +116,14 @@ class PulseEntry:
     resonant_at: float | None = None
 
     def __post_init__(self) -> None:
-        # [1 ns, 1 s] holds every practical microwave pi pulse; far outside
-        # it 4*omega0^2 overflows or the flip profile underflows, silently
-        if not 1e-9 <= self.tau <= 1.0:
-            raise ConfigError(f"pulse tau = {self.tau!r} s is outside [1 ns, 1 s]")
         if (self.omega is None) == (self.resonant_at is None):
-            raise ConfigError("pulse needs exactly one of 'omega' and 'resonant_at'")
-        if self.omega is not None and self.omega <= 0.0:
-            raise ConfigError("pulse omega must be positive")
+            raise ValueError("pulse needs exactly one of 'omega' and 'resonant_at'")
+        lo, hi = _POSITION_RANGE
+        if self.resonant_at is not None and not lo <= self.resonant_at <= hi:
+            raise ValueError(
+                f"resonant_at = {self.resonant_at!r} m is outside the position "
+                f"range [{lo:g}, {hi:g}] m"
+            )
 
 
 @dataclass(frozen=True)
@@ -143,6 +137,8 @@ class ScanEntry:
             raise ConfigError("scan.z_max must exceed scan.z_min")
         if self.points < 2:
             raise ConfigError("scan.points must be at least 2")
+        if self.points > _MAX_SIZE:
+            raise ConfigError(f"scan.points must be at most {_MAX_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -215,10 +211,9 @@ class RunConfig:
 class _Schema:
     """One config section: its builder and its (key, kind, default) rows.
 
-    A kind is a unit kind of _UNITS, "position" (a length inside
-    _POSITION_RANGE), "int", "size" (an int up to _MAX_SIZE), "sigma"
-    (+1 or -1), "number", "text",
-    "species", a nested _Schema, or [kind] for a list of that kind.
+    A kind is a unit kind of _UNITS, "int", "number", "text", "species",
+    a nested _Schema, or [kind] for a list of that kind.  Kinds only parse;
+    each range is checked by the dataclass the section builds.
     A MISSING default makes the key required; a None default lets it be
     null or absent, and then the dataclass's own default applies.
     """
@@ -254,22 +249,22 @@ _RUN = _schema(
     ("species", "species"),
     ("field", _schema(FieldEntry, ("gradient", "gradient"), ("bias", "field"),
                       bias=0.0)),
-    ("sigma", "sigma"),
+    ("sigma", "int"),
     ("delta_t", "time"),
     ("pulses", [_schema(
         PulseEntry,
         ("tau", "time"), ("t0", "time"),
-        ("omega", "angular_frequency"), ("resonant_at", "position"),
+        ("omega", "angular_frequency"), ("resonant_at", "length"),
     )]),
     ("ensemble", _schema(
         EnsembleSpec,
-        ("n", "size"), ("z_mean", "length"), ("z_rms", "length"),
+        ("n", "int"), ("z_mean", "length"), ("z_rms", "length"),
         ("v_mean", "velocity"), ("v_rms", "velocity"), ("dz0", "length"),
         ("seed", "int"), ("decision_mode", "text"),
         z_mean=0.0, v_mean=0.0,
     )),
     ("scan", _schema(ScanEntry, ("z_min", "length"), ("z_max", "length"),
-                     ("points", "size"))),
+                     ("points", "int"))),
     ("apparatus", _schema(
         ApparatusEntry,
         ("radius", "length"), ("current", "current"), ("half_separation", "length"),
@@ -291,21 +286,9 @@ def _value(raw, kind, key: str):
         return tuple(_value(item, kind[0], f"{key}[{i}]") for i, item in enumerate(raw))
     if kind in _UNITS:
         return parse_quantity(raw, kind, key)
-    if kind == "position":
-        value = parse_quantity(raw, "length", key)
-        lo, hi = _POSITION_RANGE
-        if not lo <= value <= hi:
-            raise ConfigError(
-                f"{key}: {raw!r} is outside the position range [{lo:g}, {hi:g}] m"
-            )
-        return value
-    if kind in ("int", "size", "sigma"):
+    if kind == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-        if kind == "sigma" and raw not in (1, -1):
-            raise ConfigError("sigma must be +1 or -1")
-        if kind == "size" and raw > _MAX_SIZE:
-            raise ConfigError(f"{key}: must be at most {_MAX_SIZE}")
         return raw
     if kind == "number":
         try:
@@ -365,8 +348,6 @@ def _dump(value, kind):
         return out
     if isinstance(kind, list):
         return [_dump(item, kind[0]) for item in value]
-    if kind == "position":
-        return format_quantity(value, "length")
     return format_quantity(value, kind) if kind in _UNITS else value
 
 
@@ -469,19 +450,22 @@ def to_pulses(run: RunConfig, cfg: FieldConfig) -> tuple[PulseSpec, ...]:
 
     resonant_at entries are resolved against the actual field here, so a
     frequency outside the attainable range surfaces as a physics error
-    at command time, not at parse time.
+    at command time, not at parse time.  PulseSpec's own checks (the tau
+    range, a positive omega) become ConfigErrors naming the pulse.
     """
     branch = StretchedBranch(sigma=run.sigma)
     specs = []
-    for p in run.pulses:
-        if p.omega is not None:
-            specs.append(
-                PulseSpec(t0=p.t0, tau=p.tau, omega_A=p.omega, branch=branch)
-            )
-        else:
-            specs.append(
-                PulseSpec.resonant_at(p.resonant_at, cfg, t0=p.t0, tau=p.tau, branch=branch)
-            )
+    for i, p in enumerate(run.pulses):
+        try:
+            if p.omega is not None:
+                spec = PulseSpec(t0=p.t0, tau=p.tau, omega_A=p.omega, branch=branch)
+            else:
+                spec = PulseSpec.resonant_at(
+                    p.resonant_at, cfg, t0=p.t0, tau=p.tau, branch=branch
+                )
+        except ValueError as exc:
+            raise ConfigError(f"pulses[{i}]: {exc}") from None
+        specs.append(spec)
     return tuple(specs)
 
 

@@ -3,8 +3,9 @@
 z points up, so gravity contributes -g0 to the acceleration.  An atom in
 the upper stretched state sees a potential linear in z, which just adds
 a constant to gravity: it falls with an effective, state- and
-sign-dependent g.  The lower stretched state sees a nonlinear potential
-and is integrated numerically.  Wavepacket widths disperse as for a free
+sign-dependent g.  Selected atoms spend the pulse gap on that branch, so
+it is the only one propagated here; the lower state's nonlinear
+potential has no constant g.  Wavepacket widths disperse as for a free
 particle; a linear potential rigidly translates the packet and does not
 change its spreading.
 """
@@ -12,19 +13,12 @@ change its spreading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .breit_rabi import (
-    EnergyScale,
-    FieldConfig,
-    Level,
-    field_coordinate,
-    _slope_dimensionless,
-)
+from .breit_rabi import EnergyScale, FieldConfig, Level
 from .constants import CONST, AtomSpecies
 from .errors import LevelMismatchError
 
-_RK4_MAX_STEP = 1e-5  # s, integration step cap for the nonlinear branch
 _HEISENBERG_SLACK = 1.0 - 1e-9
 
 
@@ -34,9 +28,6 @@ class WavepacketState:
 
     z, v are the position (m) and velocity (m/s) expectation values; dz
     and dp the position (m) and momentum (kg m/s) standard deviations.
-    dz_ref and t_ref record the width and time of the minimum-width
-    reference from which free dispersion is measured; they default to
-    the initial values.
     """
 
     z: float
@@ -46,8 +37,6 @@ class WavepacketState:
     level: Level
     sigma: int
     t: float = 0.0
-    dz_ref: float | None = None
-    t_ref: float | None = None
 
     def __post_init__(self) -> None:
         if self.sigma not in (1, -1):
@@ -61,10 +50,6 @@ class WavepacketState:
                 f"dz*dp = {self.dz * self.dp:.3e} violates the uncertainty "
                 f"bound hbar/2 = {0.5 * CONST.hbar:.3e}"
             )
-        if self.dz_ref is None:
-            object.__setattr__(self, "dz_ref", self.dz)
-        if self.t_ref is None:
-            object.__setattr__(self, "t_ref", self.t)
 
     @classmethod
     def minimum_uncertainty(
@@ -81,11 +66,6 @@ class WavepacketState:
             z=z, v=v, dz=dz, dp=0.5 * CONST.hbar / dz, level=level, sigma=sigma, t=t
         )
 
-    def flipped(self) -> "WavepacketState":
-        """Same packet on the other hyperfine level (after a pi pulse)."""
-        other = Level.UPPER if self.level is Level.LOWER else Level.LOWER
-        return replace(self, level=other)
-
 
 def g_effective(species: AtomSpecies, eta: float, level: Level, sigma: int) -> float:
     """Effective downward acceleration (m/s^2) on the upper stretched state.
@@ -97,8 +77,7 @@ def g_effective(species: AtomSpecies, eta: float, level: Level, sigma: int) -> f
     """
     if level is not Level.UPPER:
         raise LevelMismatchError(
-            "g_effective is defined only on the upper stretched state; "
-            "integrate the lower branch numerically"
+            "g_effective is defined only on the upper stretched state"
         )
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
@@ -106,71 +85,18 @@ def g_effective(species: AtomSpecies, eta: float, level: Level, sigma: int) -> f
     return CONST.g0 + sigma * sc.gamma1 * sc.g_sum * eta / species.mass
 
 
-def acceleration(z: float, level: Level, sigma: int, cfg: FieldConfig) -> float:
-    """Signed vertical acceleration (m/s^2, z up) at position z.
-
-    -g0 plus the magnetic force from the branch potential, with the bias
-    field folded into the field coordinate.
-    """
-    x = field_coordinate(cfg, z)
-    dv_dx = _slope_dimensionless(level, sigma, x, cfg.species)
-    # dV/dz = hbar*delta_W * f'(x) * dx/dz and dx/dz = g_sum*eta/(hbar*delta_W)
-    force = -float(dv_dx) * cfg.scale.g_sum * cfg.eta
-    return -CONST.g0 + force / cfg.species.mass
-
-
-def rk4_evolve(
-    z: float,
-    v: float,
-    duration: float,
-    level: Level,
-    sigma: int,
-    cfg: FieldConfig,
-    max_step: float = _RK4_MAX_STEP,
-) -> tuple[float, float]:
-    """Integrate z'' = a(z) for one packet center with classic RK4.
-
-    Step count is ceil(duration/max_step) so results are deterministic
-    for a given duration.  Used for the lower branch, where no closed
-    form exists; works for either level.
-    """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
-    if duration == 0.0:
-        return z, v
-    n = max(1, math.ceil(duration / max_step))
-    h = duration / n
-
-    def acc(zz: float) -> float:
-        return acceleration(zz, level, sigma, cfg)
-
-    for _ in range(n):
-        a1 = acc(z)
-        z2 = z + 0.5 * h * v
-        a2 = acc(z2)
-        z3 = z + 0.5 * h * v + 0.25 * h * h * a1
-        a3 = acc(z3)
-        z4 = z + h * v + 0.5 * h * h * a2
-        a4 = acc(z4)
-        z = z + h * v + h * h * (a1 + a2 + a3) / 6.0
-        v = v + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-    return z, v
-
-
 def evolve_expected(
     state: WavepacketState, duration: float, cfg: FieldConfig
 ) -> tuple[float, float]:
-    """New (z, v) of the packet center after free evolution for duration.
+    """New (z, v) of an upper-branch packet center after duration.
 
-    Upper branch uses the exact constant-acceleration form; lower branch
-    integrates the nonlinear potential numerically.
+    The exact constant-acceleration form; a lower-level state raises
+    LevelMismatchError through g_effective.
     """
-    if state.level is Level.UPPER:
-        g = g_effective(cfg.species, cfg.eta, state.level, state.sigma)
-        z = state.z + state.v * duration - 0.5 * g * duration * duration
-        v = state.v - g * duration
-        return z, v
-    return rk4_evolve(state.z, state.v, duration, state.level, state.sigma, cfg)
+    g = g_effective(cfg.species, cfg.eta, state.level, state.sigma)
+    z = state.z + state.v * duration - 0.5 * g * duration * duration
+    v = state.v - g * duration
+    return z, v
 
 
 def spread_width(dz_ref: float, elapsed: float, species: AtomSpecies) -> float:
@@ -184,16 +110,3 @@ def spread_width(dz_ref: float, elapsed: float, species: AtomSpecies) -> float:
         raise ValueError("dz_ref must be positive")
     drift = CONST.hbar * elapsed / (2.0 * species.mass * dz_ref)
     return math.hypot(dz_ref, drift)
-
-
-def evolve_width(state: WavepacketState, duration: float, species: AtomSpecies) -> float:
-    """Position width after another duration of free dispersion (m)."""
-    elapsed = (state.t + duration) - state.t_ref
-    return spread_width(state.dz_ref, elapsed, species)
-
-
-def evolve(state: WavepacketState, duration: float, cfg: FieldConfig) -> WavepacketState:
-    """Propagate center and width together; momentum width is conserved."""
-    z, v = evolve_expected(state, duration, cfg)
-    dz = evolve_width(state, duration, cfg.species)
-    return replace(state, z=z, v=v, dz=dz, t=state.t + duration)

@@ -32,6 +32,12 @@ from .selection import PulseSpec, SelectionResult, detuning, select
 
 _TABLE_STEP = 0.125  # largest grid step of a pulse's probability table, in dz
 
+# Largest ensemble.n and scan.points.  At its peak a run holds about 250
+# bytes per simulate atom (its draws, outcomes and CSV line) or 330 per scan
+# point, so this keeps one run under about 3.5 GB; a larger Monte Carlo can
+# be split into runs with different seeds.
+_MAX_SIZE = 10**7
+
 
 @dataclass(frozen=True)
 class PhaseSpaceBand:
@@ -190,6 +196,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n > _MAX_SIZE:
+            raise ValueError(f"n must be at most {_MAX_SIZE}")
         if self.z_rms < 0.0 or self.v_rms < 0.0:
             raise ValueError("z_rms and v_rms must be nonnegative")
         # 1 pm is far below any atomic packet; 1 m is the position range

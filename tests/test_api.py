@@ -1,0 +1,105 @@
+"""The package's public surface, and the input bounds its constructors hold.
+
+Every range the config enforces lives in the dataclass the Python API
+builds, so a direct caller meets the same bound as a config file.
+"""
+
+import dataclasses
+import importlib
+
+import pytest
+
+import mwselect as mw
+from mwselect.config import PulseEntry, ScanEntry
+
+# removed from the package because nothing outside their own tests used them
+_RETIRED = [
+    "acceleration",
+    "rk4_evolve",
+    "evolve",
+    "evolve_width",
+    "rabi_frequency",
+    "d_eigenvalue_dkz",
+]
+
+
+def test_all_is_unique_and_resolves():
+    assert len(mw.__all__) == len(set(mw.__all__))
+    for name in mw.__all__:
+        assert getattr(mw, name) is not None, name
+
+
+@pytest.mark.parametrize("name", _RETIRED)
+def test_retired_names_are_gone(name):
+    assert name not in mw.__all__
+    assert not hasattr(mw, name)
+    for module in ("breit_rabi", "dynamics", "selection"):
+        assert not hasattr(importlib.import_module(f"mwselect.{module}"), name)
+
+
+def test_wavepacket_state_keeps_no_history():
+    fields = {f.name for f in dataclasses.fields(mw.WavepacketState)}
+    assert fields == {"z", "v", "dz", "dp", "level", "sigma", "t"}
+    assert not hasattr(mw.WavepacketState, "flipped")
+
+
+@pytest.mark.parametrize("tau", [1e-300, 0.999e-9, 1.001, 1e300, float("nan")])
+def test_pulse_spec_rejects_tau_outside_range(cfg, branch, tau):
+    with pytest.raises(ValueError, match=r"outside \[1 ns, 1 s\]"):
+        mw.PulseSpec(t0=0.0, tau=tau, omega_A=cfg.species.delta_W, branch=branch)
+    with pytest.raises(ValueError, match=r"outside \[1 ns, 1 s\]"):
+        mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=tau, branch=branch)
+
+
+@pytest.mark.parametrize("tau", [1e-9, 1.0])
+def test_pulse_spec_tau_range_is_inclusive(cfg, branch, tau):
+    assert mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=tau, branch=branch).tau == tau
+
+
+def _ensemble(**changes):
+    base = dict(n=2000, z_mean=0.0, z_rms=1e-3, v_mean=0.7192, v_rms=1e-2,
+                dz0=3e-6, seed=20260815)
+    return mw.EnsembleSpec(**{**base, **changes})
+
+
+def test_size_cap_is_inclusive():
+    assert _ensemble(n=10**7).n == 10**7
+    assert ScanEntry(z_min=-1e-2, z_max=1e-2, points=10**7).points == 10**7
+    with pytest.raises(ValueError, match="n must be at most 10000000"):
+        _ensemble(n=10**7 + 1)
+    with pytest.raises(mw.ConfigError, match="points must be at most 10000000"):
+        ScanEntry(z_min=-1e-2, z_max=1e-2, points=10**7 + 1)
+
+
+@pytest.mark.parametrize("z", [2.0, -1.0000001, 1e300])
+def test_pulse_entry_rejects_resonant_at_outside_position_range(z):
+    with pytest.raises(ValueError, match=r"outside the position range \[-1, 1\] m"):
+        PulseEntry(tau=1e-5, t0=0.0, resonant_at=z)
+
+
+def test_pulse_entry_position_range_is_inclusive():
+    for z in (-1.0, 1.0):
+        assert PulseEntry(tau=1e-5, t0=0.0, resonant_at=z).resonant_at == z
+
+
+def test_dz0_and_window_edges():
+    for dz0 in (1e-12, 1.0):
+        assert _ensemble(dz0=dz0).dz0 == dz0
+    for dz0 in (9.9e-13, 1.01):
+        with pytest.raises(ValueError, match=r"dz0 must lie in \[1 pm, 1 m\]"):
+            _ensemble(dz0=dz0)
+    for sigmas in (5.0, 40.0):
+        assert mw.QuadratureSettings(window_sigmas=sigmas).window_sigmas == sigmas
+    for sigmas in (4.99, 40.01):
+        with pytest.raises(ValueError, match=r"window_sigmas must lie in \[5, 40\]"):
+            mw.QuadratureSettings(window_sigmas=sigmas)
+
+
+def test_monte_carlo_rejects_a_1e_300_s_pulse(cfg, pulse_first, pulse_second):
+    # this pulse once ran: 4*omega0^2 overflowed, and every atom was lost
+    # after a RuntimeWarning instead of an error
+    with pytest.raises(ValueError, match=r"outside \[1 ns, 1 s\]"):
+        mw.run_monte_carlo(
+            _ensemble(), dataclasses.replace(pulse_first, tau=1e-300),
+            pulse_second, cfg,
+        )

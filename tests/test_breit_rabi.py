@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwselect as mw
-from mwselect.breit_rabi import Level
+from mwselect.breit_rabi import Level, _slope_dimensionless
 from mwselect.constants import CONST
 
 
@@ -77,8 +77,8 @@ def test_zero_field_levels(rb87):
 
 
 def test_derivative_matches_finite_difference(rb87):
+    # the per-level analytic slope that d_transition_dz differences
     h = 1e-6
-    scale = CONST.hbar * rb87.delta_W
     for sigma in (1, -1):
         for level in (Level.LOWER, Level.UPPER):
             branch = mw.StretchedBranch(sigma, level)
@@ -86,9 +86,9 @@ def test_derivative_matches_finite_difference(rb87):
                 fd = (
                     mw.eigenvalue(branch, kz + h, rb87)
                     - mw.eigenvalue(branch, kz - h, rb87)
-                ) / (2.0 * h)
-                got = mw.d_eigenvalue_dkz(branch, kz, rb87)
-                assert abs(got - fd) <= 1e-6 * scale
+                ) / (2.0 * h) / (CONST.hbar * rb87.delta_W)
+                got = _slope_dimensionless(level, sigma, kz, rb87)
+                assert abs(got - fd) <= 1e-6
 
 
 def test_transition_slope_matches_finite_difference(cfg, branch):

@@ -323,7 +323,7 @@ def test_resonant_at_outside_position_range_exits_2(
     ])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "pulses[1].resonant_at" in err and "[-1, 1] m" in err
+    assert "pulses[1]: resonant_at" in err and "[-1, 1] m" in err
     assert "Traceback" not in err
 
 
@@ -430,6 +430,32 @@ def test_second_pulse_not_after_first_exits_2(tmp_path, capsys, command, t0):
     assert capsys.readouterr().err == (
         "error: pulses must be listed in increasing t0 order\n"
     )
+
+
+# each bound lives in the dataclass it guards; the config reaches every one
+# of them, whether the section is built at load or the pulse at command time
+@pytest.mark.parametrize(
+    "overrides,needle",
+    [
+        (['pulses.0.tau="1e-300 s"'], "pulses[0]: tau = 1e-300 s is outside [1 ns"),
+        (['pulses.1.tau="1.001 s"'], "pulses[1]: tau = 1.001 s is outside [1 ns"),
+        (["pulses.0.resonant_at=null", "pulses.0.omega=0 rad/s"],
+         "pulses[0]: omega_A must be positive"),
+        (['pulses.1.resonant_at="2 m"'], "pulses[1]: resonant_at = 2.0 m is outside"),
+        (["ensemble.n=10000001"], "ensemble: n must be at most 10000000"),
+        (["scan.points=10000001"], "scan.points must be at most 10000000"),
+    ],
+    ids=["tau-low", "tau-high", "omega", "resonant_at", "n", "points"],
+)
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_moved_bounds_exit_2_on_every_subcommand(
+    tmp_path, capsys, command, overrides, needle
+):
+    argv = _argv(command, CONFIGS / "rb87_10us.yaml", tmp_path, *overrides)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {needle}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_sections_exit_2(tmp_path, capsys):
@@ -678,7 +704,10 @@ def test_sizes_above_the_limit_exit_2(tmp_path, capsys, command, path):
     if command != "simulate":
         del argv[4:6]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {path}: must be at most 10000000\n"
+    err = capsys.readouterr().err
+    section, key = path.split(".")
+    assert err.startswith(f"error: {section}") and err.count("\n") == 1
+    assert f"{key} must be at most 10000000" in err
     assert not (tmp_path / "out").exists()
 
 

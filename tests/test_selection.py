@@ -19,17 +19,6 @@ def test_resonant_at_matches_transition(cfg, branch, pulse_second):
     assert mw.detuning(1e-2, pulse_second, cfg) == 0.0
 
 
-def test_rabi_frequency_quadrature(cfg, pulse_first):
-    w0 = pulse_first.coupling_omega0
-    d = float(mw.detuning(1e-4, pulse_first, cfg))
-    assert mw.rabi_frequency(1e-4, pulse_first, cfg) == pytest.approx(
-        math.hypot(d, 2.0 * w0), rel=1e-14
-    )
-    assert mw.rabi_frequency(0.0, pulse_first, cfg) == pytest.approx(
-        2.0 * w0, rel=1e-14
-    )
-
-
 def test_position_width_frozen(cfg, pulse_first):
     width = mw.position_width(pulse_first, cfg, 0.0)
     assert width == pytest.approx(1.9033813623250295e-05, rel=1e-12)
@@ -47,11 +36,6 @@ def test_low_field_width_close_to_exact(cfg, rb87, pulse_first):
     approx = mw.position_width_low_field(pulse_first, rb87, cfg.eta)
     assert approx == pytest.approx(1.9052729337137518e-05, rel=1e-12)
     assert abs(approx - exact) / exact < 0.01
-
-
-def test_low_field_width_warns_far_from_zero(cfg, rb87, pulse_first):
-    with pytest.warns(UserWarning, match="low-field width"):
-        mw.position_width_low_field(pulse_first, rb87, cfg.eta, z_center=0.06, cfg=cfg)
 
 
 def test_halving_tau_doubles_width(cfg, branch):
@@ -125,8 +109,9 @@ def test_select_bundles_everything(cfg, pulse_second):
 def test_pulse_validation(cfg, branch):
     with pytest.raises(ValueError):
         mw.PulseSpec(t0=0.0, tau=-1e-6, omega_A=1e9, branch=branch)
-    with pytest.raises(ValueError):
-        mw.PulseSpec(t0=0.0, tau=1e-6, omega_A=-1e9, branch=branch)
+    for omega in (0.0, -1e9, float("nan")):
+        with pytest.raises(ValueError, match="omega_A must be positive"):
+            mw.PulseSpec(t0=0.0, tau=1e-6, omega_A=omega, branch=branch)
 
 
 def test_width_requires_gradient(rb87, branch):
