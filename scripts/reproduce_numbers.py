@@ -38,10 +38,11 @@ def main() -> None:
     p2 = mw.PulseSpec.resonant_at(Z2, cfg, t0=DELTA_T, tau=TAU, branch=br)
     for tau in (TAU, TAU / 2):
         pulse = mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=tau, branch=br)
-        sel = mw.select(pulse, cfg, delta_t=DELTA_T)
+        sel = mw.select(pulse, cfg)
+        dv = mw.velocity_width(sel.position_width, DELTA_T)
         print(f"tau = {tau * 1e6:4.1f} us:  dz = {sel.position_width * 1e6:7.3f} um "
               f"(low-field est {sel.position_width_low_field * 1e6:7.3f} um), "
-              f"dv = {sel.velocity_width * 1e3:.4f} mm/s")
+              f"dv = {dv * 1e3:.4f} mm/s")
     k_doppler = 2.0 * 2.0 * np.pi / 780e-9  # counterpropagating optical pair
     print(f"optical two-photon reference (1 ms): "
           f"{mw.raman_velocity_width(k_doppler, 1e-3) * 1e6:.2f} um/s")
@@ -69,7 +70,7 @@ def main() -> None:
             print(f"  tau = {tau * 1e6:4.1f} us, dz = {dz * 1e6:6.3f} um:  P = {p:.4f}")
 
     print("\n== phase-space selection cell ==")
-    sel1 = mw.select(p1, cfg, delta_t=DELTA_T)
+    sel1 = mw.select(p1, cfg)
     cell = mw.selection_cell(sel1, mw.select(p2, cfg), cfg)
     print(f"v_center  = {cell.v_center * 1e3:+.4f} mm/s at the second pulse")
     print(f"v support = {cell.velocity_support * 1e3:.4f} mm/s, "

@@ -27,11 +27,9 @@ def main() -> None:
     for tau_us in (2, 5, 10, 20, 50, 100):
         tau = tau_us * 1e-6
         pulse = mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=tau, branch=br)
-        sel = mw.select(pulse, cfg, delta_t=DELTA_T)
-        row = (
-            f"{tau_us:>7} {sel.position_width * 1e6:>9.3f} "
-            f"{sel.velocity_width * 1e3:>9.4f}"
-        )
+        sel = mw.select(pulse, cfg)
+        dv = mw.velocity_width(sel.position_width, DELTA_T)
+        row = f"{tau_us:>7} {sel.position_width * 1e6:>9.3f} {dv * 1e3:>9.4f}"
         for w in widths:
             st = mw.WavepacketState.minimum_uncertainty(
                 0.0, 0.0, w, mw.Level.LOWER, 1

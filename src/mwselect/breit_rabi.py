@@ -68,12 +68,12 @@ class EnergyScale:
     gamma2: float
 
     @classmethod
-    def for_species(cls, species: AtomSpecies, const=CONST) -> "EnergyScale":
-        g_sum = species.g_s * const.mu_B + species.g_I * const.mu_N
-        gamma2 = species.g_I * const.mu_N / g_sum
+    def for_species(cls, species: AtomSpecies) -> "EnergyScale":
+        g_sum = species.g_s * CONST.mu_B + species.g_I * CONST.mu_N
+        gamma2 = species.g_I * CONST.mu_N / g_sum
         gamma1 = (
-            species.g_s * const.mu_B
-            - 2.0 * species.nuclear_spin * species.g_I * const.mu_N
+            species.g_s * CONST.mu_B
+            - 2.0 * species.nuclear_spin * species.g_I * CONST.mu_N
         ) / (2.0 * g_sum)
         return cls(g_sum=g_sum, gamma1=gamma1, gamma2=gamma2)
 

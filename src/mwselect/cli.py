@@ -51,7 +51,7 @@ from .phase_space import (
     selection_cell,
 )
 from .probability import RULE_ORDER, transition_probability
-from .selection import select, validity_diagnostic
+from .selection import select, validity_diagnostic, velocity_width
 
 _TWO_PI = 2.0 * np.pi
 _CSV_BLOCK = 32768  # rows formatted at a time; bounds the writer's working memory
@@ -260,12 +260,9 @@ def cmd_select(run: RunConfig, args) -> None:
     cfg = to_field_config(run)
     pulses = to_pulses(run, cfg)
     _require(len(pulses) >= 1, "select command needs at least one pulse")
-    try:
-        delta_t = run.effective_delta_t()
-    except ConfigError:
-        delta_t = None
+    delta_t = run.effective_delta_t() if len(pulses) >= 2 else None
     displacement = _displacement(run)
-    sels = [select(pulse, cfg, delta_t=delta_t) for pulse in pulses]
+    sels = [select(pulse, cfg) for pulse in pulses]
     per_pulse = []
     for i, (pulse, sel) in enumerate(zip(pulses, sels)):
         budget = app.stability_budget(sel, cfg, displacement)
@@ -279,7 +276,9 @@ def cmd_select(run: RunConfig, args) -> None:
             "position_width_low_field_m": sel.position_width_low_field,
             "rabi_at_resonance_rad_s": sel.rabi_at_resonance,
             "transition_slope_rad_s_per_m": sel.transition_slope,
-            "velocity_width_m_s": sel.velocity_width,
+            "velocity_width_m_s": (
+                None if delta_t is None else velocity_width(sel.position_width, delta_t)
+            ),
             "stability": {
                 "criterion": budget.criterion,
                 "bias_tolerance_T": budget.bias_tolerance_T,
@@ -305,8 +304,8 @@ def cmd_select(run: RunConfig, args) -> None:
         per_pulse.append(entry)
     result: dict = {"pulses": per_pulse, "kappa_per_m": kappa(cfg)}
     if delta_t is None:
-        result["note"] = "velocity widths need delta_t or two pulses"
-    elif len(pulses) >= 2:
+        result["note"] = "velocity widths need two pulses"
+    else:
         cell = selection_cell(sels[0], sels[1], cfg)
         result["pair"] = {
             "delta_t_s": delta_t,

@@ -171,7 +171,6 @@ class RunConfig:
     species: str
     field: FieldEntry
     sigma: int = 1
-    delta_t: float | None = None
     pulses: tuple[PulseEntry, ...] = ()
     ensemble: EnsembleSpec | None = None
     scan: ScanEntry | None = None
@@ -184,27 +183,14 @@ class RunConfig:
             raise ConfigError("sigma must be +1 or -1")
         if self.ensemble is not None and self.ensemble.sigma != self.sigma:
             raise ConfigError("ensemble sigma must equal the top-level sigma")
-        if self.delta_t is not None and self.delta_t <= 0.0:
-            raise ConfigError("delta_t must be positive")
-        if len(self.pulses) >= 2:
-            gap = self.pulses[1].t0 - self.pulses[0].t0
-            if gap <= 0.0:
-                raise ConfigError("pulses must be listed in increasing t0 order")
-            if self.delta_t is not None and not math.isclose(
-                gap, self.delta_t, rel_tol=1e-9, abs_tol=1e-15
-            ):
-                raise ConfigError(
-                    f"delta_t = {self.delta_t!r} s but the first two pulses are "
-                    f"{gap!r} s apart"
-                )
+        if len(self.pulses) >= 2 and not self.effective_delta_t() > 0.0:
+            raise ConfigError("pulses must be listed in increasing t0 order")
 
     def effective_delta_t(self) -> float:
-        """The gap between the first two pulses, or delta_t for a single pulse."""
-        if len(self.pulses) >= 2:
-            return self.pulses[1].t0 - self.pulses[0].t0
-        if self.delta_t is not None:
-            return self.delta_t
-        raise ConfigError("delta_t is not set and fewer than two pulses are defined")
+        """The gap between the first two pulses' t0, the only delta_t."""
+        if len(self.pulses) < 2:
+            raise ConfigError("delta_t needs two pulses")
+        return self.pulses[1].t0 - self.pulses[0].t0
 
 
 @dataclass(frozen=True)
@@ -250,7 +236,6 @@ _RUN = _schema(
     ("field", _schema(FieldEntry, ("gradient", "gradient"), ("bias", "field"),
                       bias=0.0)),
     ("sigma", "int"),
-    ("delta_t", "time"),
     ("pulses", [_schema(
         PulseEntry,
         ("tau", "time"), ("t0", "time"),

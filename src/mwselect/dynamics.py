@@ -36,7 +36,6 @@ class WavepacketState:
     dp: float
     level: Level
     sigma: int
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sigma not in (1, -1):
@@ -59,12 +58,9 @@ class WavepacketState:
         dz: float,
         level: Level,
         sigma: int,
-        t: float = 0.0,
     ) -> "WavepacketState":
         """State with dp = hbar/(2*dz), the tightest allowed momentum width."""
-        return cls(
-            z=z, v=v, dz=dz, dp=0.5 * CONST.hbar / dz, level=level, sigma=sigma, t=t
-        )
+        return cls(z=z, v=v, dz=dz, dp=0.5 * CONST.hbar / dz, level=level, sigma=sigma)
 
 
 def g_effective(species: AtomSpecies, eta: float, level: Level, sigma: int) -> float:

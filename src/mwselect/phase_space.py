@@ -198,6 +198,9 @@ class EnsembleSpec:
             raise ValueError("n must be at least 1")
         if self.n > _MAX_SIZE:
             raise ValueError(f"n must be at most {_MAX_SIZE}")
+        cloud = (self.z_mean, self.z_rms, self.v_mean, self.v_rms)
+        if not all(map(math.isfinite, cloud)):
+            raise ValueError("z_mean, z_rms, v_mean and v_rms must be finite")
         if self.z_rms < 0.0 or self.v_rms < 0.0:
             raise ValueError("z_rms and v_rms must be nonnegative")
         # 1 pm is far below any atomic packet; 1 m is the position range
@@ -366,14 +369,14 @@ def run_monte_carlo(
     half-width of the packet-average window, in packet widths
     (QuadratureSettings.window_sigmas).
     """
-    delta_t = pulse_second.t0 - pulse_first.t0
-    if delta_t <= 0.0:
-        raise ValueError("the second pulse must come after the first")
     for pulse in (pulse_first, pulse_second):
         if pulse.branch.sigma != spec.sigma:
             raise LevelMismatchError(
                 "pulse addresses a different stretched pair than the ensemble"
             )
+    # the cell checks that the second pulse comes after the first
+    cell = selection_cell(select(pulse_first, cfg), select(pulse_second, cfg), cfg)
+    delta_t = pulse_second.t0 - pulse_first.t0
 
     z0, v0, u1, u2 = _draws(spec)
     dz_second = spread_width(spec.dz0, delta_t, cfg.species)
@@ -394,8 +397,6 @@ def run_monte_carlo(
     z_final[kept] = z2[ok2]
     v_final = np.full(spec.n, np.nan)
     v_final[kept] = v0[kept] - g * delta_t
-
-    cell = selection_cell(select(pulse_first, cfg), select(pulse_second, cfg), cfg)
     return MonteCarloResult(
         z0=z0,
         v0=v0,

@@ -43,22 +43,29 @@ _FLOAT_SLACK = 1e-9  # absolute slack of interpolation_tolerance for rounding
 _BLOCK = 1024  # rows of one (rows, order) evaluation in _rule_sum
 
 
+def _check_window(window_sigmas: float) -> None:
+    """Reject a packet-average half-window outside [5, 40] packet widths.
+
+    Below 5 the truncated Gaussian tail (5.7e-7 of the weight at 5) is
+    no longer negligible, and past about 38.6 the Gaussian weight at the
+    window's edge underflows to 0.
+    """
+    if not 5.0 <= window_sigmas <= 40.0:
+        raise ValueError("window_sigmas must lie in [5, 40]")
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Knobs for the packet average.
 
     window_sigmas is the half-width of the integration window in units
-    of the packet width; below 5 the truncated Gaussian tail (5.7e-7 of
-    the weight at 5) is no longer negligible, and past about 38.6 the
-    Gaussian weight at the window's edge underflows to 0, so values
-    outside [5, 40] are rejected.
+    of the packet width, within [5, 40] (see _check_window).
     """
 
     window_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
-        if not 5.0 <= self.window_sigmas <= 40.0:
-            raise ValueError("window_sigmas must lie in [5, 40]")
+        _check_window(self.window_sigmas)
 
 
 def detuning_ratio_profile(r):
@@ -109,7 +116,8 @@ def transition_probability(
     (value,) = averaged_probability_batch(centers, dz, pulse, cfg, window_sigmas=window)
     if not detail:
         return float(value)
-    (coarse,) = _rule_sum(centers, dz, pulse, cfg, _ESTIMATE_ORDER, window)
+    coarse_rule = _packet_rule(dz, _ESTIMATE_ORDER, window)
+    (coarse,) = _rule_sum(centers, coarse_rule, pulse, cfg)
     return float(value), float(abs(value - coarse))
 
 
@@ -123,8 +131,9 @@ def _packet_rule(
     dz: float, order: int, window_sigmas: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Node offsets, combined weights (density * quadrature weight), half-window."""
-    if dz <= 0.0:
+    if not dz > 0.0:
         raise ValueError("dz must be positive")
+    _check_window(window_sigmas)
     nodes, weights = _gauss_legendre(order)
     half = window_sigmas * dz
     offsets = half * nodes
@@ -137,14 +146,13 @@ def averaged_probability_batch(
     dz: float,
     pulse: PulseSpec,
     cfg: FieldConfig,
-    order: int = RULE_ORDER,
     window_sigmas: float = 8.0,
 ) -> np.ndarray:
     """Packet-averaged flip probability for many centers at a common width.
 
     The package's one packet-average rule: the Gaussian density times
     the point probability, integrated by fixed-order Gauss-Legendre over
-    +/- window_sigmas widths as one (n_centers, order) evaluation reduced
+    +/- window_sigmas widths as one (n_centers, 201) evaluation reduced
     row by row, so a batch split into chunks reproduces the unsplit
     result bit for bit.
 
@@ -161,28 +169,29 @@ def averaged_probability_batch(
     107 um: dz = 100 um passes (within 2e-12), dz = 300 um raises.
     """
     centers = np.asarray(centers, dtype=float)
-    half = window_sigmas * dz
+    rule = _packet_rule(dz, RULE_ORDER, window_sigmas)
+    half = rule[2]
     if centers.size:
         ends = np.array([centers.min() - half, centers.max() + half])
         slope = float(np.max(np.abs(d_transition_dz(pulse.branch, ends, cfg))))
         phase = slope * half * pulse.tau
-        if not phase <= _MAX_PHASE_PER_NODE * order:
+        if not phase <= _MAX_PHASE_PER_NODE * RULE_ORDER:
             raise QuadratureError(
-                f"packet width {dz:.6g} m is too wide for the {order}-node rule: "
+                f"packet width {dz:.6g} m is too wide for the {RULE_ORDER}-node rule: "
                 f"the detuning phase changes by {phase:.6g} rad across the window, "
-                f"more than the {_MAX_PHASE_PER_NODE * order:.6g} rad it resolves"
+                f"more than the {_MAX_PHASE_PER_NODE * RULE_ORDER:.6g} rad it resolves"
             )
-    return np.clip(_rule_sum(centers, dz, pulse, cfg, order, window_sigmas), 0.0, 1.0)
+    return np.clip(_rule_sum(centers, rule, pulse, cfg), 0.0, 1.0)
 
 
-def _rule_sum(centers, dz, pulse, cfg, order, window_sigmas) -> np.ndarray:
-    """Gauss-Legendre sums of averaged_probability_batch, unchecked and unclipped.
+def _rule_sum(centers, rule, pulse, cfg) -> np.ndarray:
+    """Sums of a _packet_rule over centers, without the phase check or clipping.
 
     At most _BLOCK rows are evaluated at a time, which bounds the memory
     of the (rows, order) arrays; rows are summed independently, so the
     block size does not change a bit of the result.
     """
-    offsets, factors, _ = _packet_rule(dz, order, window_sigmas)
+    offsets, factors, _ = rule
     out = np.empty(centers.size)
     for start in range(0, centers.size, _BLOCK):
         block = centers[start:start + _BLOCK, None] + offsets[None, :]

@@ -40,6 +40,8 @@ class PulseSpec:
     branch: StretchedBranch
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 = {self.t0!r} s is not finite")
         # [1 ns, 1 s] holds every practical microwave pi pulse; far outside
         # it 4*omega0^2 overflows or the flip profile underflows, silently
         if not 1e-9 <= self.tau <= 1.0:
@@ -170,8 +172,8 @@ def validity_diagnostic(
 class SelectionResult:
     """One pulse resolved: its resonance and the widths it selects, in SI units.
 
-    pulse is the spec that was resolved; velocity_width is None when no
-    pulse gap was supplied.
+    pulse is the spec that was resolved.  A single pulse selects a
+    position slice; a velocity width needs a second pulse and its gap.
     """
 
     pulse: PulseSpec
@@ -180,14 +182,9 @@ class SelectionResult:
     position_width_low_field: float
     rabi_at_resonance: float
     transition_slope: float
-    velocity_width: float | None = None
 
 
-def select(
-    pulse: PulseSpec,
-    cfg: FieldConfig,
-    delta_t: float | None = None,
-) -> SelectionResult:
+def select(pulse: PulseSpec, cfg: FieldConfig) -> SelectionResult:
     """Locate the resonant position of a pulse and the widths it selects.
 
     The bands, the selection cell and the stability budget read the
@@ -197,7 +194,6 @@ def select(
     slope = float(d_transition_dz(pulse.branch, z_c, cfg))
     width = _width_at_slope(pulse, slope)
     width_lf = position_width_low_field(pulse, cfg.species, cfg.eta)
-    v_width = velocity_width(width, delta_t) if delta_t is not None else None
     return SelectionResult(
         pulse=pulse,
         z_center=z_c,
@@ -205,5 +201,4 @@ def select(
         position_width_low_field=width_lf,
         rabi_at_resonance=pulse.rabi_at_resonance,
         transition_slope=slope,
-        velocity_width=v_width,
     )

@@ -6,10 +6,13 @@ builds, so a direct caller meets the same bound as a config file.
 
 import dataclasses
 import importlib
+import inspect
 
+import numpy as np
 import pytest
 
 import mwselect as mw
+from mwselect import probability
 from mwselect.config import PulseEntry, ScanEntry
 
 # removed from the package because nothing outside their own tests used them
@@ -39,8 +42,21 @@ def test_retired_names_are_gone(name):
 
 def test_wavepacket_state_keeps_no_history():
     fields = {f.name for f in dataclasses.fields(mw.WavepacketState)}
-    assert fields == {"z", "v", "dz", "dp", "level", "sigma", "t"}
+    assert fields == {"z", "v", "dz", "dp", "level", "sigma"}
     assert not hasattr(mw.WavepacketState, "flipped")
+
+
+# parameters no caller set: a packet's time, the constants table and the rule order
+@pytest.mark.parametrize(
+    "func,name",
+    [
+        (mw.WavepacketState.minimum_uncertainty, "t"),
+        (mw.EnergyScale.for_species, "const"),
+        (mw.averaged_probability_batch, "order"),
+    ],
+)
+def test_unset_parameters_are_gone(func, name):
+    assert name not in inspect.signature(func).parameters
 
 
 @pytest.mark.parametrize("tau", [1e-300, 0.999e-9, 1.001, 1e300, float("nan")])
@@ -103,3 +119,58 @@ def test_monte_carlo_rejects_a_1e_300_s_pulse(cfg, pulse_first, pulse_second):
             _ensemble(), dataclasses.replace(pulse_first, tau=1e-300),
             pulse_second, cfg,
         )
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("key", ["z_mean", "z_rms", "v_mean", "v_rms"])
+def test_ensemble_spec_rejects_non_finite_cloud(key, value):
+    # z_rms = nan once ran to 0 survivors without a word
+    with pytest.raises(ValueError, match="must be finite"):
+        _ensemble(**{key: value})
+
+
+@pytest.mark.parametrize("t0", _NON_FINITE)
+def test_pulse_spec_rejects_non_finite_t0(cfg, branch, t0):
+    # a second pulse at t0 = nan once gave a NaN selection cell
+    with pytest.raises(ValueError, match="t0 = .* s is not finite"):
+        mw.PulseSpec(t0=t0, tau=1e-5, omega_A=cfg.species.delta_W, branch=branch)
+    with pytest.raises(ValueError, match="t0 = .* s is not finite"):
+        mw.PulseSpec.resonant_at(0.0, cfg, t0=t0, tau=1e-5, branch=branch)
+
+
+def _window_calls(cfg, pulse_first, pulse_second):
+    """Every API that takes window_sigmas, as one-argument calls."""
+    centers = np.array([0.0, 5e-6])
+    return [
+        lambda w: mw.QuadratureSettings(window_sigmas=w),
+        lambda w: mw.averaged_probability_batch(
+            centers, 3e-6, pulse_first, cfg, window_sigmas=w
+        ),
+        lambda w: probability.averaged_probability_bound(
+            centers, 3e-6, pulse_first, cfg, window_sigmas=w
+        ),
+        lambda w: mw.run_monte_carlo(
+            _ensemble(), pulse_first, pulse_second, cfg, window_sigmas=w
+        ),
+    ]
+
+
+@pytest.mark.parametrize("sigmas", [1.0, 4.99, 40.01, 41.0, float("nan")])
+def test_window_outside_range_is_rejected_by_every_api(
+    cfg, pulse_first, pulse_second, sigmas
+):
+    # window_sigmas = 1 once cut a matched cloud's survivors by a third
+    for call in _window_calls(cfg, pulse_first, pulse_second):
+        with pytest.raises(ValueError, match=r"window_sigmas must lie in \[5, 40\]"):
+            call(sigmas)
+
+
+@pytest.mark.parametrize("sigmas", [5.0, 40.0])
+def test_window_range_is_inclusive_for_every_api(
+    cfg, pulse_first, pulse_second, sigmas
+):
+    for call in _window_calls(cfg, pulse_first, pulse_second):
+        call(sigmas)

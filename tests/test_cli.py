@@ -26,7 +26,6 @@ def _base_config() -> dict:
         "species": "Rb87",
         "field": {"gradient": "25 G/cm", "bias": "0 T"},
         "sigma": 1,
-        "delta_t": "28 ms",
         "pulses": [
             {"tau": "10 us", "t0": "0 s", "resonant_at": "0 m"},
             {"tau": "10 us", "t0": "28 ms", "resonant_at": "1 cm"},
@@ -131,17 +130,29 @@ def test_select_json(config_path, tmp_path):
     assert pair["velocity_support_m_s"] == pytest.approx(1.3561e-3, rel=1e-3)
 
 
+def test_select_golden_result(tmp_path):
+    # written at the commit before delta_t was retired: the per-pulse velocity
+    # widths, now taken from the pulses' t0 gap, and the pair keep every bit
+    out = tmp_path / "select.json"
+    assert main(["select", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
+    result = _load_json(out)["result"]
+    golden = (DATA / "select_golden.json").read_text()
+    assert json.dumps(result, sort_keys=True) + "\n" == golden
+
+
 def test_select_single_pulse_has_note(tmp_path):
+    # a single pulse resolves a position, not a velocity
     data = _base_config()
-    del data["delta_t"]
     data["pulses"] = data["pulses"][:1]
     p = tmp_path / "one.yaml"
     p.write_text(yaml.safe_dump(data, sort_keys=False))
     out = tmp_path / "select.json"
     assert main(["select", str(p), "-o", str(out)]) == 0
-    doc = _load_json(out)
-    assert "note" in doc["result"]
-    assert doc["result"]["pulses"][0]["velocity_width_m_s"] is None
+    result = _load_json(out)["result"]
+    assert result["note"] == "velocity widths need two pulses"
+    assert "pair" not in result
+    assert result["pulses"][0]["velocity_width_m_s"] is None
+    assert result["pulses"][0]["position_width_m"] == pytest.approx(1.9034e-5, rel=1e-3)
 
 
 def test_probability_json(config_path, tmp_path):
@@ -422,7 +433,6 @@ def test_shipped_configs_run_warning_free(tmp_path, command, config, sigma):
 @pytest.mark.parametrize("command", _COMMAND_NAMES)
 def test_second_pulse_not_after_first_exits_2(tmp_path, capsys, command, t0):
     data = yaml.safe_load((CONFIGS / "rb87_10us.yaml").read_text())
-    del data["delta_t"]
     data["pulses"][1]["t0"] = t0
     path = tmp_path / "order.yaml"
     path.write_text(yaml.safe_dump(data, sort_keys=False))
@@ -455,6 +465,17 @@ def test_moved_bounds_exit_2_on_every_subcommand(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {needle}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# the pulses' t0 gap is the only delta_t, so a config that still sets one,
+# even to that gap, is rejected like any unknown key
+@pytest.mark.parametrize("value", ['"28 ms"', '"10 ms"'])
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_delta_t_key_exits_2(tmp_path, capsys, command, value):
+    argv = _argv(command, CONFIGS / "rb87_10us.yaml", tmp_path, f"delta_t={value}")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: config: unknown keys 'delta_t'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -519,7 +540,7 @@ def _leaf_paths(node, prefix=""):
 
 _SHIPPED = CONFIGS / "rb87_10us.yaml"
 # keys that older configs still carry: every command must reject them with exit 2
-_RETIRED = ["ensemble.probability_mode", "ensemble.survival_efficiency",
+_RETIRED = ["delta_t", "ensemble.probability_mode", "ensemble.survival_efficiency",
             "quadrature.max_subdivisions", "quadrature.rel_tol"]
 _SECTIONS = ["field", "pulses", "ensemble", "scan", "apparatus", "quadrature", "output"]
 _LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text())) + _RETIRED + _SECTIONS

@@ -21,7 +21,6 @@ def _minimal(**extra):
 
 def _two_pulse(**extra):
     return _minimal(
-        delta_t="28 ms",
         pulses=[
             {"tau": "10 us", "t0": "0 s", "resonant_at": "0 m"},
             {"tau": "10 us", "t0": "28 ms", "resonant_at": "1 cm"},
@@ -97,7 +96,6 @@ class TestFromDict:
         assert run.field.gradient == 0.25
         assert run.field.bias == 0.0
         assert run.sigma == 1
-        assert run.delta_t is None
         assert run.pulses == ()
         assert run.quadrature == mw.QuadratureSettings()
 
@@ -120,6 +118,7 @@ class TestFromDict:
             lambda d: d["ensemble"].update(probability_mode="averaged"),
             lambda d: d["quadrature"].update(rel_tol=1e-10),
             lambda d: d["quadrature"].update(max_subdivisions=32768),
+            lambda d: d.update(delta_t="28 ms"),
         ],
     )
     def test_unknown_keys_rejected_per_section(self, mutate):
@@ -151,12 +150,6 @@ class TestFromDict:
         neither = _minimal(pulses=[{"tau": "10 us", "t0": "0 s"}])
         with pytest.raises(mw.ConfigError, match="exactly one"):
             cf.from_dict(neither)
-
-    def test_delta_t_must_match_pulse_gap(self):
-        data = _two_pulse()
-        data["pulses"][1]["t0"] = "14 ms"
-        with pytest.raises(mw.ConfigError, match="apart"):
-            cf.from_dict(data)
 
     def test_ensemble_modes_validated_at_parse_time(self):
         data = _minimal(
@@ -193,30 +186,26 @@ class TestFromDict:
 
 
 class TestEffectiveDeltaT:
-    def test_explicit_for_a_single_pulse(self):
-        data = _two_pulse()
-        data["pulses"] = data["pulses"][:1]
-        assert cf.from_dict(data).effective_delta_t() == 28e-3
-
     def test_two_pulses_give_their_gap(self):
         data = _two_pulse()
-        data["delta_t"] = "28.000000001 ms"  # agrees with the gap to 1e-9
         data["pulses"][0]["t0"] = "1 ms"
         data["pulses"][1]["t0"] = "29 ms"
         assert cf.from_dict(data).effective_delta_t() == 29e-3 - 1e-3
 
     def test_from_pulse_gap(self):
         data = _two_pulse()
-        del data["delta_t"]
         assert cf.from_dict(data).effective_delta_t() == pytest.approx(28e-3)
 
     def test_unavailable(self):
-        with pytest.raises(mw.ConfigError, match="delta_t"):
-            cf.from_dict(_minimal()).effective_delta_t()
+        # one pulse resolves a position only; there is no other delta_t
+        one = _two_pulse()
+        one["pulses"] = one["pulses"][:1]
+        for data in (_minimal(), one):
+            with pytest.raises(mw.ConfigError, match="delta_t needs two pulses"):
+                cf.from_dict(data).effective_delta_t()
 
     def test_misordered_pulses(self):
         data = _two_pulse()
-        del data["delta_t"]
         data["pulses"][0]["t0"] = "30 ms"
         with pytest.raises(mw.ConfigError, match="increasing"):
             cf.from_dict(data).effective_delta_t()

@@ -135,8 +135,11 @@ def test_detail_returns_quadrature_info(cfg, pulse_first):
     assert value == mw.transition_probability(packet, pulse_first, cfg)
     assert 0.0 <= error < 1e-10
     # the estimate is the gap to the 101-node rule, which resolves less
-    coarse = mw.averaged_probability_batch(np.array([0.0]), 3e-6, pulse_first, cfg, 101)
-    assert error == abs(value - float(coarse[0]))
+    rule = probability._packet_rule(3e-6, probability._ESTIMATE_ORDER, 8.0)
+    (coarse,) = np.clip(
+        probability._rule_sum(np.array([0.0]), rule, pulse_first, cfg), 0.0, 1.0
+    )
+    assert error == abs(value - float(coarse))
 
 
 def test_window_sigmas_sets_the_window(cfg, pulse_first):

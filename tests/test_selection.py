@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -97,13 +98,22 @@ def test_validity_diagnostic_grows_with_momentum(cfg, rb87, pulse_first):
 
 
 def test_select_bundles_everything(cfg, pulse_second):
-    sel = mw.select(pulse_second, cfg, delta_t=DELTA_T)
+    sel = mw.select(pulse_second, cfg)
     assert sel.z_center == pytest.approx(1e-2, abs=1e-9)
-    assert sel.velocity_width == mw.velocity_width(sel.position_width, DELTA_T)
+    assert sel.position_width == mw.position_width(pulse_second, cfg, sel.z_center)
     assert sel.rabi_at_resonance == math.pi / TAU
     assert sel.transition_slope > 0.0
-    no_dt = mw.select(pulse_second, cfg)
-    assert no_dt.velocity_width is None
+
+
+def test_select_takes_no_pulse_gap(cfg, pulse_second):
+    # a velocity width needs two pulses; their t0 gap is the only delta_t
+    with pytest.raises(TypeError):
+        mw.select(pulse_second, cfg, delta_t=DELTA_T)
+    with pytest.raises(TypeError):
+        mw.select(pulse_second, cfg, DELTA_T)
+    assert "velocity_width" not in {
+        f.name for f in dataclasses.fields(mw.SelectionResult)
+    }
 
 
 def test_pulse_validation(cfg, branch):
