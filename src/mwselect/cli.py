@@ -146,10 +146,12 @@ def _float_column(values: np.ndarray) -> np.ndarray:
 
 
 def _int_column(values: np.ndarray) -> np.ndarray:
-    """Nonnegative integers as right-aligned, NUL-padded uint8 rows."""
-    v = np.asarray(values, dtype=_U64)[:, None]
-    powers = _U64(10) ** np.arange(len(str(int(v.max()))))[::-1].astype(_U64)
-    out = (v // powers % _U64(10)).astype(np.uint8) + np.uint8(ord("0"))
+    """Integers in [0, 2**32) as right-aligned, NUL-padded uint8 rows."""
+    # every operand is uint32, as in _float_column
+    v = np.asarray(values).astype(np.uint32)[:, None]
+    digits = np.arange(len(str(int(v.max()))))[::-1].astype(np.uint32)
+    powers = np.uint32(10) ** digits
+    out = (v // powers % np.uint32(10)).astype(np.uint8) + np.uint8(ord("0"))
     out[(v < powers) & (powers > 1)] = 0  # leading zeros
     return out
 
@@ -166,7 +168,8 @@ def _column(cells) -> np.ndarray:
     if values.dtype.kind == "f":
         return _float_column(values)
     if values.dtype.kind in "biu" and not (values < 0).any():
-        return _int_column(values)
+        if int(values.max()) < 2**32:
+            return _int_column(values)
     return _text_column(cells)
 
 

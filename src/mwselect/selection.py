@@ -29,8 +29,9 @@ from .errors import PhysicsDomainError, ZeroGradientError
 class PulseSpec:
     """One square microwave pulse addressing a stretched pair.
 
-    t0 is the pulse center time (s), tau the duration (s), omega_A the
-    microwave angular frequency (rad/s).  The coupling is tied to tau so
+    t0 is the pulse center time (s), within [-1000 s, 1000 s], tau the
+    duration (s), within [1 ns, 1 s], and omega_A the microwave angular
+    frequency (rad/s).  The coupling is tied to tau so
     the resonant pulse area is always pi.
     """
 
@@ -42,6 +43,10 @@ class PulseSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.t0):
             raise ValueError(f"t0 = {self.t0!r} s is not finite")
+        # |t0| <= 1000 s holds any fountain or transport sequence; far outside
+        # it the gap overflows, or the packet spread over it underflows dp to 0
+        if not -1e3 <= self.t0 <= 1e3:
+            raise ValueError(f"t0 = {self.t0!r} s is outside [-1000 s, 1000 s]")
         # [1 ns, 1 s] holds every practical microwave pi pulse; far outside
         # it 4*omega0^2 overflows or the flip profile underflows, silently
         if not 1e-9 <= self.tau <= 1.0:

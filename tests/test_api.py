@@ -7,6 +7,7 @@ builds, so a direct caller meets the same bound as a config file.
 import dataclasses
 import importlib
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -139,6 +140,22 @@ def test_pulse_spec_rejects_non_finite_t0(cfg, branch, t0):
         mw.PulseSpec(t0=t0, tau=1e-5, omega_A=cfg.species.delta_W, branch=branch)
     with pytest.raises(ValueError, match="t0 = .* s is not finite"):
         mw.PulseSpec.resonant_at(0.0, cfg, t0=t0, tau=1e-5, branch=branch)
+
+
+@pytest.mark.parametrize(
+    "t0", [-1e308, math.nextafter(-1e3, -math.inf), math.nextafter(1e3, math.inf), 1e300]
+)
+def test_pulse_spec_rejects_t0_outside_range(cfg, branch, t0):
+    # t0 = 1e300 s once overflowed the packet spread into a traceback
+    with pytest.raises(ValueError, match=r"t0 = .* s is outside \[-1000 s, 1000 s\]"):
+        mw.PulseSpec(t0=t0, tau=1e-5, omega_A=cfg.species.delta_W, branch=branch)
+    with pytest.raises(ValueError, match=r"t0 = .* s is outside \[-1000 s, 1000 s\]"):
+        mw.PulseSpec.resonant_at(0.0, cfg, t0=t0, tau=1e-5, branch=branch)
+
+
+@pytest.mark.parametrize("t0", [-1e3, 1e3])
+def test_pulse_spec_t0_range_is_inclusive(cfg, branch, t0):
+    assert mw.PulseSpec.resonant_at(0.0, cfg, t0=t0, tau=1e-5, branch=branch).t0 == t0
 
 
 def _window_calls(cfg, pulse_first, pulse_second):

@@ -454,8 +454,15 @@ def test_second_pulse_not_after_first_exits_2(tmp_path, capsys, command, t0):
         (['pulses.1.resonant_at="2 m"'], "pulses[1]: resonant_at = 2.0 m is outside"),
         (["ensemble.n=10000001"], "ensemble: n must be at most 10000000"),
         (["scan.points=10000001"], "scan.points must be at most 10000000"),
+        (['pulses.1.t0="1e300 s"'],
+         "pulses[1]: t0 = 1e+300 s is outside [-1000 s, 1000 s]"),
+        (['pulses.0.t0="-1e308 s"', 'pulses.1.t0="1e308 s"'],
+         "pulses[0]: t0 = -1e+308 s is outside [-1000 s, 1000 s]"),
+        (['pulses.0.t0="-1000.001 s"'], "pulses[0]: t0 = -1000.001 s is outside"),
+        (['pulses.1.t0="1000.001 s"'], "pulses[1]: t0 = 1000.001 s is outside"),
     ],
-    ids=["tau-low", "tau-high", "omega", "resonant_at", "n", "points"],
+    ids=["tau-low", "tau-high", "omega", "resonant_at", "n", "points",
+         "t0-huge", "t0-gap-overflow", "t0-low", "t0-high"],
 )
 @pytest.mark.parametrize("command", _COMMAND_NAMES)
 def test_moved_bounds_exit_2_on_every_subcommand(
@@ -466,6 +473,16 @@ def test_moved_bounds_exit_2_on_every_subcommand(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {needle}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# a pulse 1000 s from the other spreads the packet to 0.12 m, too wide for the
+# rule on the probability command; every other command runs
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("override", ['pulses.0.t0="-1000 s"', 'pulses.1.t0="1000 s"'])
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_t0_bounds_are_inclusive(tmp_path, command, override):
+    argv = _argv(command, CONFIGS / "rb87_10us.yaml", tmp_path, override)
+    assert main(argv) == (3 if command == "probability" else 0)
 
 
 # the pulses' t0 gap is the only delta_t, so a config that still sets one,
@@ -649,6 +666,29 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
     for block in (4096, 7, 1):
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         assert cli.simulation_csv(result) == want
+
+
+_INT_TOPS = [0, 1, 9, 10, 10**7, 2**32 - 1, 2**32, 10**19, 2**64 - 1]
+
+
+@pytest.mark.parametrize("dtype,top", [
+    (dtype, top)
+    for dtype in (np.int64, np.uint64, np.int32, np.uint8, np.bool_)
+    for top in _INT_TOPS
+    if top <= (1 if dtype is np.bool_ else np.iinfo(dtype).max)
+])
+def test_integer_column_matches_format_cell(monkeypatch, dtype, top):
+    """32-bit digits up to 2**32 - 1, cell by cell above, the same text either way."""
+    from mwselect import cli
+
+    used = []
+    int_column = cli._int_column
+    monkeypatch.setattr(cli, "_int_column", lambda v: used.append(1) or int_column(v))
+    values = np.array(sorted({0, 1, top // 3, top - (top > 0), top}), dtype=dtype)
+    table = cli._column(values)
+    cells = [bytes(row[row != 0]).decode() for row in table]
+    assert cells == [cli._format_cell(v) for v in values.tolist()]
+    assert used == ([1] if top < 2**32 else [])
 
 
 def _kernel_cells(values) -> list[str]:

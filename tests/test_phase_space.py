@@ -466,29 +466,41 @@ def test_every_mode_decides_pulse_two_for_survivors_only(
         assert result.quadrature_rows == (0, 0)
 
 
-def _batch_rows(monkeypatch):
-    """Spy on the Monte Carlo's batch calls; returns the list of row counts."""
-    rows = []
+def _batch_calls(monkeypatch):
+    """Spy on the Monte Carlo's batch calls; returns the list of (dz, centers)."""
+    calls = []
 
-    def spy(centers, *args, **kwargs):
-        rows.append(np.asarray(centers).size)
-        return mw.averaged_probability_batch(centers, *args, **kwargs)
+    def spy(centers, dz, *args, **kwargs):
+        calls.append((dz, np.array(centers, dtype=float)))
+        return mw.averaged_probability_batch(centers, dz, *args, **kwargs)
 
     monkeypatch.setattr(phase_space, "averaged_probability_batch", spy)
-    return rows
+    return calls
 
 
 def test_thermal_cloud_rarely_needs_quadrature(
     monkeypatch, cfg, pulse_first, pulse_second
 ):
-    batch_rows = _batch_rows(monkeypatch)
+    calls = _batch_calls(monkeypatch)
     spec = mw.EnsembleSpec(n=20000, seed=20260815, **_THERMAL)
     result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     rows1, rows2 = result.quadrature_rows
     assert 0 < rows1 <= 0.05 * spec.n
     assert 0 < rows2 <= result.n_survived_first
-    # the open atoms of a wide cloud are sparse: no table, one direct call each
-    assert batch_rows == [rows1, rows2]
+    # the open atoms of a wide cloud are a dense core with sparse tails: pulse 1
+    # tabulates the core and sends the tails with the near-tolerance atoms to
+    # one direct call, so the rule runs on fewer than half of the open atoms
+    first = [centers for dz, centers in calls if dz == spec.dz0]
+    assert len(first) == 2
+    grid, direct = first
+    assert np.allclose(np.diff(grid), (grid[-1] - grid[0]) / (grid.size - 1))
+    z0 = phase_space._draws(spec)[0]
+    assert np.isin(direct, z0).all()
+    assert grid.size + direct.size < 0.5 * rows1
+    # pulse 2 averages no more rows than the bound leaves open, in at most a
+    # table call and a direct call
+    second = [centers.size for dz, centers in calls if dz != spec.dz0]
+    assert 1 <= len(second) <= 2 and sum(second) <= rows2
     # bookkeeping only: the summary keeps its keys
     assert not any("quadrature" in key for key in result.summary())
 
@@ -496,14 +508,14 @@ def test_thermal_cloud_rarely_needs_quadrature(
 def test_matched_cloud_is_decided_from_tables(
     monkeypatch, cfg, pulse_first, pulse_second
 ):
-    batch_rows = _batch_rows(monkeypatch)
+    calls = _batch_calls(monkeypatch)
     spec = mw.EnsembleSpec(n=50000, seed=20260815, **_MATCHED)
     result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
     rows1, rows2 = result.quadrature_rows
     assert rows1 > 0.8 * spec.n
     # per pulse one table call and one call for the atoms it cannot decide
-    assert len(batch_rows) == 4
-    assert 0 < sum(batch_rows) < 0.05 * (rows1 + rows2)
+    assert len(calls) == 4
+    assert 0 < sum(centers.size for _, centers in calls) < 0.05 * (rows1 + rows2)
 
 
 def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
@@ -537,3 +549,149 @@ def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
     names = ("survived_first", "survived_both", "z_final", "v_final")
     for name, ref in zip(names, want):
         assert getattr(result, name).tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_thermal_core_table_matches_every_atom_reference(monkeypatch, seed, sigma):
+    cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
+    p1, p2 = _pulse_pair(cfg, sigma, 0.0, _THERMAL["v_mean"])
+    spec = mw.EnsembleSpec(n=20000, seed=seed, sigma=sigma, **_THERMAL)
+    calls = _batch_calls(monkeypatch)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg)
+    # the core table and the direct call at pulse 1 cover fewer rows than are open
+    first = [centers.size for dz, centers in calls if dz == spec.dz0]
+    assert len(first) == 2 and sum(first) < result.quadrature_rows[0]
+    want = _every_atom_averaged(spec, p1, p2, cfg, DELTA_T)
+    assert result.n_survived_both > 0
+    names = ("survived_first", "survived_both", "z_final", "v_final")
+    for name, ref in zip(names, want):
+        assert getattr(result, name).tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_one_sided_tail_matches_every_atom_reference(monkeypatch, sigma):
+    """A thermal cloud folded onto z <= 0, with pulse 1 resonant at its edge.
+
+    The open atoms at pulse 1 are a dense core at the edge and a sparse
+    tail on the inner side only, so the tabulated run ends at the
+    highest open atom and every row left to the direct call lies below it.
+    """
+    cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
+    p1, p2 = _pulse_pair(cfg, sigma, 0.0, _THERMAL["v_mean"])
+    spec = mw.EnsembleSpec(n=20000, seed=4, sigma=sigma, **_THERMAL)
+    z0, v0, u1, u2 = phase_space._draws(spec)
+    draws = (-np.abs(z0), v0, u1, u2)
+    monkeypatch.setattr(phase_space, "_draws", lambda _spec: draws)
+    calls = _batch_calls(monkeypatch)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg)
+    first = [centers for dz, centers in calls if dz == spec.dz0]
+    assert len(first) == 2
+    grid, direct = first
+    assert direct.size and direct.max() < grid[-1]
+    assert grid.size + direct.size < result.quadrature_rows[0]
+    want = _every_atom_averaged(spec, p1, p2, cfg, DELTA_T)
+    assert result.n_survived_both > 0
+    names = ("survived_first", "survived_both", "z_final", "v_final")
+    for name, ref in zip(names, want):
+        assert getattr(result, name).tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_dense_run_is_tabulated_only_if_it_saves_a_call(
+    monkeypatch, cfg, pulse_first, extra
+):
+    """A run that saves _CALL_ROWS rows or fewer costs more than it saves.
+
+    Sparse atoms 2 table steps apart, too many for a table over their
+    span, flank a cluster within one step, which a 2-point table
+    covers and so saves its size minus 2 rows.
+    """
+    saved = phase_space._CALL_ROWS + extra
+    dz = 3e-6
+    step = phase_space._TABLE_STEP * dz
+    cluster = np.linspace(0.0, 0.9 * step, saved + 2)
+    flanks = 2.0 * step * np.arange(1, 21)
+    z = np.concatenate((-flanks[::-1], cluster, 0.9 * step + flanks))
+    u = np.random.default_rng(5).random(z.size)
+    spec = mw.EnsembleSpec(n=z.size, seed=1, **_THERMAL)
+    # every atom is open: 1 bounds every average
+    monkeypatch.setattr(
+        phase_space, "averaged_probability_bound", lambda z, *a, **k: np.ones(z.size)
+    )
+    calls = _batch_calls(monkeypatch)
+    keep, n_open = phase_space._accept(u, z, dz, pulse_first, cfg, spec, 8.0)
+    assert n_open == z.size
+    if extra:
+        (_, grid), (_, direct) = calls
+        assert (grid[0], grid[-1]) == (cluster[0], cluster[-1]) and grid.size == 2
+        assert direct.size >= 2 * flanks.size
+    else:
+        ((_, direct),) = calls
+        assert direct.size == z.size
+    want = u < mw.averaged_probability_batch(z, dz, pulse_first, cfg)
+    assert keep.tobytes() == want.tobytes()
+
+
+def _raises_quadrature_error(call) -> bool:
+    try:
+        call()
+    except mw.QuadratureError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize(
+    "layout,seed", [("split", 4), ("split", 6), ("whole-span", 8), ("whole-span", 9)]
+)
+def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
+    """QuadratureError from the pulse's table and direct call, or from neither.
+
+    At 25 G/cm and tau = 10 us the rule's phase limit falls near dz = 107
+    um.  There the open atoms of 200 thermal atoms are too sparse for a
+    table over their whole span, so _accept tabulates a dense run that
+    saves over _CALL_ROWS rows and sends the rest to the direct call
+    ("split"); those of 150 atoms of the cloud folded onto z <= 0 are
+    dense enough that one table spans them all ("whole-span").  Bisecting
+    dz to the last float where one batch call over every open atom still
+    passes, _accept must pass there and raise one float step above.
+    """
+    cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
+    pulse, _ = _pulse_pair(cfg, sigma, 0.0, _THERMAL["v_mean"])
+    n = 200 if layout == "split" else 150
+    spec = mw.EnsembleSpec(n=n, seed=seed, sigma=sigma, **_THERMAL)
+    z, _, u, _ = phase_space._draws(spec)
+    if layout == "whole-span":
+        z = -np.abs(z)
+
+    def one_call(dz):
+        rows = u < probability.averaged_probability_bound(z, dz, pulse, cfg)
+        return _raises_quadrature_error(
+            lambda: mw.averaged_probability_batch(z[rows], dz, pulse, cfg)
+        )
+
+    def accept(dz):
+        return _raises_quadrature_error(
+            lambda: phase_space._accept(u, z, dz, pulse, cfg, spec, 8.0)
+        )
+
+    lo, hi = 50e-6, 300e-6
+    assert not one_call(lo) and one_call(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        lo, hi = (lo, mid) if one_call(mid) else (mid, hi)
+    calls = _batch_calls(monkeypatch)
+    for dz, want in ((50e-6, False), (lo, False), (hi, True), (300e-6, True)):
+        assert accept(dz) == want, dz
+    calls.clear()
+    accept(lo)
+    assert len(calls) == 2  # a table and a direct call
+    (_, grid), (_, direct) = calls
+    rows = u < probability.averaged_probability_bound(z, lo, pulse, cfg)
+    if layout == "split":
+        assert direct.min() < grid[0] or direct.max() > grid[-1]
+    else:
+        assert (grid[0], grid[-1]) == (z[rows].min(), z[rows].max())
