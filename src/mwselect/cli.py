@@ -54,7 +54,10 @@ from .probability import RULE_ORDER, transition_probability
 from .selection import select, validity_diagnostic, velocity_width
 
 _TWO_PI = 2.0 * np.pi
-_CSV_BLOCK = 32768  # rows formatted at a time; bounds the writer's working memory
+# Rows formatted at a time.  A float column's temporaries then peak near
+# 0.75 MB and a block's table near 0.9 MB, small enough to be reused from
+# the heap instead of being mapped and faulted in afresh for every block.
+_CSV_BLOCK = 8192
 
 
 def _format_cell(value) -> str:
@@ -89,11 +92,18 @@ def _words(texts) -> np.ndarray:
 
 
 # A fast-path cell is six words: NUL, sign or NUL, the lead digit and the
-# point; four groups of four digits; and the exponent.
+# point; four groups of four digits; and the exponent.  An integer cell is
+# one to three groups.  _GROUPS holds each group's word first as a leading
+# group, with a NUL for each leading zero (0 keeps its "0"), then with all
+# four digits, as _QUADS.
 _HEADS = _words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
 _QUAD = np.uint32(10_000)
-_QUADS = _words(f"{i:04d}" for i in range(_QUAD))
+_DIGITS = np.arange(_QUAD)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+_LEADS = np.where(np.arange(_QUAD)[:, None] < [1000, 100, 10, 0], 0, _DIGITS)
+_GROUPS = np.vstack([_LEADS, _DIGITS]).astype(np.uint8).view(np.uint32).ravel()
+_QUADS = _GROUPS[_QUAD:]
 _TAILS = _words(f"e{e:+03d}" for e in range(-11, 17))
+_NAN = np.frombuffer(b"nan", np.uint8)
 
 
 def _mantissas(x: np.ndarray):
@@ -113,47 +123,66 @@ def _mantissas(x: np.ndarray):
         y[off] = a[off] * _POW10[q[off]]
         ok[off] &= (y[off] >= 1e16) & (y[off] < 1e17)
     nearest = np.rint(y)
-    ok &= np.abs(y - nearest) < 0.5
+    # y - rint(y) is exact and, for y >= 1e16 > 2**53, a multiple of
+    # ulp(y) >= 2**-10 on x87, so float64 holds it exactly.  On quad it can
+    # round up to 0.5, which only sends a non-tie to _format_cell.
+    ok &= np.abs((y - nearest).astype(np.float64)) < 0.5
     return ok, np.where(ok, nearest, 1e16).astype(_U64), 16 - q
 
 
 def _float_column(values: np.ndarray) -> np.ndarray:
-    """Each float's "%.16e" text as a NUL-padded (n, _FIELD) uint8 row."""
+    """Each float's "%.16e" text as a NUL-padded uint8 row.
+
+    The rows are _FIELD bytes wide, or 3 when every value is NaN.
+    """
     x = np.asarray(values, dtype=np.float64)
     nan = np.isnan(x)
-    todo = np.flatnonzero(~nan)
-    ok, mant, exp = _mantissas(x[todo])
-    negative = x[todo] < 0
+    if nan.all():
+        return np.broadcast_to(_NAN, (len(x), len(_NAN)))
+    some_nan = nan.any()
+    numbers = x[~nan] if some_nan else x
+    ok, mant, exp = _mantissas(numbers)
     # every integer op pairs equal dtypes: before NEP 50 a uint32 array times
     # a uint64 scalar that fits in 32 bits stayed uint32 and overflowed
     hi = mant // _U64(10**8)
     lo = (mant - hi * _U64(10**8)).astype(np.uint32)
     lead, hi = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
-    words = np.empty((_FIELD // 4, len(todo)), np.uint32)
-    np.take(_HEADS, lead + 10 * negative, out=words[0])
+    words = np.empty((_FIELD // 4, len(numbers)), np.uint32)
+    np.take(_HEADS, lead + 10 * (numbers < 0), out=words[0])
     for row, group in enumerate((*np.divmod(hi, _QUAD), *np.divmod(lo, _QUAD))):
         np.take(_QUADS, group, out=words[row + 1])
     np.take(_TAILS, exp + 11, out=words[5])
-    out = np.zeros((len(x), _FIELD), np.uint8)
-    out.view(np.uint32)[todo] = words.T
-    out[nan, :3] = np.frombuffer(b"nan", np.uint8)
-    slow = todo[~ok]
+    cells = np.ascontiguousarray(words.T)
+    slow = np.flatnonzero(~ok)
     if slow.size:
-        cells = _text_column(x[slow].tolist())
-        out[slow] = 0
-        out[slow, : cells.shape[1]] = cells
-    return out
+        text = _text_column(numbers[slow].tolist())
+        cells[slow] = 0
+        cells.view(np.uint8)[slow, : text.shape[1]] = text
+    if some_nan:
+        out = np.zeros((len(x), _FIELD // 4), np.uint32)
+        out[~nan] = cells
+        out.view(np.uint8)[nan, : len(_NAN)] = _NAN
+        cells = out
+    return cells.view(np.uint8)
 
 
 def _int_column(values: np.ndarray) -> np.ndarray:
-    """Integers in [0, 2**32) as right-aligned, NUL-padded uint8 rows."""
+    """Integers in [0, 2**32) as right-aligned, NUL-padded uint8 rows.
+
+    Each four-digit group is one word of _GROUPS: NUL above a value's
+    leading group, its leading-group word there and _QUADS below it.
+    """
     # every operand is uint32, as in _float_column
-    v = np.asarray(values).astype(np.uint32)[:, None]
-    digits = np.arange(len(str(int(v.max()))))[::-1].astype(np.uint32)
-    powers = np.uint32(10) ** digits
-    out = (v // powers % np.uint32(10)).astype(np.uint8) + np.uint8(ord("0"))
-    out[(v < powers) & (powers > 1)] = 0  # leading zeros
-    return out
+    v = np.asarray(values).astype(np.uint32)
+    width = len(str(int(v.max())))
+    groups = -(-width // 4)
+    words = np.empty((groups, len(v)), np.uint32)
+    for row in range(groups):
+        upto = v // np.uint32(10 ** (4 * (groups - 1 - row)))
+        np.take(_GROUPS, np.where(upto < _QUAD, upto, upto % _QUAD + _QUAD), out=words[row])
+        if row < groups - 1:
+            words[row, upto == 0] = 0
+    return np.ascontiguousarray(words.T).view(np.uint8)[:, 4 * groups - width :]
 
 
 def _text_column(cells) -> np.ndarray:
@@ -173,30 +202,34 @@ def _column(cells) -> np.ndarray:
     return _text_column(cells)
 
 
-def _lines(columns: list[np.ndarray]) -> str:
-    """CSV lines from NUL-padded uint8 columns of equal length."""
+def _lines(columns: list[np.ndarray]) -> bytes:
+    """CSV lines as bytes from NUL-padded uint8 columns of equal length.
+
+    Every byte of the table is written, so it needs no zeroing; the NULs
+    drop out in the one compress that also makes the bytes.
+    """
     width = sum(c.shape[1] + 1 for c in columns)
-    table = np.zeros((len(columns[0]), width), np.uint8)
+    table = np.empty((len(columns[0]), width), np.uint8)
     at = 0
     for col in columns:
         table[:, at : at + col.shape[1]] = col
         at += col.shape[1] + 1
         table[:, at - 1] = ord(",")
     table[:, -1] = ord("\n")
-    return table[table != 0].tobytes().decode("ascii")
+    return table[table != 0].tobytes()
 
 
-def _csv(header: list[str], columns: list) -> str:
-    """CSV text of equal-length columns, written _CSV_BLOCK rows at a time.
+def _csv(header: list[str], columns: list) -> bytes:
+    """ASCII CSV of equal-length columns, written _CSV_BLOCK rows at a time.
 
     A column is an array or a sequence of cells; every cell reads as
     _format_cell writes it.
     """
-    blocks = [",".join(header) + "\n"]
+    blocks = [(",".join(header) + "\n").encode()]
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         rows = slice(start, start + _CSV_BLOCK)
         blocks.append(_lines([_column(col[rows]) for col in columns]))
-    return "".join(blocks)
+    return b"".join(blocks)
 
 
 def _jsonable(obj):
@@ -215,17 +248,18 @@ def _jsonable(obj):
     return obj
 
 
-def _json_doc(command: str, run: RunConfig, result: dict) -> str:
+def _json_doc(command: str, run: RunConfig, result: dict) -> bytes:
     payload = {"command": command, "config": to_dict(run), "result": result}
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return (json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(data: bytes, path: str | None) -> None:
+    """Write an output's bytes to path, or its text to stdout without one."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
         try:
-            Path(path).write_text(text, newline="")
+            Path(path).write_bytes(data)
         except OSError as exc:
             raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
@@ -382,7 +416,7 @@ def cmd_bands(run: RunConfig, args) -> None:
     )
 
 
-def simulation_csv(result: MonteCarloResult) -> str:
+def simulation_csv(result: MonteCarloResult) -> bytes:
     """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms."""
     return _csv(
         ["atom_index", "z0_m", "v0_m_s", "survived_first", "survived_both",

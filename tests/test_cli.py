@@ -110,6 +110,33 @@ def test_scan_to_stdout(config_path, capsys):
     assert len(captured.splitlines()) == 12
 
 
+@pytest.mark.parametrize("command", ["scan", "bands", "select"])
+def test_stdout_matches_output_file(config_path, tmp_path, capsys, command):
+    """Without -o a command prints exactly the bytes -o writes."""
+    out = tmp_path / "out"
+    assert main([command, str(config_path), "-o", str(out)]) == 0
+    assert main([command, str(config_path)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_simulate_csv_is_simulation_csv(tmp_path):
+    """simulate --csv writes the bytes simulation_csv returns, over several blocks."""
+    from mwselect import cli
+    from mwselect.phase_space import run_monte_carlo
+
+    sets = ["ensemble.n=20000", "ensemble.seed=3"]
+    out = tmp_path / "atoms.csv"
+    argv = ["simulate", str(_SHIPPED), *[a for s in sets for a in ("--set", s)],
+            "--csv", str(out), "-o", str(tmp_path / "sim.json")]
+    assert main(argv) == 0
+    run = cf.load_config(_SHIPPED, sets)
+    field = cf.to_field_config(run)
+    first, second = cf.to_pulses(run, field)
+    result = run_monte_carlo(cf.to_ensemble_spec(run), first, second, field,
+                             window_sigmas=run.quadrature.window_sigmas)
+    assert out.read_bytes() == cli.simulation_csv(result)
+
+
 def test_select_json(config_path, tmp_path):
     out = tmp_path / "select.json"
     assert main(["select", str(config_path), "-o", str(out)]) == 0
@@ -641,17 +668,31 @@ def _rowwise_csv(header, rows) -> str:
 
 
 def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
-    """The block-wise writer gives the bytes of the row-wise reference."""
+    """The block-wise writer gives the bytes of the row-wise reference.
+
+    At 4096-row blocks z_final and v_final are mixed in the first block,
+    all finite in the second and all NaN in the third; at the default
+    block size the all-NaN rows follow a mixed block.  atom_index goes
+    from 9 to 10, 99 to 100 and 9999 to 10000 inside a block and, at one
+    row a block, across block boundaries.
+    """
     from types import SimpleNamespace
 
     from mwselect import cli
 
-    n = 23
+    n = 10_050
     rng = np.random.default_rng(4)
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    values[:3] = (-0.0, 0.0, 1e-300)
+    # mostly the fast range, with zeros, subnormals, huge values and ties
+    # that go cell by cell
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 18, n)
+    extreme = rng.random(n) < 0.02
+    values[extreme] *= 10.0 ** rng.integers(-300, 280, extreme.sum())
+    values[:5] = (-0.0, 0.0, 1e-300, 5e-324, -2.5e-320)
+    values[5000:5000 + len(_LONG_DOUBLE_TIES)] = _LONG_DOUBLE_TIES
     first = rng.random(n) < 0.7
     both = first & (rng.random(n) < 0.6)
+    both[4096:8192] = first[4096:8192] = True
+    both[8192:] = False
     result = SimpleNamespace(
         n_total=n, z0=values, v0=values[::-1].copy(),
         survived_first=first, survived_both=both,
@@ -662,8 +703,8 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
               "z_final_m", "v_final_m_s"]
     rows = zip(range(n), result.z0, result.v0, first, both,
                result.z_final, result.v_final)
-    want = _rowwise_csv(header, rows)
-    for block in (4096, 7, 1):
+    want = _rowwise_csv(header, rows).encode()
+    for block in (cli._CSV_BLOCK, 4096, 7, 1):
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         assert cli.simulation_csv(result) == want
 
