@@ -20,13 +20,20 @@ from .errors import ZeroGradientError
 from .selection import SelectionResult
 
 
+_GEOMETRY_RANGE = (1e-6, 10.0)  # m, coil radius and half-separation
+_MAX_CURRENT = 1e6  # A
+_MAX_TURNS = 10**6
+
+
 @dataclass(frozen=True)
 class CoilPair:
     """Two coaxial loops at z = +/-half_separation with opposed currents.
 
-    radius and half_separation in m, current in A, turns per coil.  The
-    sign convention puts the positive-gradient loop at negative z, so a
-    positive current gives a positive central gradient.
+    radius and half_separation in m, each in [1 um, 10 m]; current in A,
+    |current| <= 1 MA; turns per coil, in [1, 10**6].  These bounds keep
+    the field and the central gradient finite.  The sign convention puts
+    the positive-gradient loop at negative z, so a positive current gives
+    a positive central gradient.
     """
 
     radius: float
@@ -35,10 +42,15 @@ class CoilPair:
     turns: int = 1
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0 or self.half_separation <= 0.0:
-            raise ValueError("radius and half_separation must be positive")
-        if self.turns < 1:
-            raise ValueError("turns must be at least 1")
+        lo, hi = _GEOMETRY_RANGE
+        if not (lo <= self.radius <= hi and lo <= self.half_separation <= hi):
+            raise ValueError(
+                f"radius and half_separation must lie in [{lo:g} m, {hi:g} m]"
+            )
+        if not abs(self.current) <= _MAX_CURRENT:
+            raise ValueError(f"|current| must be at most {_MAX_CURRENT:g} A")
+        if not 1 <= self.turns <= _MAX_TURNS:
+            raise ValueError(f"turns must lie in [1, {_MAX_TURNS}]")
 
 
 def on_axis_field(coils: CoilPair, z):
@@ -100,7 +112,8 @@ def linearity_region(coils: CoilPair, rel_tol: float = 0.01) -> float:
     The relative deviation |B(z)/(eta0*z) - 1| grows from zero like z^2,
     so the boundary is found by bisection out to min(R, d).  If the
     deviation never reaches rel_tol inside that range, the range bound
-    is returned.
+    is returned.  ZeroGradientError is raised when eta0*z underflows to
+    zero at a probed z, where the deviation has no value.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -110,7 +123,10 @@ def linearity_region(coils: CoilPair, rel_tol: float = 0.01) -> float:
     cap = min(coils.radius, coils.half_separation)
 
     def deviation(z: float) -> float:
-        return abs(float(on_axis_field(coils, z)) / (eta0 * z) - 1.0)
+        linear = eta0 * z
+        if linear == 0.0:
+            raise ZeroGradientError("linearity region: eta0*z underflows to zero")
+        return abs(float(on_axis_field(coils, z)) / linear - 1.0)
 
     if deviation(cap) <= rel_tol:
         return cap

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -302,7 +303,9 @@ def cmd_select(run: RunConfig, args) -> None:
     sels = [select(pulse, cfg) for pulse in pulses]
     per_pulse = []
     for i, (pulse, sel) in enumerate(zip(pulses, sels)):
-        budget = app.stability_budget(sel, cfg, displacement)
+        stability = asdict(app.stability_budget(sel, cfg, displacement))
+        # the entry reports both itself, as rabi_at_resonance and position_width
+        del stability["rabi_rad_s"], stability["position_width_m"]
         entry = {
             "index": i,
             "t0_s": pulse.t0,
@@ -316,13 +319,7 @@ def cmd_select(run: RunConfig, args) -> None:
             "velocity_width_m_s": (
                 None if delta_t is None else velocity_width(sel.position_width, delta_t)
             ),
-            "stability": {
-                "criterion": budget.criterion,
-                "bias_tolerance_T": budget.bias_tolerance_T,
-                "bias_tolerance_G": budget.bias_tolerance_G,
-                "gradient_fraction": budget.gradient_fraction,
-                "displacement_m": budget.displacement_m,
-            },
+            "stability": stability,
         }
         if run.ensemble is not None:
             dz0 = run.ensemble.dz0
@@ -451,14 +448,8 @@ def cmd_simulate(run: RunConfig, args) -> None:
 
 
 def cmd_coils(run: RunConfig, args) -> None:
-    _require(run.apparatus is not None, "coils command needs an 'apparatus' section")
-    a = run.apparatus
-    coils = app.CoilPair(
-        radius=a.radius,
-        current=a.current,
-        half_separation=a.half_separation,
-        turns=a.turns,
-    )
+    coils = run.apparatus
+    _require(coils is not None, "coils command needs an 'apparatus' section")
     cfg = to_field_config(run)
     grad = app.gradient_at_center(coils)
     lin = app.linearity_region(coils)
@@ -473,7 +464,7 @@ def cmd_coils(run: RunConfig, args) -> None:
         ),
         "current_for_configured_gradient_A": (
             app.current_for_gradient(
-                run.field.gradient, a.radius, a.half_separation, a.turns
+                run.field.gradient, coils.radius, coils.half_separation, coils.turns
             )
             if run.field.gradient != 0.0
             else None
@@ -481,7 +472,7 @@ def cmd_coils(run: RunConfig, args) -> None:
         "linearity_region_m": lin,
         "linearity_fraction_of_geometry": lin / span,
         "optimal_half_separation_m": d_opt,
-        "is_max_gradient_geometry": abs(a.half_separation - d_opt) <= 1e-9 * d_opt,
+        "is_max_gradient_geometry": abs(coils.half_separation - d_opt) <= 1e-9 * d_opt,
         "shifted_zero_m": (
             app.shifted_zero(run.field.gradient, run.field.bias)
             if run.field.gradient != 0.0
@@ -490,16 +481,8 @@ def cmd_coils(run: RunConfig, args) -> None:
     }
     pulses = to_pulses(run, cfg)
     if pulses:
-        budget = app.stability_budget(select(pulses[0], cfg), cfg, a.displacement)
-        result["stability"] = {
-            "criterion": budget.criterion,
-            "rabi_rad_s": budget.rabi_rad_s,
-            "position_width_m": budget.position_width_m,
-            "bias_tolerance_T": budget.bias_tolerance_T,
-            "bias_tolerance_G": budget.bias_tolerance_G,
-            "gradient_fraction": budget.gradient_fraction,
-            "displacement_m": budget.displacement_m,
-        }
+        budget = app.stability_budget(select(pulses[0], cfg), cfg, coils.displacement)
+        result["stability"] = asdict(budget)
     _emit(_json_doc("coils", run, result), args.output or run.output.json)
 
 

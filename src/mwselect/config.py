@@ -16,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from .apparatus import _GEOMETRY_RANGE, CoilPair
 from .breit_rabi import _POSITION_RANGE, FieldConfig, StretchedBranch
 from .constants import get_species
 from .errors import ConfigError
@@ -142,20 +143,16 @@ class ScanEntry:
 
 
 @dataclass(frozen=True)
-class ApparatusEntry:
-    radius: float
-    current: float
-    half_separation: float
-    turns: int = 1
-    displacement: float = 1e-2  # m, lever arm for the gradient budget
+class ApparatusEntry(CoilPair):
+    """A CoilPair plus displacement, its budget's lever arm, in [1 um, 10 m]."""
+
+    displacement: float = 1e-2  # m
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0 or self.half_separation <= 0.0:
-            raise ConfigError("apparatus radius and half_separation must be positive")
-        if self.turns < 1:
-            raise ConfigError("apparatus.turns must be at least 1")
-        if self.displacement <= 0.0:
-            raise ConfigError("apparatus.displacement must be positive")
+        super().__post_init__()
+        lo, hi = _GEOMETRY_RANGE
+        if not lo <= self.displacement <= hi:
+            raise ValueError(f"displacement must lie in [{lo:g} m, {hi:g} m]")
 
 
 @dataclass(frozen=True)

@@ -308,20 +308,26 @@ def _grid_points(lo: float, hi: float, n: int, dz: float) -> int:
     return math.ceil(min((hi - lo) / (_TABLE_STEP * dz), n)) + 1
 
 
-def _densest_span(z: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split z's indices into the sorted run a table saves most rows on, and the rest.
+def _densest_run(z: np.ndarray, dz: float) -> tuple[float, float, int]:
+    """Ends and grid points of the sorted run of z a table saves most rows on.
 
     A table over the sorted positions z_(i)..z_(j) needs about
     (z_(j) - z_(i))/(_TABLE_STEP*dz) grid points in place of j - i + 1
     direct rows, so with s_k = k - z_(k)/(_TABLE_STEP*dz) the run
-    maximising s_j - min_(i<=j) s_i saves the most.  The run comes in
-    ascending order of z.
+    maximising s_j - min_(i<=j) s_i saves the most.  A tie of z_(i) with
+    its lower neighbour, or of z_(j) with its upper one, would score one
+    less, so the run holds exactly the atoms with z_(i) <= z <= z_(j).
     """
-    order = np.argsort(z)
-    s = np.arange(z.size) - z[order] / (_TABLE_STEP * dz)
-    j = int(np.argmax(s - np.minimum.accumulate(s)))
+    ordered = np.sort(z)
+    # in place where it can be: a matched cloud leaves ~45k atoms open, and
+    # each fresh array that size is paged in anew
+    s = ordered / -(_TABLE_STEP * dz)
+    s += np.arange(z.size)
+    gain = np.minimum.accumulate(s)
+    j = int(np.argmax(np.subtract(s, gain, out=gain)))
     i = int(np.argmin(s[: j + 1]))
-    return order[i : j + 1], np.concatenate((order[:i], order[j + 1 :]))
+    lo, hi = float(ordered[i]), float(ordered[j])
+    return lo, hi, _grid_points(lo, hi, j - i + 1, dz)
 
 
 def _accept(
@@ -338,20 +344,17 @@ def _accept(
     In Bernoulli mode the packet average p is needed only for atoms
     with u below averaged_probability_bound: for the others u >= bound
     >= p, so u < p is false whatever the quadrature would give.  The
-    open atoms are then tabulated where that pays.  When a grid of step
-    <= dz*_TABLE_STEP over their whole span has fewer points than there
-    are open atoms, the table covers that span.  Otherwise (sparse
-    tails around a dense core) it covers the densest sorted run of
-    them (_densest_span), if that run has more atoms than grid points
-    by over _CALL_ROWS, the cost of the extra batch call; the atoms
-    outside the run join the direct call.  On the table, p is
-    interpolated; an atom whose u is more than interpolation_tolerance
-    from the interpolant is decided from it, and only the rest are
-    averaged one by one, in one direct call with the tails.  Either way
-    every decision equals u < averaged_probability_batch(z) bit for
-    bit, and the table and the direct call span the open atoms' lowest
-    and highest positions between them, so the phase check raises
-    QuadratureError exactly when one call over every open atom would.
+    densest sorted run of the open atoms (_densest_run) is tabulated on
+    a grid of step <= dz*_TABLE_STEP if it has more atoms than grid
+    points by over _CALL_ROWS, the cost of the extra batch call.  On
+    the table, p is interpolated; an atom whose u is more than
+    interpolation_tolerance from the interpolant is decided from it.
+    The rest, and every open atom outside the run, are averaged one by
+    one in one direct call.  So every decision equals
+    u < averaged_probability_batch(z) bit for bit, and the table and the
+    direct call span the open atoms' lowest and highest positions
+    between them, so the phase check raises QuadratureError exactly when
+    one call over every open atom would.
     """
     if spec.decision_mode == "band":
         return np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0, 0
@@ -360,34 +363,24 @@ def _accept(
     )
     (rows,) = np.nonzero(keep)
     n_open = rows.size
-    tails = rows[:0]
     if n_open:
         z_open = z[rows]
-        lo, hi = float(z_open.min()), float(z_open.max())
-        points = _grid_points(lo, hi, n_open, dz)
-        if points >= n_open:
-            span, rest = _densest_span(z_open, dz)
-            run_lo, run_hi = float(z_open[span[0]]), float(z_open[span[-1]])
-            run_points = _grid_points(run_lo, run_hi, span.size, dz)
-            # the split adds a batch call, so it must save more than one's cost
-            if run_points + _CALL_ROWS < span.size:
-                rows, tails = rows[span], rows[rest]
-                lo, hi, points = run_lo, run_hi, run_points
-        if points < rows.size:
+        lo, hi, points = _densest_run(z_open, dz)
+        run = (lo <= z_open) & (z_open <= hi)
+        # the table adds a batch call, so it must save more than one's cost
+        if points + _CALL_ROWS < np.count_nonzero(run):
             # linspace ends exactly at lo and hi, so the table's phase check
-            # covers the same span as a direct call on these rows would
+            # covers the same span as a direct call on the run would
             grid = np.linspace(lo, hi, points)
             table = averaged_probability_batch(
                 grid, dz, pulse, cfg, window_sigmas=window_sigmas
             )
-            approx = np.interp(z[rows], grid, table)
+            approx = np.interp(z_open, grid, table)
             step = (hi - lo) / max(points - 1, 1)
-            sure = np.abs(u[rows] - approx) > interpolation_tolerance(
-                step, dz, window_sigmas
-            )
+            tol = interpolation_tolerance(step, dz, window_sigmas)
+            sure = run & (np.abs(u[rows] - approx) > tol)
             keep[rows[sure]] = u[rows[sure]] < approx[sure]
             rows = rows[~sure]
-    rows = np.concatenate((rows, tails))
     keep[rows] = u[rows] < averaged_probability_batch(
         z[rows], dz, pulse, cfg, window_sigmas=window_sigmas
     )

@@ -133,3 +133,33 @@ def test_coil_validation():
         mw.CoilPair(radius=5e-2, current=1.0, half_separation=1e-2, turns=0)
     with pytest.raises(ValueError):
         mw.max_gradient_half_separation(0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(radius=math.nextafter(1e-6, 0.0)),
+        dict(radius=math.nextafter(10.0, math.inf)),
+        dict(half_separation=math.nextafter(1e-6, 0.0)),
+        dict(half_separation=1e200),
+        dict(radius=math.nan),
+        dict(current=math.nextafter(1e6, math.inf)),
+        dict(current=-1e308),
+        dict(current=math.nan),
+        dict(turns=10**6 + 1),
+        dict(turns=10**400),
+    ],
+)
+def test_coil_pair_bounds(kwargs):
+    base = dict(radius=5e-2, current=1.0, half_separation=2.5e-2, turns=1)
+    with pytest.raises(ValueError):
+        mw.CoilPair(**{**base, **kwargs})
+
+
+def test_linearity_region_rejects_an_underflowing_linear_model():
+    # eta0 is a subnormal that eta0*z rounds to zero inside the region
+    coils = mw.CoilPair(radius=10.0, current=1e-310, half_separation=1e-6,
+                        turns=10**6)
+    assert mw.gradient_at_center(coils) != 0.0
+    with pytest.raises(mw.ZeroGradientError):
+        mw.linearity_region(coils)

@@ -167,6 +167,15 @@ def test_select_golden_result(tmp_path):
     assert json.dumps(result, sort_keys=True) + "\n" == golden
 
 
+def test_coils_golden_result(tmp_path):
+    # the coils result block on the shipped config, kept byte for byte
+    out = tmp_path / "coils.json"
+    assert main(["coils", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
+    result = _load_json(out)["result"]
+    golden = (DATA / "coils_golden.json").read_text()
+    assert json.dumps(result, sort_keys=True) + "\n" == golden
+
+
 def test_select_single_pulse_has_note(tmp_path):
     # a single pulse resolves a position, not a velocity
     data = _base_config()
@@ -396,6 +405,55 @@ def test_underflowing_inputs_exit_cleanly(config_path, tmp_path, capsys, command
     assert rc in (2, 3)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# out of range: a turns count past float's range, a coil geometry whose eta0*z
+# underflows or whose r^2 overflows, a current that overflows the gradient and
+# a lever arm that sends the gradient budget to inf; in range, but eta0*z
+# underflows: the last case
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "overrides,code",
+    [
+        (["apparatus.turns=1" + "0" * 400], 2),
+        (['apparatus.half_separation="1e-200 m"'], 2),
+        (['apparatus.radius="1e200 m"'], 2),
+        (['apparatus.current="1e308 A"'], 2),
+        (['apparatus.displacement="1e-320 m"'], 2),
+        (['apparatus.radius="10 m"', 'apparatus.half_separation="1 um"',
+          "apparatus.turns=1000000", 'apparatus.current="1e-310 A"'], 3),
+    ],
+)
+def test_degenerate_coils_exit_cleanly(tmp_path, capsys, overrides, code):
+    argv = ["coils", str(CONFIGS / "rb87_10us.yaml"), "-o", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ['apparatus.radius="1 um"', 'apparatus.half_separation="10 m"',
+         "apparatus.turns=1", 'apparatus.current="-1000000 A"',
+         'apparatus.displacement="1 um"'],
+        ['apparatus.radius="10 m"', 'apparatus.half_separation="1 um"',
+         "apparatus.turns=1000000", 'apparatus.current="1000000 A"',
+         'apparatus.displacement="10 m"'],
+    ],
+)
+def test_coil_bounds_are_inclusive(tmp_path, overrides):
+    argv = ["coils", str(CONFIGS / "rb87_10us.yaml"), "-o", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    result = _load_json(tmp_path / "o")["result"]
+    assert None not in result.values()
+    assert all(np.isfinite(v) for v in result.values() if isinstance(v, float))
 
 
 _COMMAND_NAMES = ["scan", "select", "probability", "bands", "simulate", "coils"]

@@ -516,6 +516,13 @@ def test_matched_cloud_is_decided_from_tables(
     # per pulse one table call and one call for the atoms it cannot decide
     assert len(calls) == 4
     assert 0 < sum(centers.size for _, centers in calls) < 0.05 * (rows1 + rows2)
+    # the pulse-1 table covers the dense run, not the sparse ends of the span
+    z0, _, u1, _ = phase_space._draws(spec)
+    bound = probability.averaged_probability_bound(z0, spec.dz0, pulse_first, cfg)
+    z_open = z0[u1 < bound]
+    assert z_open.size == rows1
+    whole = phase_space._grid_points(z_open.min(), z_open.max(), rows1, spec.dz0)
+    assert calls[0][1].size < whole
 
 
 def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
@@ -653,8 +660,9 @@ def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
     table over their whole span, so _accept tabulates a dense run that
     saves over _CALL_ROWS rows and sends the rest to the direct call
     ("split"); those of 150 atoms of the cloud folded onto z <= 0 are
-    dense enough that one table spans them all ("whole-span").  Bisecting
-    dz to the last float where one batch call over every open atom still
+    dense enough that a table over their whole span would pay
+    ("whole-span"), though a run inside it saves more.  Bisecting dz to
+    the last float where one batch call over every open atom still
     passes, _accept must pass there and raise one float step above.
     """
     cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
@@ -691,7 +699,8 @@ def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
     assert len(calls) == 2  # a table and a direct call
     (_, grid), (_, direct) = calls
     rows = u < probability.averaged_probability_bound(z, lo, pulse, cfg)
-    if layout == "split":
-        assert direct.min() < grid[0] or direct.max() > grid[-1]
-    else:
-        assert (grid[0], grid[-1]) == (z[rows].min(), z[rows].max())
+    z_open = z[rows]
+    whole = phase_space._grid_points(z_open.min(), z_open.max(), z_open.size, lo)
+    assert (whole < z_open.size) == (layout == "whole-span")
+    both = np.concatenate((grid, direct))
+    assert (both.min(), both.max()) == (z_open.min(), z_open.max())
