@@ -21,11 +21,10 @@ Z2 = 1e-2
 def main() -> None:
     cfg = mw.FieldConfig(eta=ETA, bias=0.0, species=SP)
     br = mw.StretchedBranch(sigma=1)
-    sc = mw.EnergyScale.for_species(SP)
 
     print("== field and atom scales ==")
-    print(f"g_sum   = {sc.g_sum:.6e} J/T   gamma1 = {sc.gamma1:.7f}   "
-          f"gamma2 = {sc.gamma2:.6e}")
+    print(f"g_sum   = {SP.g_sum:.6e} J/T   gamma1 = {SP.gamma1:.7f}   "
+          f"gamma2 = {SP.gamma2:.6e}")
     print(f"kappa   = {mw.kappa(cfg):.7f} 1/m")
     print(f"epsilon = {mw.epsilon(cfg):.6e}  (motional coupling, dimensionless)")
     f0 = mw.transition_angular_frequency(br, 0.0, cfg)

@@ -22,7 +22,6 @@ from .apparatus import (
     stability_budget,
 )
 from .breit_rabi import (
-    EnergyScale,
     FieldConfig,
     Level,
     StretchedBranch,
@@ -58,7 +57,6 @@ from .phase_space import (
 from .probability import (
     QuadratureSettings,
     averaged_probability_batch,
-    detuning_ratio_profile,
     point_probability,
     transition_probability,
 )
@@ -66,7 +64,6 @@ from .selection import (
     PulseSpec,
     SelectionResult,
     detuning,
-    position_width,
     position_width_low_field,
     raman_velocity_width,
     select,
@@ -81,7 +78,6 @@ __all__ = [
     "CONST",
     "CoilPair",
     "ConfigError",
-    "EnergyScale",
     "EnsembleSpec",
     "FieldConfig",
     "Level",
@@ -106,7 +102,6 @@ __all__ = [
     "current_for_gradient",
     "d_transition_dz",
     "detuning",
-    "detuning_ratio_profile",
     "eigenvalue",
     "epsilon",
     "evolve_expected",
@@ -120,7 +115,6 @@ __all__ = [
     "max_gradient_half_separation",
     "on_axis_field",
     "point_probability",
-    "position_width",
     "position_width_low_field",
     "raman_velocity_width",
     "resonant_position",

@@ -21,7 +21,7 @@ from .selection import SelectionResult
 
 
 _GEOMETRY_RANGE = (1e-6, 10.0)  # m, coil radius and half-separation
-_MAX_CURRENT = 1e6  # A
+_CURRENT_RANGE = (1e-6, 1e6)  # A, a nonzero |current|
 _MAX_TURNS = 10**6
 
 
@@ -30,10 +30,11 @@ class CoilPair:
     """Two coaxial loops at z = +/-half_separation with opposed currents.
 
     radius and half_separation in m, each in [1 um, 10 m]; current in A,
-    |current| <= 1 MA; turns per coil, in [1, 10**6].  These bounds keep
-    the field and the central gradient finite.  The sign convention puts
-    the positive-gradient loop at negative z, so a positive current gives
-    a positive central gradient.
+    0 or |current| in [1 uA, 1 MA]; turns per coil, in [1, 10**6].  These
+    bounds keep the field and the central gradient finite, and a nonzero
+    gradient far from subnormal, where it would silently lose digits.
+    The sign convention puts the positive-gradient loop at negative z, so
+    a positive current gives a positive central gradient.
     """
 
     radius: float
@@ -47,8 +48,9 @@ class CoilPair:
             raise ValueError(
                 f"radius and half_separation must lie in [{lo:g} m, {hi:g} m]"
             )
-        if not abs(self.current) <= _MAX_CURRENT:
-            raise ValueError(f"|current| must be at most {_MAX_CURRENT:g} A")
+        lo, hi = _CURRENT_RANGE
+        if not (self.current == 0.0 or lo <= abs(self.current) <= hi):
+            raise ValueError(f"|current| must be 0 or lie in [{lo:g} A, {hi:g} A]")
         if not 1 <= self.turns <= _MAX_TURNS:
             raise ValueError(f"turns must lie in [1, {_MAX_TURNS}]")
 
@@ -152,8 +154,6 @@ class StabilityBudget:
     displacement, the fractional gradient drift.
     """
 
-    rabi_rad_s: float
-    position_width_m: float
     bias_tolerance_T: float
     bias_tolerance_G: float
     gradient_fraction: float
@@ -178,8 +178,6 @@ def stability_budget(
     width = sel.position_width
     bias_tol = 0.5 * width * abs(cfg.eta)
     return StabilityBudget(
-        rabi_rad_s=sel.rabi_at_resonance,
-        position_width_m=width,
         bias_tolerance_T=bias_tol,
         bias_tolerance_G=bias_tol * 1e4,
         gradient_fraction=width / (2.0 * displacement),

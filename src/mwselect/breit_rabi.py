@@ -11,7 +11,8 @@ frequency and its spatial derivative, and inverts frequency to position.
 Energies are offset so the two zero-field hyperfine levels sit at
 -/+ hbar*delta_W/2.  The dimensionless field coordinate is
 x = g_sum * B / (hbar * delta_W), which for a pure gradient reduces to
-kappa * z with kappa = g_sum * eta / (hbar * delta_W).
+kappa * z with kappa = g_sum * eta / (hbar * delta_W).  The species
+carries g_sum and the slopes gamma1, gamma2 (AtomSpecies).
 """
 
 from __future__ import annotations
@@ -55,30 +56,6 @@ class StretchedBranch:
 
 
 @dataclass(frozen=True)
-class EnergyScale:
-    """Magnetic-moment combinations that set the Zeeman slopes.
-
-    g_sum   = g_s*mu_B + g_I*mu_N            (J/T)
-    gamma1  = (g_s*mu_B - 2*I*g_I*mu_N) / (2*g_sum)
-    gamma2  = g_I*mu_N / g_sum
-    """
-
-    g_sum: float
-    gamma1: float
-    gamma2: float
-
-    @classmethod
-    def for_species(cls, species: AtomSpecies) -> "EnergyScale":
-        g_sum = species.g_s * CONST.mu_B + species.g_I * CONST.mu_N
-        gamma2 = species.g_I * CONST.mu_N / g_sum
-        gamma1 = (
-            species.g_s * CONST.mu_B
-            - 2.0 * species.nuclear_spin * species.g_I * CONST.mu_N
-        ) / (2.0 * g_sum)
-        return cls(g_sum=g_sum, gamma1=gamma1, gamma2=gamma2)
-
-
-@dataclass(frozen=True)
 class FieldConfig:
     """Static field model B(z) = eta*z + bias for one species.
 
@@ -95,14 +72,10 @@ class FieldConfig:
         if not np.isfinite(self.eta) or not np.isfinite(self.bias):
             raise ValueError("eta and bias must be finite")
 
-    @property
-    def scale(self) -> EnergyScale:
-        return EnergyScale.for_species(self.species)
-
 
 def kappa(cfg: FieldConfig) -> float:
     """Inverse length scale g_sum*eta/(hbar*delta_W) of the gradient (1/m)."""
-    return cfg.scale.g_sum * cfg.eta / (CONST.hbar * cfg.species.delta_W)
+    return cfg.species.g_sum * cfg.eta / (CONST.hbar * cfg.species.delta_W)
 
 
 def epsilon(cfg: FieldConfig) -> float:
@@ -118,32 +91,30 @@ def epsilon(cfg: FieldConfig) -> float:
 
 def field_coordinate(cfg: FieldConfig, z):
     """Dimensionless field coordinate x = g_sum*(eta*z + bias)/(hbar*delta_W)."""
-    return cfg.scale.g_sum * (cfg.eta * z + cfg.bias) / (
+    return cfg.species.g_sum * (cfg.eta * z + cfg.bias) / (
         CONST.hbar * cfg.species.delta_W
     )
 
 
 def _energy_dimensionless(level: Level, sigma: int, x, species: AtomSpecies):
     """Stretched-state energy in units of hbar*delta_W at field coordinate x."""
-    sc = EnergyScale.for_species(species)
     u = sigma * x
     if level is Level.UPPER:
-        return 0.5 + sc.gamma1 * u
+        return 0.5 + species.gamma1 * u
     fm = species.f_minus
     ratio = fm / species.f_plus
-    return -fm * sc.gamma2 * u - 0.5 * np.sqrt(1.0 + 2.0 * ratio * u + u * u)
+    return -fm * species.gamma2 * u - 0.5 * np.sqrt(1.0 + 2.0 * ratio * u + u * u)
 
 
 def _slope_dimensionless(level: Level, sigma: int, x, species: AtomSpecies):
     """d/dx of _energy_dimensionless, same units."""
-    sc = EnergyScale.for_species(species)
     u = sigma * x
     if level is Level.UPPER:
-        return sigma * sc.gamma1 * np.ones_like(np.asarray(x, dtype=float))
+        return sigma * species.gamma1 * np.ones_like(np.asarray(x, dtype=float))
     fm = species.f_minus
     ratio = fm / species.f_plus
     root = np.sqrt(1.0 + 2.0 * ratio * u + u * u)
-    return sigma * (-fm * sc.gamma2 - (ratio + u) / (2.0 * root))
+    return sigma * (-fm * species.gamma2 - (ratio + u) / (2.0 * root))
 
 
 def eigenvalue(branch: StretchedBranch, kz, species: AtomSpecies):
@@ -219,8 +190,8 @@ def resonant_position(
             f"omega_A = {omega_A:.6e} rad/s is outside the transition range "
             f"[{lo:.6e}, {hi:.6e}] attained on [{za:g}, {zb:g}] m"
         )
-    species, sc = cfg.species, cfg.scale
-    b = sc.gamma1 + species.f_minus * sc.gamma2
+    species = cfg.species
+    b = species.gamma1 + species.f_minus * species.gamma2
     r = species.f_minus / species.f_plus
     c = omega_A / species.delta_W - 0.5
     qa, qb, qc = 1.0 - 4.0 * b * b, 2.0 * r + 8.0 * b * c, 1.0 - 4.0 * c * c

@@ -304,8 +304,6 @@ def cmd_select(run: RunConfig, args) -> None:
     per_pulse = []
     for i, (pulse, sel) in enumerate(zip(pulses, sels)):
         stability = asdict(app.stability_budget(sel, cfg, displacement))
-        # the entry reports both itself, as rabi_at_resonance and position_width
-        del stability["rabi_rad_s"], stability["position_width_m"]
         entry = {
             "index": i,
             "t0_s": pulse.t0,
@@ -314,7 +312,7 @@ def cmd_select(run: RunConfig, args) -> None:
             "z_center_m": sel.z_center,
             "position_width_m": sel.position_width,
             "position_width_low_field_m": sel.position_width_low_field,
-            "rabi_at_resonance_rad_s": sel.rabi_at_resonance,
+            "rabi_at_resonance_rad_s": pulse.rabi_at_resonance,
             "transition_slope_rad_s_per_m": sel.transition_slope,
             "velocity_width_m_s": (
                 None if delta_t is None else velocity_width(sel.position_width, delta_t)
@@ -481,8 +479,12 @@ def cmd_coils(run: RunConfig, args) -> None:
     }
     pulses = to_pulses(run, cfg)
     if pulses:
-        budget = app.stability_budget(select(pulses[0], cfg), cfg, coils.displacement)
-        result["stability"] = asdict(budget)
+        sel = select(pulses[0], cfg)
+        result["stability"] = {
+            **asdict(app.stability_budget(sel, cfg, coils.displacement)),
+            "rabi_rad_s": pulses[0].rabi_at_resonance,
+            "position_width_m": sel.position_width,
+        }
     _emit(_json_doc("coils", run, result), args.output or run.output.json)
 
 

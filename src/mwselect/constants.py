@@ -49,7 +49,8 @@ class AtomSpecies:
     delta_W is the zero-field hyperfine splitting as an angular frequency
     (rad/s); g_s is the electron spin g factor and g_I the nuclear g
     factor in the nuclear-magneton convention described in the module
-    docstring.
+    docstring.  g_sum, gamma1 and gamma2 are the Zeeman scale derived
+    from them: the field coordinate and the stretched-state slopes.
     """
 
     name: str
@@ -77,6 +78,23 @@ class AtomSpecies:
     def f_minus(self) -> float:
         """Lower hyperfine quantum number F = I - 1/2."""
         return self.nuclear_spin - 0.5
+
+    @property
+    def g_sum(self) -> float:
+        """Magnetic-moment sum g_s*mu_B + g_I*mu_N (J/T) that sets the field scale."""
+        return self.g_s * CONST.mu_B + self.g_I * CONST.mu_N
+
+    @property
+    def gamma1(self) -> float:
+        """Upper stretched-state Zeeman slope (g_s*mu_B - 2*I*g_I*mu_N)/(2*g_sum)."""
+        return (
+            self.g_s * CONST.mu_B - 2.0 * self.nuclear_spin * self.g_I * CONST.mu_N
+        ) / (2.0 * self.g_sum)
+
+    @property
+    def gamma2(self) -> float:
+        """Nuclear share g_I*mu_N/g_sum of the magnetic moment."""
+        return self.g_I * CONST.mu_N / self.g_sum
 
 
 _REGISTRY = {

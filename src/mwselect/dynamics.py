@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .breit_rabi import EnergyScale, FieldConfig, Level
+from .breit_rabi import FieldConfig, Level
 from .constants import CONST, AtomSpecies
 from .errors import LevelMismatchError
 
@@ -77,8 +77,7 @@ def g_effective(species: AtomSpecies, eta: float, level: Level, sigma: int) -> f
         )
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    sc = EnergyScale.for_species(species)
-    return CONST.g0 + sigma * sc.gamma1 * sc.g_sum * eta / species.mass
+    return CONST.g0 + sigma * species.gamma1 * species.g_sum * eta / species.mass
 
 
 def evolve_expected(

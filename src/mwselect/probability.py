@@ -6,13 +6,14 @@ flips the state with probability
     p(z) = (2*omega0/Omega_R)^2 * sin^2(Omega_R*tau/2),
     Omega_R = sqrt(detuning(z)^2 + 4*omega0^2),
 
-which is 1 on resonance for the pi-pulse coupling omega0 = pi/(2*tau)
-and falls to 1/2 where |detuning| = 2*omega0.  A packet of rms width dz
-samples p over its Gaussian position density; the average is one
-fixed-order Gauss-Legendre rule (averaged_probability_batch), taken row
-by row for Monte Carlo batches and as a one-row call for a single packet
-(transition_probability, which can also report the rule's error
-estimate).  averaged_probability_bound caps the rule from the Rabi
+which is 1 on resonance for the pi-pulse coupling omega0 = pi/(2*tau).
+Its Rabi envelope (2*omega0/Omega_R)^2 falls to 1/2 where |detuning| =
+2*omega0; p itself is sin^2(pi/sqrt(2))/2 = 0.3166 there.  A packet of
+rms width dz samples p over its Gaussian position density; the average
+is one fixed-order Gauss-Legendre rule (averaged_probability_batch),
+taken row by row for Monte Carlo batches and as a one-row call for a
+single packet (transition_probability, which can also report the rule's
+error estimate).  averaged_probability_bound caps the rule from the Rabi
 envelope, so a Monte Carlo decision that the average cannot change
 skips the quadrature, and interpolation_tolerance bounds how far a
 linear interpolation of the rule on a grid of centers can be from the
@@ -66,17 +67,6 @@ class QuadratureSettings:
 
     def __post_init__(self) -> None:
         _check_window(self.window_sigmas)
-
-
-def detuning_ratio_profile(r):
-    """Flip probability as a function of r = detuning/(2*omega0).
-
-    Universal pulse-shape curve: 1 at r = 0, 1/2 at r = +/-1, with
-    oscillatory tails; vectorizes over r.
-    """
-    r = np.asarray(r, dtype=float)
-    s = 1.0 + r * r
-    return np.sin(0.5 * math.pi * np.sqrt(s)) ** 2 / s
 
 
 def point_probability(z, pulse: PulseSpec, cfg: FieldConfig):

@@ -3,8 +3,8 @@
 A square pulse of duration tau drives the stretched-pair transition with
 coupling omega0 = pi/(2*tau), so on resonance it is exactly a pi pulse
 (Rabi frequency 2*omega0, area pi).  In a gradient the detuning grows
-linearly away from the resonant position, and the full width at half
-maximum of the flip probability defines the selected position slice;
+linearly away from the resonant position, and the span where it stays
+within the resonant Rabi frequency defines the selected position slice;
 two pulses separated by delta_t turn that slice into a velocity slice.
 """
 
@@ -81,22 +81,6 @@ class PulseSpec:
 def detuning(z, pulse: PulseSpec, cfg: FieldConfig):
     """Detuning transition(z) - omega_A (rad/s); vectorizes over z."""
     return transition_angular_frequency(pulse.branch, z, cfg) - pulse.omega_A
-
-
-def position_width(pulse: PulseSpec, cfg: FieldConfig, z_center: float) -> float:
-    """FWHM (m) of the flip probability around the resonant position.
-
-    The half-maximum points sit where |detuning| equals the resonant
-    Rabi frequency, so the width is 2*(pi/tau) divided by the local
-    frequency gradient, evaluated with the exact analytic slope.
-    """
-    return _width_at_slope(pulse, float(d_transition_dz(pulse.branch, z_center, cfg)))
-
-
-def _width_at_slope(pulse: PulseSpec, slope: float) -> float:
-    if slope == 0.0:
-        raise ZeroGradientError("position width is undefined at zero slope")
-    return 2.0 * pulse.rabi_at_resonance / abs(slope)
 
 
 def position_width_low_field(
@@ -185,25 +169,26 @@ class SelectionResult:
     z_center: float
     position_width: float
     position_width_low_field: float
-    rabi_at_resonance: float
     transition_slope: float
 
 
 def select(pulse: PulseSpec, cfg: FieldConfig) -> SelectionResult:
     """Locate the resonant position of a pulse and the widths it selects.
 
-    The bands, the selection cell and the stability budget read the
-    result instead of solving for the resonance again.
+    The position width is the slice where |detuning| stays within the
+    resonant Rabi frequency pi/tau, the FWHM of the Rabi envelope
+    (2*omega0/Omega_R)^2: 2*(pi/tau) over the exact analytic slope at
+    the resonance.  The bands, the selection cell and the stability budget
+    read the result instead of solving for the resonance again.
     """
     z_c = resonant_position(pulse.omega_A, pulse.branch, cfg)
     slope = float(d_transition_dz(pulse.branch, z_c, cfg))
-    width = _width_at_slope(pulse, slope)
-    width_lf = position_width_low_field(pulse, cfg.species, cfg.eta)
+    if slope == 0.0:
+        raise ZeroGradientError("position width is undefined at zero slope")
     return SelectionResult(
         pulse=pulse,
         z_center=z_c,
-        position_width=width,
-        position_width_low_field=width_lf,
-        rabi_at_resonance=pulse.rabi_at_resonance,
+        position_width=2.0 * pulse.rabi_at_resonance / abs(slope),
+        position_width_low_field=position_width_low_field(pulse, cfg.species, cfg.eta),
         transition_slope=slope,
     )

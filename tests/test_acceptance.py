@@ -55,9 +55,9 @@ def test_criterion_1_energy_scale(cfg, rb87, report):
 
 
 def test_criterion_2_position_width(cfg, rb87, report):
-    w10 = mw.position_width(_pulse(cfg, 0.0, TAU), cfg, 0.0)
+    w10 = mw.select(_pulse(cfg, 0.0, TAU), cfg).position_width
     w10_lf = mw.position_width_low_field(_pulse(cfg, 0.0, TAU), rb87, cfg.eta)
-    w5 = mw.position_width(_pulse(cfg, 0.0, TAU / 2), cfg, 0.0)
+    w5 = mw.select(_pulse(cfg, 0.0, TAU / 2), cfg).position_width
     ok = (
         abs(w10 - 19e-6) < 0.5e-6
         and abs(w10_lf / w10 - 1.0) < 0.01
@@ -71,8 +71,8 @@ def test_criterion_2_position_width(cfg, rb87, report):
 
 
 def test_criterion_3_velocity_width(cfg, report):
-    w10 = mw.position_width(_pulse(cfg, 0.0, TAU), cfg, 0.0)
-    w5 = mw.position_width(_pulse(cfg, 0.0, TAU / 2), cfg, 0.0)
+    w10 = mw.select(_pulse(cfg, 0.0, TAU), cfg).position_width
+    w5 = mw.select(_pulse(cfg, 0.0, TAU / 2), cfg).position_width
     v10 = mw.velocity_width(w10, DELTA_T)
     v5 = mw.velocity_width(w5, DELTA_T)
     ok = (
@@ -129,7 +129,7 @@ def test_criterion_7_selection_cell(cfg, pulse_first, pulse_second, report):
     cell = mw.selection_cell(
         mw.select(pulse_first, cfg), mw.select(pulse_second, cfg), cfg
     )
-    dv10 = mw.velocity_width(mw.position_width(pulse_first, cfg, 0.0), DELTA_T)
+    dv10 = mw.velocity_width(mw.select(pulse_first, cfg).position_width, DELTA_T)
     v, density = mw.marginal_velocity(cell, resolution=4097)
     lit = v[density > 0]
     support = lit.max() - lit.min()
@@ -262,13 +262,12 @@ def test_criterion_10_eigenvalue_oracle(report):
     worst = 0.0
     for name in mw.available_species():
         species = mw.get_species(name)
-        scale = mw.EnergyScale.for_species(species)
         energy_unit = CONST.hbar * species.delta_W
         for sigma in (1, -1):
             lower_b = mw.StretchedBranch(sigma, Level.LOWER)
             upper_b = mw.StretchedBranch(sigma, Level.UPPER)
             for kz in np.linspace(-1.0, 1.0, 101):
-                field_B = kz * energy_unit / scale.g_sum
+                field_B = kz * energy_unit / species.g_sum
                 want_lo, want_up = _oracle_energies(field_B, species, sigma)
                 got_lo = mw.eigenvalue(lower_b, kz, species)
                 got_up = mw.eigenvalue(upper_b, kz, species)

@@ -24,6 +24,9 @@ _RETIRED = [
     "evolve_width",
     "rabi_frequency",
     "d_eigenvalue_dkz",
+    "EnergyScale",
+    "position_width",
+    "detuning_ratio_profile",
 ]
 
 
@@ -37,7 +40,7 @@ def test_all_is_unique_and_resolves():
 def test_retired_names_are_gone(name):
     assert name not in mw.__all__
     assert not hasattr(mw, name)
-    for module in ("breit_rabi", "dynamics", "selection"):
+    for module in ("breit_rabi", "dynamics", "selection", "probability"):
         assert not hasattr(importlib.import_module(f"mwselect.{module}"), name)
 
 
@@ -47,12 +50,11 @@ def test_wavepacket_state_keeps_no_history():
     assert not hasattr(mw.WavepacketState, "flipped")
 
 
-# parameters no caller set: a packet's time, the constants table and the rule order
+# parameters no caller set: a packet's time and the rule order
 @pytest.mark.parametrize(
     "func,name",
     [
         (mw.WavepacketState.minimum_uncertainty, "t"),
-        (mw.EnergyScale.for_species, "const"),
         (mw.averaged_probability_batch, "order"),
     ],
 )

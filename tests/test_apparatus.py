@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -90,15 +91,13 @@ def test_shifted_zero_folds_bias(rb87):
 
 def test_stability_budget_identities(cfg, pulse_first):
     budget = mw.stability_budget(mw.select(pulse_first, cfg), cfg, displacement=1e-2)
-    dz = mw.position_width(pulse_first, cfg, 0.0)
-    assert budget.position_width_m == pytest.approx(dz, rel=1e-12)
+    dz = mw.select(pulse_first, cfg).position_width
     assert budget.bias_tolerance_T == pytest.approx(0.5 * dz * cfg.eta, rel=1e-12)
     assert budget.bias_tolerance_T == pytest.approx(2.3792e-6, rel=1e-3)
     assert budget.bias_tolerance_G == pytest.approx(budget.bias_tolerance_T * 1e4,
                                                     rel=1e-12)
     assert budget.gradient_fraction == pytest.approx(dz / (2 * 1e-2), rel=1e-12)
     assert budget.gradient_fraction == pytest.approx(9.5169e-4, rel=1e-3)
-    assert budget.rabi_rad_s == pytest.approx(math.pi / pulse_first.tau, rel=1e-12)
     assert "Rabi" in budget.criterion
 
 
@@ -148,6 +147,8 @@ def test_coil_validation():
         dict(current=math.nan),
         dict(turns=10**6 + 1),
         dict(turns=10**400),
+        dict(current=1e-310),
+        dict(current=-math.nextafter(1e-6, 0.0)),
     ],
 )
 def test_coil_pair_bounds(kwargs):
@@ -157,9 +158,12 @@ def test_coil_pair_bounds(kwargs):
 
 
 def test_linearity_region_rejects_an_underflowing_linear_model():
-    # eta0 is a subnormal that eta0*z rounds to zero inside the region
-    coils = mw.CoilPair(radius=10.0, current=1e-310, half_separation=1e-6,
-                        turns=10**6)
+    # eta0 is a subnormal that eta0*z rounds to zero inside the region; a
+    # CoilPair rejects the current, so the pair is built around its checks
+    geometry = dict(radius=10.0, current=1e-310, half_separation=1e-6, turns=10**6)
+    with pytest.raises(ValueError):
+        mw.CoilPair(**geometry)
+    coils = types.SimpleNamespace(**geometry)
     assert mw.gradient_at_center(coils) != 0.0
     with pytest.raises(mw.ZeroGradientError):
         mw.linearity_region(coils)

@@ -56,10 +56,9 @@ def _oracle_energies(field_B: float, species, sigma: int):
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_eigenvalues_match_diagonalization(name, sigma):
     species = mw.get_species(name)
-    scale = mw.EnergyScale.for_species(species)
     energy_unit = CONST.hbar * species.delta_W
     for kz in np.linspace(-1.0, 1.0, 81):
-        field_B = kz * energy_unit / scale.g_sum
+        field_B = kz * energy_unit / species.g_sum
         want_lo, want_up = _oracle_energies(field_B, species, sigma)
         got_lo = mw.eigenvalue(mw.StretchedBranch(sigma, Level.LOWER), kz, species)
         got_up = mw.eigenvalue(mw.StretchedBranch(sigma, Level.UPPER), kz, species)

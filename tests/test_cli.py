@@ -407,10 +407,11 @@ def test_underflowing_inputs_exit_cleanly(config_path, tmp_path, capsys, command
     assert "Traceback" not in err
 
 
-# out of range: a turns count past float's range, a coil geometry whose eta0*z
-# underflows or whose r^2 overflows, a current that overflows the gradient and
-# a lever arm that sends the gradient budget to inf; in range, but eta0*z
-# underflows: the last case
+# exit 2, out of range: a turns count past float's range, a coil geometry whose
+# eta0*z underflows or whose r^2 overflows, a current that overflows the
+# gradient, a lever arm that sends the gradient budget to inf and, in the last
+# two cases, a subnormal current, whose gradient would lose digits; exit 3, in
+# range but without a gradient: a zero current
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "overrides,code",
@@ -421,7 +422,10 @@ def test_underflowing_inputs_exit_cleanly(config_path, tmp_path, capsys, command
         (['apparatus.current="1e308 A"'], 2),
         (['apparatus.displacement="1e-320 m"'], 2),
         (['apparatus.radius="10 m"', 'apparatus.half_separation="1 um"',
-          "apparatus.turns=1000000", 'apparatus.current="1e-310 A"'], 3),
+          "apparatus.turns=1000000", 'apparatus.current="0 A"'], 3),
+        (['apparatus.current="1e-310 A"'], 2),
+        (['apparatus.radius="10 m"', 'apparatus.half_separation="1 um"',
+          "apparatus.turns=1000000", 'apparatus.current="1e-310 A"'], 2),
     ],
 )
 def test_degenerate_coils_exit_cleanly(tmp_path, capsys, overrides, code):
@@ -444,6 +448,10 @@ def test_degenerate_coils_exit_cleanly(tmp_path, capsys, overrides, code):
         ['apparatus.radius="10 m"', 'apparatus.half_separation="1 um"',
          "apparatus.turns=1000000", 'apparatus.current="1000000 A"',
          'apparatus.displacement="10 m"'],
+        ['apparatus.radius="1 um"', 'apparatus.half_separation="10 m"',
+         "apparatus.turns=1", 'apparatus.current="1e-6 A"'],
+        ['apparatus.radius="10 m"', 'apparatus.half_separation="1 um"',
+         "apparatus.turns=1", 'apparatus.current="-1e-6 A"'],
     ],
 )
 def test_coil_bounds_are_inclusive(tmp_path, overrides):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwselect as mw
 from mwselect import phase_space, probability
@@ -69,7 +71,7 @@ def test_first_band_geometry(cfg, rb87, bands, pulse_first):
     assert b1.a_v == -DELTA_T
     assert b1.center == pytest.approx(0.5 * g * DELTA_T**2, rel=1e-12)
     assert b1.half_width == pytest.approx(
-        0.5 * mw.position_width(pulse_first, cfg, 0.0), rel=1e-12
+        0.5 * mw.select(pulse_first, cfg).position_width, rel=1e-12
     )
     assert b2.a_v == 0.0
     assert b2.center == pytest.approx(1e-2, abs=1e-9)
@@ -138,8 +140,8 @@ def test_marginal_is_normalized_triangle(cell):
 
 
 def test_marginal_support_matches_width_sum(cell, cfg, pulse_first, pulse_second):
-    w1 = mw.position_width(pulse_first, cfg, 0.0)
-    w2 = mw.position_width(pulse_second, cfg, 1e-2)
+    w1 = mw.select(pulse_first, cfg).position_width
+    w2 = mw.select(pulse_second, cfg).position_width
     v, density = mw.marginal_velocity(cell, resolution=2049)
     measured = v[density > 0.0]
     support = measured.max() - measured.min()
@@ -434,6 +436,108 @@ def test_monte_carlo_matches_every_atom_reference(case):
     rows1, rows2 = result.quadrature_rows
     assert result.n_survived_first <= rows1 <= n
     assert result.n_survived_both <= rows2 <= result.n_survived_first
+
+
+def _open_atoms_averaged(spec, pulse_first, pulse_second, cfg, window_sigmas):
+    """Reference run after _accept's contract, with no table.
+
+    At each pulse the atoms the Rabi-envelope bound leaves open are
+    averaged in one batch call; the others are rejected, as u >= bound
+    >= p.  Pulse 2 sees only the pulse-1 survivors, so a packet too
+    wide for the rule raises QuadratureError exactly where the run
+    must.
+    """
+    z0, v0, u1, u2 = phase_space._draws(spec)
+    delta_t = pulse_second.t0 - pulse_first.t0
+    g = mw.g_effective(cfg.species, cfg.eta, Level.UPPER, spec.sigma)
+    dz2 = mw.spread_width(spec.dz0, delta_t, cfg.species)
+
+    def decide(u, z, dz, pulse):
+        keep = np.zeros(z.size, dtype=bool)
+        rows = u < probability.averaged_probability_bound(
+            z, dz, pulse, cfg, window_sigmas=window_sigmas
+        )
+        keep[rows] = u[rows] < mw.averaged_probability_batch(
+            z[rows], dz, pulse, cfg, window_sigmas=window_sigmas
+        )
+        return keep
+
+    ok1 = decide(u1, z0, spec.dz0, pulse_first)
+    (alive,) = np.nonzero(ok1)
+    z2 = z0[alive] + v0[alive] * delta_t - 0.5 * g * delta_t * delta_t
+    kept = alive[decide(u2[alive], z2, dz2, pulse_second)]
+    ok2 = np.zeros_like(ok1)
+    ok2[kept] = True
+    z_final = np.full(spec.n, np.nan)
+    z_final[kept] = z2[ok2[alive]]
+    v_final = np.full(spec.n, np.nan)
+    v_final[kept] = v0[kept] - g * delta_t
+    return ok1, ok2, z_final, v_final
+
+
+def _outcome(call):
+    """The run's four per-atom arrays as bytes, or None if it raised QuadratureError."""
+    try:
+        out = call()
+    except mw.QuadratureError:
+        return None
+    if isinstance(out, mw.MonteCarloResult):
+        out = (out.survived_first, out.survived_both, out.z_final, out.v_final)
+    return tuple(a.tobytes() for a in out)
+
+
+@st.composite
+def _regime_cases(draw):
+    """A species, field, pulse pair and cloud, sized in units of the two slices.
+
+    |eta| <= 1 T/m keeps every species' transition monotone on the [-1, 1]
+    m position range.  dz0 runs from 1e-3 slice widths to past the rule's
+    phase limit near 45/window_sigmas slice widths; a narrow dz0 spreads
+    into a wide pulse-2 packet.  The cloud's offset and rms are drawn in
+    slice widths at each pulse, and a zero rms ties every atom's position.
+    """
+    species = mw.get_species(draw(st.sampled_from(mw.available_species())))
+    sigma = draw(st.sampled_from([1, -1]))
+    eta = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.05, 1.0))
+    cfg = mw.FieldConfig(eta=eta, bias=draw(st.floats(-1e-4, 1e-4)), species=species)
+    tau = draw(st.floats(5e-6, 20e-6))
+    window = draw(st.floats(5.0, 40.0))
+    z_first = draw(st.floats(-1e-2, 1e-2))
+    p1, p2 = _pulse_pair(cfg, sigma, z_first, _THERMAL["v_mean"], tau=tau)
+    w1 = mw.select(p1, cfg).position_width
+    w2 = mw.select(p2, cfg).position_width
+    dz0 = w1 * 10.0 ** draw(st.floats(-3.0, math.log10(1.5 * 45.0 / window)))
+    rms = st.one_of(st.floats(-2.0, 2.5).map(lambda e: 10.0**e), st.just(0.0))
+    cloud = dict(
+        z_mean=z_first + draw(st.floats(-10.0, 10.0)) * w1,
+        z_rms=draw(rms) * w1,
+        v_mean=_THERMAL["v_mean"] + draw(st.floats(-10.0, 10.0)) * w2 / DELTA_T,
+        v_rms=draw(rms) * w2 / DELTA_T,
+        dz0=dz0,
+    )
+    spec = mw.EnsembleSpec(
+        n=draw(st.integers(1, 2000)), seed=draw(st.integers(0, 2**32)), sigma=sigma,
+        **cloud,
+    )
+    return spec, p1, p2, cfg, window
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_regime_cases())
+def test_monte_carlo_is_exact_across_the_regime(case):
+    """run_monte_carlo against both references, the same bytes or both raising.
+
+    The open-atom reference must agree always; the every-atom reference
+    averages pulse 2 over atoms the run never reaches, so it may raise
+    where the run does not, and must agree wherever it does not raise.
+    """
+    spec, p1, p2, cfg, window = case
+    got = _outcome(lambda: mw.run_monte_carlo(spec, p1, p2, cfg, window_sigmas=window))
+    assert got == _outcome(lambda: _open_atoms_averaged(spec, p1, p2, cfg, window))
+    every = _outcome(
+        lambda: _every_atom_averaged(spec, p1, p2, cfg, DELTA_T, window_sigmas=window)
+    )
+    assert every is None or every == got
 
 
 @pytest.mark.parametrize("mode", [

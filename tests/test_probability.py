@@ -5,6 +5,7 @@ plain midpoint rule at 10^6 slices, sharing no code with the
 Gauss-Legendre rule under test.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -59,7 +60,7 @@ def test_point_probability_on_resonance_is_unity(cfg, pulse_first):
 def test_point_probability_at_half_width_edge(cfg, pulse_first):
     # at the slice edge the detuning equals the resonant Rabi frequency:
     # the envelope is 1/2 and the flip probability is sin^2(pi/sqrt(2))/2
-    edge = 0.5 * mw.position_width(pulse_first, cfg, 0.0)
+    edge = 0.5 * mw.select(pulse_first, cfg).position_width
     want = math.sin(math.pi * math.sqrt(2.0) / 2.0) ** 2 / 2.0
     got = float(mw.point_probability(edge, pulse_first, cfg))
     assert got == pytest.approx(want, rel=1e-4)  # slope curvature over 9.5 um
@@ -67,20 +68,32 @@ def test_point_probability_at_half_width_edge(cfg, pulse_first):
 
 
 def test_point_probability_matches_universal_profile(cfg, pulse_first):
+    # the universal pulse-shape curve of r = detuning/(2*omega0)
     z = np.linspace(-60e-6, 60e-6, 41)
     r = mw.detuning(z, pulse_first, cfg) / (2.0 * pulse_first.coupling_omega0)
+    s = 1.0 + r * r
     np.testing.assert_allclose(
         mw.point_probability(z, pulse_first, cfg),
-        mw.detuning_ratio_profile(r),
+        np.sin(0.5 * math.pi * np.sqrt(s)) ** 2 / s,
         rtol=1e-12,
     )
 
 
-def test_profile_reference_points():
-    assert float(mw.detuning_ratio_profile(0.0)) == 1.0
-    assert float(mw.detuning_ratio_profile(1.0)) == pytest.approx(0.31656, rel=1e-4)
+def _probability_at_ratio(cfg, pulse, r):
+    """Flip probability at the pulse's resonance after detuning it by r*2*omega0."""
+    shifted = dataclasses.replace(
+        pulse, omega_A=pulse.omega_A - r * 2.0 * pulse.coupling_omega0
+    )
+    return float(mw.point_probability(0.0, shifted, cfg))
+
+
+def test_profile_reference_points(cfg, pulse_first):
+    assert _probability_at_ratio(cfg, pulse_first, 0.0) == 1.0
+    assert _probability_at_ratio(cfg, pulse_first, 1.0) == pytest.approx(
+        0.31656, rel=1e-4
+    )
     # first zero of the flip probability at r = sqrt(3) (pulse area 2*pi)
-    assert float(mw.detuning_ratio_profile(math.sqrt(3.0))) == pytest.approx(
+    assert _probability_at_ratio(cfg, pulse_first, math.sqrt(3.0)) == pytest.approx(
         0.0, abs=1e-15
     )
 

@@ -14,8 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_script_prints_headline_slice(script):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # a subprocess does not inherit pytest's filterwarnings
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

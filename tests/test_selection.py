@@ -21,19 +21,19 @@ def test_resonant_at_matches_transition(cfg, branch, pulse_second):
 
 
 def test_position_width_frozen(cfg, pulse_first):
-    width = mw.position_width(pulse_first, cfg, 0.0)
+    width = mw.select(pulse_first, cfg).position_width
     assert width == pytest.approx(1.9033813623250295e-05, rel=1e-12)
 
 
 def test_position_width_is_rabi_over_slope(cfg, pulse_first):
     slope = float(mw.d_transition_dz(pulse_first.branch, 0.0, cfg))
-    assert mw.position_width(pulse_first, cfg, 0.0) == pytest.approx(
+    assert mw.select(pulse_first, cfg).position_width == pytest.approx(
         2.0 * (math.pi / TAU) / slope, rel=1e-14
     )
 
 
 def test_low_field_width_close_to_exact(cfg, rb87, pulse_first):
-    exact = mw.position_width(pulse_first, cfg, 0.0)
+    exact = mw.select(pulse_first, cfg).position_width
     approx = mw.position_width_low_field(pulse_first, rb87, cfg.eta)
     assert approx == pytest.approx(1.9052729337137518e-05, rel=1e-12)
     assert abs(approx - exact) / exact < 0.01
@@ -42,7 +42,8 @@ def test_low_field_width_close_to_exact(cfg, rb87, pulse_first):
 def test_halving_tau_doubles_width(cfg, branch):
     slow = mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=TAU, branch=branch)
     fast = mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=TAU / 2.0, branch=branch)
-    assert mw.position_width(fast, cfg, 0.0) == 2.0 * mw.position_width(slow, cfg, 0.0)
+    fast_width = mw.select(fast, cfg).position_width
+    assert fast_width == 2.0 * mw.select(slow, cfg).position_width
 
 
 def test_velocity_width_identity():
@@ -52,7 +53,7 @@ def test_velocity_width_identity():
 
 
 def test_velocity_width_frozen(cfg, pulse_first):
-    width = mw.position_width(pulse_first, cfg, 0.0)
+    width = mw.select(pulse_first, cfg).position_width
     assert mw.velocity_width(width, DELTA_T) == pytest.approx(
         1.3595581159464496e-3, rel=1e-12
     )
@@ -70,7 +71,7 @@ def test_raman_reference_width():
 def test_selection_widths_much_narrower_than_optical_pair(cfg, pulse_first):
     # the microwave scheme at 28 ms is coarser than a 1 ms optical pair,
     # but reaches um/s-scale classes with no photon recoil
-    dv = mw.velocity_width(mw.position_width(pulse_first, cfg, 0.0), DELTA_T)
+    dv = mw.velocity_width(mw.select(pulse_first, cfg).position_width, DELTA_T)
     assert 1e-4 < dv < 1e-2
 
 
@@ -100,8 +101,10 @@ def test_validity_diagnostic_grows_with_momentum(cfg, rb87, pulse_first):
 def test_select_bundles_everything(cfg, pulse_second):
     sel = mw.select(pulse_second, cfg)
     assert sel.z_center == pytest.approx(1e-2, abs=1e-9)
-    assert sel.position_width == mw.position_width(pulse_second, cfg, sel.z_center)
-    assert sel.rabi_at_resonance == math.pi / TAU
+    assert sel.pulse is pulse_second
+    assert sel.position_width == 2.0 * pulse_second.rabi_at_resonance / abs(
+        sel.transition_slope
+    )
     assert sel.transition_slope > 0.0
 
 
@@ -128,7 +131,7 @@ def test_width_requires_gradient(rb87, branch):
     flat = mw.FieldConfig(eta=0.0, bias=0.0, species=rb87)
     pulse = mw.PulseSpec(t0=0.0, tau=TAU, omega_A=rb87.delta_W, branch=branch)
     with pytest.raises(mw.ZeroGradientError):
-        mw.position_width(pulse, flat, 0.0)
+        mw.select(pulse, flat)
     with pytest.raises(mw.ZeroGradientError):
         mw.position_width_low_field(pulse, rb87, 0.0)
     with pytest.raises(mw.ZeroGradientError):
