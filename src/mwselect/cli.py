@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +60,8 @@ _TWO_PI = 2.0 * np.pi
 # 0.75 MB and a block's table near 0.9 MB, small enough to be reused from
 # the heap instead of being mapped and faulted in afresh for every block.
 _CSV_BLOCK = 8192
+# Opened without truncation: freeing a file's old blocks is slow under discard.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _format_cell(value) -> str:
@@ -255,12 +258,15 @@ def _json_doc(command: str, run: RunConfig, result: dict) -> bytes:
 
 
 def _emit(data: bytes, path: str | None) -> None:
-    """Write an output's bytes to path, or its text to stdout without one."""
+    """Write bytes over path's, cut to length if a regular file, or text to stdout."""
     if path is None:
         sys.stdout.write(data.decode())
     else:
         try:
-            Path(path).write_bytes(data)
+            with os.fdopen(os.open(path, _WRITE_FLAGS, 0o666), "wb") as out:
+                out.write(data)
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    out.truncate()
         except OSError as exc:
             raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -882,10 +884,110 @@ def test_sizes_above_the_limit_exit_2(tmp_path, capsys, command, path):
 @pytest.mark.parametrize("argv_tail,shown", [
     (["--set", "output.csv=''"], "''"),
     (["--csv", "missing/dir/atoms.csv"], "'missing/dir/atoms.csv'"),
+    (["--csv", "atoms.csv", "-o", "."], "'.'"),
 ])
 def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv_tail, shown):
     monkeypatch.chdir(tmp_path)
-    argv = ["simulate", str(_SHIPPED), "--set", "ensemble.n=100", *argv_tail,
-            "-o", "out.json"]
+    argv = ["simulate", str(_SHIPPED), "--set", "ensemble.n=100", "-o", "out.json",
+            *argv_tail]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {shown}: ")
+
+
+# Outputs are rewritten in place and cut to their length, never opened with
+# O_TRUNC: on a filesystem mounted with discard, freeing an existing file's
+# blocks at open costs tens of milliseconds per output.
+
+def _simulate_into(csv: Path, out: Path, n: int) -> int:
+    return main(["simulate", str(_SHIPPED), "--set", f"ensemble.n={n}",
+                 "--csv", str(csv), "-o", str(out)])
+
+
+def test_a_shorter_rewrite_leaves_the_bytes_of_a_fresh_run(tmp_path):
+    csv, out = tmp_path / "atoms.csv", tmp_path / "sim.json"
+    assert _simulate_into(csv, out, 100) == 0
+    fresh = csv.read_bytes(), out.read_bytes()
+    csv.unlink()
+    out.unlink()
+    assert _simulate_into(csv, out, 2000) == 0
+    assert csv.stat().st_size > 10 * len(fresh[0])
+    assert _simulate_into(csv, out, 100) == 0
+    assert (csv.read_bytes(), out.read_bytes()) == fresh
+
+
+def test_csv_and_json_into_one_path_leave_the_json(tmp_path):
+    both, json_only = tmp_path / "both", tmp_path / "sim.json"
+    argv = ["simulate", str(_SHIPPED), "--set", "ensemble.n=2000", "--csv", str(both)]
+    assert main([*argv, "-o", str(both)]) == 0
+    written = both.read_bytes()
+    assert main([*argv, "-o", str(json_only)]) == 0
+    assert written == json_only.read_bytes()
+
+
+def test_output_through_a_symlink_rewrites_its_target(tmp_path):
+    target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+    assert main(["scan", str(_SHIPPED), "-o", str(fresh)]) == 0
+    target.write_bytes(b"x" * (2 * fresh.stat().st_size))
+    link.symlink_to(target)
+    assert main(["scan", str(_SHIPPED), "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_output_to_the_null_device_exits_0():
+    # the null device is not a regular file, so it is written but not cut
+    assert main(["simulate", str(_SHIPPED), "--set", "ensemble.n=100",
+                 "--csv", os.devnull, "-o", os.devnull]) == 0
+
+
+def test_a_new_output_gets_the_umask_mode(tmp_path):
+    out = tmp_path / "scan.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(["scan", str(_SHIPPED), "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
+class _CutRecorder:
+    """A file object that records where it is cut."""
+
+    def __init__(self, file, cuts: list):
+        self.file, self.cuts = file, cuts
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.file.__exit__(*exc)
+
+    def truncate(self, size=None):
+        self.cuts.append(self.file.tell() if size is None else size)
+        return self.file.truncate(size)
+
+
+def test_rewriting_an_output_never_truncates_at_open(tmp_path, monkeypatch):
+    """An equal-length rewrite opens without O_TRUNC and cuts at its length."""
+    flags, cuts = [], []
+    real_open, real_fdopen = os.open, os.fdopen
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(
+        os, "fdopen", lambda *args, **kwargs: _CutRecorder(real_fdopen(*args, **kwargs), cuts)
+    )
+    out = tmp_path / "scan.csv"
+    assert main(["scan", str(_SHIPPED), "-o", str(out)]) == 0
+    first = out.read_bytes()
+    inode = out.stat().st_ino
+    assert main(["scan", str(_SHIPPED), "-o", str(out)]) == 0
+    assert len(flags) == 2 and not any(flag & os.O_TRUNC for flag in flags)
+    assert cuts == [len(first), len(first)]
+    assert out.read_bytes() == first and out.stat().st_ino == inode
