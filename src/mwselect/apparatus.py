@@ -114,8 +114,7 @@ def linearity_region(coils: CoilPair, rel_tol: float = 0.01) -> float:
     The relative deviation |B(z)/(eta0*z) - 1| grows from zero like z^2,
     so the boundary is found by bisection out to min(R, d).  If the
     deviation never reaches rel_tol inside that range, the range bound
-    is returned.  ZeroGradientError is raised when eta0*z underflows to
-    zero at a probed z, where the deviation has no value.
+    is returned.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -125,10 +124,7 @@ def linearity_region(coils: CoilPair, rel_tol: float = 0.01) -> float:
     cap = min(coils.radius, coils.half_separation)
 
     def deviation(z: float) -> float:
-        linear = eta0 * z
-        if linear == 0.0:
-            raise ZeroGradientError("linearity region: eta0*z underflows to zero")
-        return abs(float(on_axis_field(coils, z)) / linear - 1.0)
+        return abs(float(on_axis_field(coils, z)) / (eta0 * z) - 1.0)
 
     if deviation(cap) <= rel_tol:
         return cap

@@ -1,6 +1,6 @@
-"""Command line front end.
+"""Position and velocity selection with microwave pi pulses in a field gradient.
 
-Subcommands: scan (energies and transition frequency vs position, CSV),
+Commands: scan (energies and transition frequency vs position, CSV),
 select (resonance positions and selected widths, JSON), probability
 (packet-averaged flip probabilities at the band centers, JSON), bands
 (phase-space band and cell geometry, CSV), simulate (Monte Carlo of a
@@ -118,14 +118,8 @@ def _mantissas(x: np.ndarray):
     a = np.where(ok, np.abs(x), 1.0).astype(np.longdouble)
     q = np.where(ok, 16 - k, 16).astype(np.intp)
     y = a * _POW10[q]
-    # log10 can be one off next to a power of ten
-    off = (y < 1e16) | (y >= 1e17)
-    if off.any():
-        q[off] += np.where(y[off] < 1e16, 1, -1)
-        ok[off] &= (q[off] >= 0) & (q[off] <= 27)
-        q[off & ~ok] = 16
-        y[off] = a[off] * _POW10[q[off]]
-        ok[off] &= (y[off] >= 1e16) & (y[off] < 1e17)
+    # log10 can be one off next to a power of ten: those go to _format_cell
+    ok &= (y >= 1e16) & (y < 1e17)
     nearest = np.rint(y)
     # y - rint(y) is exact and, for y >= 1e16 > 2**53, a multiple of
     # ulp(y) >= 2**-10 on x87, so float64 holds it exactly.  On quad it can
@@ -495,57 +489,48 @@ def cmd_coils(run: RunConfig, args) -> None:
 
 
 _COMMANDS = {
-    "scan": (cmd_scan, "tabulate energies and transition frequency vs position"),
-    "select": (cmd_select, "resonance positions, selected widths, stability"),
-    "probability": (cmd_probability, "packet-averaged flip probabilities"),
-    "bands": (cmd_bands, "phase-space bands and selection cell geometry"),
-    "simulate": (cmd_simulate, "Monte Carlo of a cloud through both pulses"),
-    "coils": (cmd_coils, "gradient coil diagnostics"),
+    "scan": cmd_scan,
+    "select": cmd_select,
+    "probability": cmd_probability,
+    "bands": cmd_bands,
+    "simulate": cmd_simulate,
+    "coils": cmd_coils,
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwselect",
-        description=(
-            "Position and velocity selection of alkali atoms with microwave "
-            "pi pulses in a magnetic field gradient"
-        ),
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("config", help="YAML run configuration file")
-        sp.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="PATH=VALUE",
-            help="override a config entry, e.g. --set ensemble.n=1000",
-        )
-        sp.add_argument(
-            "-o",
-            "--output",
-            default=None,
-            help="write the primary artifact here instead of stdout",
-        )
-        if name == "simulate":
-            sp.add_argument(
-                "--csv",
-                default=None,
-                help="per-atom CSV path (overrides output.csv)",
-            )
-        sp.set_defaults(func=func)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("config", help="YAML run configuration file")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="PATH=VALUE",
+        help="override a config entry, e.g. --set ensemble.n=1000",
+    )
+    parser.add_argument(
+        "-o", "--output", metavar="PATH", help="write the primary artifact here instead of stdout"
+    )
+    parser.add_argument(
+        "--csv", metavar="PATH", help="simulate only: per-atom CSV path (overrides output.csv)"
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.csv is not None and args.command != "simulate":
+        parser.error("--csv applies only to simulate")
     try:
         run = load_config(args.config, args.overrides)
-        args.func(run, args)
+        _COMMANDS[args.command](run, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -553,11 +538,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def entry() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -155,15 +154,3 @@ def test_coil_pair_bounds(kwargs):
     base = dict(radius=5e-2, current=1.0, half_separation=2.5e-2, turns=1)
     with pytest.raises(ValueError):
         mw.CoilPair(**{**base, **kwargs})
-
-
-def test_linearity_region_rejects_an_underflowing_linear_model():
-    # eta0 is a subnormal that eta0*z rounds to zero inside the region; a
-    # CoilPair rejects the current, so the pair is built around its checks
-    geometry = dict(radius=10.0, current=1e-310, half_separation=1e-6, turns=10**6)
-    with pytest.raises(ValueError):
-        mw.CoilPair(**geometry)
-    coils = types.SimpleNamespace(**geometry)
-    assert mw.gradient_at_center(coils) != 0.0
-    with pytest.raises(mw.ZeroGradientError):
-        mw.linearity_region(coils)

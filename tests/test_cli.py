@@ -609,6 +609,16 @@ def test_simulate_without_csv_path_exits_2(config_path, tmp_path, capsys):
     assert "--csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scan", "select", "probability", "bands", "coils"])
+def test_csv_is_simulate_only(config_path, tmp_path, capsys, command):
+    out, csv = tmp_path / "out", tmp_path / "atoms.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(config_path), "-o", str(out), "--csv", str(csv)])
+    assert exc.value.code == 2
+    assert "--csv" in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["scan", str(tmp_path / "absent.yaml")]) == 2
     assert "cannot read" in capsys.readouterr().err
