@@ -9,7 +9,6 @@ stable the bias and gradient must be for the selected slice to stay put.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -7,10 +7,10 @@ select (resonance positions and selected widths, JSON), probability
 cloud through both pulses, per-atom CSV plus JSON summary) and coils
 (gradient-coil diagnostics, JSON).
 
-All commands take a YAML config plus optional --set overrides.  JSON
-outputs echo the fully resolved config so a result file is
-self-describing.  Exit codes: 0 success, 2 configuration error, 3
-physically impossible request.
+All commands take a YAML config plus optional --set overrides; -o and
+--csv are the only output paths.  JSON outputs echo the fully resolved
+config so a result file is self-describing.  Exit codes: 0 success, 2
+configuration error, 3 physically impossible request.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import apparatus as app
 from .breit_rabi import (
+    FieldConfig,
     Level,
     StretchedBranch,
     eigenvalue,
@@ -43,7 +44,6 @@ from .config import (
     to_field_config,
     to_pulses,
 )
-from .constants import CONST
 from .dynamics import WavepacketState, spread_width
 from .errors import ConfigError, PhysicsDomainError
 from .phase_space import (
@@ -270,15 +270,8 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _displacement(run: RunConfig) -> float:
-    """The apparatus lever arm, or ApparatusEntry's default without one."""
-    return (run.apparatus or ApparatusEntry).displacement
-
-
-def cmd_scan(run: RunConfig, args) -> None:
+def cmd_scan(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> bytes:
     _require(run.scan is not None, "scan command needs a 'scan' section")
-    cfg = to_field_config(run)
-    pulses = to_pulses(run, cfg)
     omega_ref = pulses[0].omega_A if pulses else cfg.species.delta_W
     lower = StretchedBranch(sigma=run.sigma, level=Level.LOWER)
     upper = StretchedBranch(sigma=run.sigma, level=Level.UPPER)
@@ -287,19 +280,17 @@ def cmd_scan(run: RunConfig, args) -> None:
     v_lower = eigenvalue(lower, x, cfg.species)
     v_upper = eigenvalue(upper, x, cfg.species)
     omega = transition_angular_frequency(lower, z, cfg)
-    text = _csv(
+    return _csv(
         ["z_m", "kz", "V_minus_J", "V_plus_J", "transition_Hz", "detuning_rad_s"],
         [z, x, v_lower, v_upper, omega / _TWO_PI, omega - omega_ref],
     )
-    _emit(text, args.output or run.output.csv)
 
 
-def cmd_select(run: RunConfig, args) -> None:
-    cfg = to_field_config(run)
-    pulses = to_pulses(run, cfg)
+def cmd_select(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     _require(len(pulses) >= 1, "select command needs at least one pulse")
     delta_t = run.effective_delta_t() if len(pulses) >= 2 else None
-    displacement = _displacement(run)
+    # the apparatus lever arm, or ApparatusEntry's default without one
+    displacement = (run.apparatus or ApparatusEntry).displacement
     sels = [select(pulse, cfg) for pulse in pulses]
     per_pulse = []
     for i, (pulse, sel) in enumerate(zip(pulses, sels)):
@@ -345,12 +336,10 @@ def cmd_select(run: RunConfig, args) -> None:
             "velocity_support_m_s": cell.velocity_support,
             "cell_area_m2_s": cell.area,
         }
-    _emit(_json_doc("select", run, result), args.output or run.output.json)
+    return result
 
 
-def cmd_probability(run: RunConfig, args) -> None:
-    cfg = to_field_config(run)
-    pulses = to_pulses(run, cfg)
+def cmd_probability(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     _require(len(pulses) >= 1, "probability command needs at least one pulse")
     _require(
         run.ensemble is not None,
@@ -378,13 +367,10 @@ def cmd_probability(run: RunConfig, args) -> None:
                 "quadrature": {"nodes": RULE_ORDER, "error": error},
             }
         )
-    result = {"dz0_m": dz0, "pulses": per_pulse}
-    _emit(_json_doc("probability", run, result), args.output or run.output.json)
+    return {"dz0_m": dz0, "pulses": per_pulse}
 
 
-def cmd_bands(run: RunConfig, args) -> None:
-    cfg = to_field_config(run)
-    pulses = to_pulses(run, cfg)
+def cmd_bands(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> bytes:
     _require(len(pulses) >= 2, "bands command needs two pulses")
     cell = selection_cell(select(pulses[0], cfg), select(pulses[1], cfg), cfg)
     band1, band2 = cell.band_first, cell.band_second
@@ -405,10 +391,7 @@ def cmd_bands(run: RunConfig, args) -> None:
     edge_rows("second_band_high", band2, band2.half_width)
     for j, (z, v) in enumerate(poly):
         rows.append(("cell", j, z, v))
-    _emit(
-        _csv(["element", "vertex", "z_m", "v_m_s"], list(zip(*rows))),
-        args.output or run.output.csv,
-    )
+    return _csv(["element", "vertex", "z_m", "v_m_s"], list(zip(*rows)))
 
 
 def simulation_csv(result: MonteCarloResult) -> bytes:
@@ -421,16 +404,10 @@ def simulation_csv(result: MonteCarloResult) -> bytes:
     )
 
 
-def cmd_simulate(run: RunConfig, args) -> None:
-    cfg = to_field_config(run)
-    pulses = to_pulses(run, cfg)
+def cmd_simulate(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     _require(len(pulses) >= 2, "simulate command needs two pulses")
     spec = to_ensemble_spec(run)
-    csv_path = args.csv or run.output.csv
-    _require(
-        csv_path is not None,
-        "simulate needs a per-atom CSV path (output.csv in the config or --csv)",
-    )
+    _require(csv_path is not None, "simulate needs a per-atom CSV path (--csv)")
     result = run_monte_carlo(
         spec, pulses[0], pulses[1], cfg, window_sigmas=run.quadrature.window_sigmas
     )
@@ -442,13 +419,12 @@ def cmd_simulate(run: RunConfig, args) -> None:
         result.n_survived_both - summary["n_survivors_in_cell"]
     )
     summary["per_atom_csv"] = csv_path
-    _emit(_json_doc("simulate", run, summary), args.output or run.output.json)
+    return summary
 
 
-def cmd_coils(run: RunConfig, args) -> None:
+def cmd_coils(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     coils = run.apparatus
     _require(coils is not None, "coils command needs an 'apparatus' section")
-    cfg = to_field_config(run)
     grad = app.gradient_at_center(coils)
     lin = app.linearity_region(coils)
     span = min(coils.radius, coils.half_separation)
@@ -477,7 +453,6 @@ def cmd_coils(run: RunConfig, args) -> None:
             else None
         ),
     }
-    pulses = to_pulses(run, cfg)
     if pulses:
         sel = select(pulses[0], cfg)
         result["stability"] = {
@@ -485,9 +460,11 @@ def cmd_coils(run: RunConfig, args) -> None:
             "rabi_rad_s": pulses[0].rabi_at_resonance,
             "position_width_m": sel.position_width,
         }
-    _emit(_json_doc("coils", run, result), args.output or run.output.json)
+    return result
 
 
+# Each command takes the run, its field model, its pulses and simulate's
+# --csv path, and returns its primary artifact: CSV bytes or a JSON result.
 _COMMANDS = {
     "scan": cmd_scan,
     "select": cmd_select,
@@ -517,9 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-o", "--output", metavar="PATH", help="write the primary artifact here instead of stdout"
     )
-    parser.add_argument(
-        "--csv", metavar="PATH", help="simulate only: per-atom CSV path (overrides output.csv)"
-    )
+    parser.add_argument("--csv", metavar="PATH", help="simulate only: per-atom CSV path")
     return parser
 
 
@@ -530,7 +505,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--csv applies only to simulate")
     try:
         run = load_config(args.config, args.overrides)
-        _COMMANDS[args.command](run, args)
+        cfg = to_field_config(run)
+        out = _COMMANDS[args.command](run, cfg, to_pulses(run, cfg), args.csv)
+        if isinstance(out, dict):
+            out = _json_doc(args.command, run, out)
+        _emit(out, args.output)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

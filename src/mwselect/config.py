@@ -156,12 +156,6 @@ class ApparatusEntry(CoilPair):
 
 
 @dataclass(frozen=True)
-class OutputEntry:
-    csv: str | None = None
-    json: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Complete run description; sections a command does not use may be None."""
 
@@ -173,7 +167,6 @@ class RunConfig:
     scan: ScanEntry | None = None
     apparatus: ApparatusEntry | None = None
     quadrature: QuadratureSettings = field(default_factory=QuadratureSettings)
-    output: OutputEntry = field(default_factory=OutputEntry)
 
     def __post_init__(self) -> None:
         if self.sigma not in (1, -1):
@@ -253,7 +246,6 @@ _RUN = _schema(
         ("turns", "int"), ("displacement", "length"),
     )),
     ("quadrature", _schema(QuadratureSettings, ("window_sigmas", "number"))),
-    ("output", _schema(OutputEntry, ("csv", "text"), ("json", "text"))),
     build=_run_config,
 )
 
@@ -421,10 +413,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
 def to_field_config(run: RunConfig) -> FieldConfig:
     """Physics-side field model for this run."""
     species = get_species(run.species)
-    try:
-        return FieldConfig(eta=run.field.gradient, bias=run.field.bias, species=species)
-    except ValueError as exc:
-        raise ConfigError(f"field: {exc}") from None
+    return FieldConfig(eta=run.field.gradient, bias=run.field.bias, species=species)
 
 
 def to_pulses(run: RunConfig, cfg: FieldConfig) -> tuple[PulseSpec, ...]:

@@ -4,10 +4,12 @@ Every range the config enforces lives in the dataclass the Python API
 builds, so a direct caller meets the same bound as a config file.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,29 @@ def test_retired_names_are_gone(name):
     assert not hasattr(mw, name)
     for module in ("breit_rabi", "dynamics", "selection", "probability"):
         assert not hasattr(importlib.import_module(f"mwselect.{module}"), name)
+
+
+_MODULES = sorted(
+    p for p in Path(mw.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported - used - {"annotations"}
+    if path.stem == "cli":
+        # perfbench's tracer test reads cli.resonant_position until the
+        # benchmark refresh lets it read the name from breit_rabi instead
+        unused.discard("resonant_position")
+    assert not unused
 
 
 def test_wavepacket_state_keeps_no_history():

@@ -591,6 +591,24 @@ def test_delta_t_key_exits_2(tmp_path, capsys, command, value):
     assert not (tmp_path / "out").exists()
 
 
+# -o and --csv are the only output paths: a config that still names one is
+# rejected like any unknown key, and simulate without --csv names only --csv
+@pytest.mark.parametrize("override", ["output.csv=a.csv", "output.json=s.json"])
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_output_section_exits_2(tmp_path, capsys, command, override):
+    argv = _argv(command, CONFIGS / "rb87_10us.yaml", tmp_path, override)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: config: unknown keys 'output'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_without_csv_exits_2(tmp_path, capsys):
+    argv = ["simulate", str(CONFIGS / "rb87_10us.yaml"), "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: simulate needs a per-atom CSV path (--csv)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_sections_exit_2(tmp_path, capsys):
     data = {"species": "Rb87", "field": {"gradient": "25 G/cm"}}
     p = tmp_path / "min.yaml"
@@ -663,8 +681,8 @@ def _leaf_paths(node, prefix=""):
 _SHIPPED = CONFIGS / "rb87_10us.yaml"
 # keys that older configs still carry: every command must reject them with exit 2
 _RETIRED = ["delta_t", "ensemble.probability_mode", "ensemble.survival_efficiency",
-            "quadrature.max_subdivisions", "quadrature.rel_tol"]
-_SECTIONS = ["field", "pulses", "ensemble", "scan", "apparatus", "quadrature", "output"]
+            "quadrature.max_subdivisions", "quadrature.rel_tol", "output.csv", "output.json"]
+_SECTIONS = ["field", "pulses", "ensemble", "scan", "apparatus", "quadrature"]
 _LEAVES = _leaf_paths(yaml.safe_load(_SHIPPED.read_text())) + _RETIRED + _SECTIONS
 _ALL_UNITS = sorted({u for table in cf._UNITS.values() for u in table})
 _OVERRIDE_VALUES = st.one_of(
@@ -892,9 +910,10 @@ def test_sizes_above_the_limit_exit_2(tmp_path, capsys, command, path):
 
 
 @pytest.mark.parametrize("argv_tail,shown", [
-    (["--set", "output.csv=''"], "''"),
+    (["--csv", ""], "''"),
     (["--csv", "missing/dir/atoms.csv"], "'missing/dir/atoms.csv'"),
     (["--csv", "atoms.csv", "-o", "."], "'.'"),
+    (["--csv", "atoms.csv", "-o", ""], "''"),
 ])
 def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv_tail, shown):
     monkeypatch.chdir(tmp_path)

@@ -113,7 +113,6 @@ class TestFromDict:
             lambda d: d["scan"].update(step="1 mm"),
             lambda d: d["apparatus"].update(wire_gauge=12),
             lambda d: d["quadrature"].update(order=7),
-            lambda d: d["output"].update(fmt="csv"),
             # keys that older configs still carry
             lambda d: d["ensemble"].update(probability_mode="averaged"),
             lambda d: d["quadrature"].update(rel_tol=1e-10),
@@ -132,7 +131,6 @@ class TestFromDict:
                 "radius": "5 cm", "current": "1 A", "half_separation": "2.5 cm",
             },
             quadrature={"window_sigmas": 6.0},
-            output={"csv": "out.csv"},
         )
         mutate(data)
         with pytest.raises(mw.ConfigError, match="unknown key"):
@@ -233,8 +231,8 @@ class TestOverrides:
 
     def test_creates_missing_sections(self):
         data = _minimal()
-        cf.apply_overrides(data, ["output.json=run.json"])
-        assert cf.from_dict(data).output.json == "run.json"
+        cf.apply_overrides(data, ["quadrature.window_sigmas=6"])
+        assert cf.from_dict(data).quadrature.window_sigmas == 6.0
 
     def test_bad_assignments(self):
         with pytest.raises(mw.ConfigError, match="dotted.path"):
