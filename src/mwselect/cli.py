@@ -20,6 +20,7 @@ import json
 import os
 import stat
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
 
 import numpy as np
@@ -251,18 +252,27 @@ def _json_doc(command: str, run: RunConfig, result: dict) -> bytes:
     return (json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _emit(data: bytes, path: str | None) -> None:
-    """Write bytes over path's, cut to length if a regular file, or text to stdout."""
-    if path is None:
-        sys.stdout.write(data.decode())
-    else:
+def _emit(outputs: list[tuple[bytes, str | None]]) -> None:
+    """Write each (data, path) over path's bytes, cut to length if a regular file,
+    or to stdout if path is None.  All are opened first: a failed open writes nothing."""
+    with ExitStack() as stack:
         try:
-            with os.fdopen(os.open(path, _WRITE_FLAGS, 0o666), "wb") as out:
-                out.write(data)
-                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                    out.truncate()
+            files = []
+            for _, path in outputs:
+                fd = None if path is None else os.open(path, _WRITE_FLAGS, 0o666)
+                files.append(fd if fd is None else stack.enter_context(os.fdopen(fd, "wb")))
+            for (data, path), out in zip(outputs, files):
+                if out is None:
+                    sys.stdout.write(data.decode())
+                    continue
+                # closed here, so a later output to the same file writes over it
+                with out:
+                    out.write(data)
+                    if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                        out.truncate()
         except OSError as exc:
-            raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+            name = "stdout" if path is None else repr(path)
+            raise ConfigError(f"cannot write {name}: {exc.strerror or exc}") from None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -288,10 +298,10 @@ def cmd_scan(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> bytes:
 
 def cmd_select(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     _require(len(pulses) >= 1, "select command needs at least one pulse")
-    delta_t = run.effective_delta_t() if len(pulses) >= 2 else None
     # the apparatus lever arm, or ApparatusEntry's default without one
     displacement = (run.apparatus or ApparatusEntry).displacement
     sels = [select(pulse, cfg) for pulse in pulses]
+    cell = selection_cell(*sels, cfg) if len(sels) == 2 else None
     per_pulse = []
     for i, (pulse, sel) in enumerate(zip(pulses, sels)):
         stability = asdict(app.stability_budget(sel, cfg, displacement))
@@ -306,7 +316,7 @@ def cmd_select(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
             "rabi_at_resonance_rad_s": pulse.rabi_at_resonance,
             "transition_slope_rad_s_per_m": sel.transition_slope,
             "velocity_width_m_s": (
-                None if delta_t is None else velocity_width(sel.position_width, delta_t)
+                None if cell is None else velocity_width(sel.position_width, cell.delta_t)
             ),
             "stability": stability,
         }
@@ -326,12 +336,11 @@ def cmd_select(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
             entry["packet_width_at_pulse_m"] = dz_now
         per_pulse.append(entry)
     result: dict = {"pulses": per_pulse, "kappa_per_m": kappa(cfg)}
-    if delta_t is None:
+    if cell is None:
         result["note"] = "velocity widths need two pulses"
     else:
-        cell = selection_cell(sels[0], sels[1], cfg)
         result["pair"] = {
-            "delta_t_s": delta_t,
+            "delta_t_s": cell.delta_t,
             "v_center_m_s": cell.v_center,
             "velocity_support_m_s": cell.velocity_support,
             "cell_area_m2_s": cell.area,
@@ -373,24 +382,13 @@ def cmd_probability(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
 def cmd_bands(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> bytes:
     _require(len(pulses) >= 2, "bands command needs two pulses")
     cell = selection_cell(select(pulses[0], cfg), select(pulses[1], cfg), cfg)
-    band1, band2 = cell.band_first, cell.band_second
-    poly = cell_polygon(cell)
     v_half = cell.velocity_support  # draw band edges over twice the cell extent
-    v_lo, v_hi = cell.v_center - v_half, cell.v_center + v_half
+    v = (cell.v_center - v_half, cell.v_center + v_half)
     rows = []
-
-    def edge_rows(name: str, band, offset: float):
-        c = band.center + offset
-        for j, v in enumerate((v_lo, v_hi)):
-            z = c - band.a_v * v
-            rows.append((name, j, z, v))
-
-    edge_rows("first_band_low", band1, -band1.half_width)
-    edge_rows("first_band_high", band1, band1.half_width)
-    edge_rows("second_band_low", band2, -band2.half_width)
-    edge_rows("second_band_high", band2, band2.half_width)
-    for j, (z, v) in enumerate(poly):
-        rows.append(("cell", j, z, v))
+    for name, band in (("first_band", cell.band_first), ("second_band", cell.band_second)):
+        for side, z in zip(("low", "high"), zip(*map(band.edges, v))):
+            rows += [(f"{name}_{side}", j, z[j], v[j]) for j in (0, 1)]
+    rows += [("cell", j, *corner) for j, corner in enumerate(cell_polygon(cell))]
     return _csv(["element", "vertex", "z_m", "v_m_s"], list(zip(*rows)))
 
 
@@ -404,22 +402,19 @@ def simulation_csv(result: MonteCarloResult) -> bytes:
     )
 
 
-def cmd_simulate(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
+def cmd_simulate(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> tuple[bytes, dict]:
     _require(len(pulses) >= 2, "simulate command needs two pulses")
     spec = to_ensemble_spec(run)
     _require(csv_path is not None, "simulate needs a per-atom CSV path (--csv)")
     result = run_monte_carlo(
         spec, pulses[0], pulses[1], cfg, window_sigmas=run.quadrature.window_sigmas
     )
-    _emit(simulation_csv(result), csv_path)
     summary = result.summary()
-    inside = result.cell.contains(result.z_final, result.v_final)
-    summary["n_survivors_in_cell"] = int(np.count_nonzero(inside))
-    summary["n_survivors_outside_cell"] = (
-        result.n_survived_both - summary["n_survivors_in_cell"]
-    )
+    inside = int(np.count_nonzero(result.cell.contains(result.z_final, result.v_final)))
+    summary["n_survivors_in_cell"] = inside
+    summary["n_survivors_outside_cell"] = result.n_survived_both - inside
     summary["per_atom_csv"] = csv_path
-    return summary
+    return simulation_csv(result), summary
 
 
 def cmd_coils(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
@@ -463,8 +458,8 @@ def cmd_coils(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     return result
 
 
-# Each command takes the run, its field model, its pulses and simulate's
-# --csv path, and returns its primary artifact: CSV bytes or a JSON result.
+# Each command takes the run, its field model, its pulses and simulate's --csv path,
+# and returns CSV bytes, a JSON result, or simulate's per-atom CSV bytes and result.
 _COMMANDS = {
     "scan": cmd_scan,
     "select": cmd_select,
@@ -507,9 +502,11 @@ def main(argv: list[str] | None = None) -> int:
         run = load_config(args.config, args.overrides)
         cfg = to_field_config(run)
         out = _COMMANDS[args.command](run, cfg, to_pulses(run, cfg), args.csv)
+        # simulate returns its per-atom CSV bytes ahead of its summary
+        *csv, out = out if isinstance(out, tuple) else (out,)
         if isinstance(out, dict):
             out = _json_doc(args.command, run, out)
-        _emit(out, args.output)
+        _emit([*zip(csv, [args.csv]), (out, args.output)])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

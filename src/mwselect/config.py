@@ -173,6 +173,8 @@ class RunConfig:
             raise ConfigError("sigma must be +1 or -1")
         if self.ensemble is not None and self.ensemble.sigma != self.sigma:
             raise ConfigError("ensemble sigma must equal the top-level sigma")
+        if len(self.pulses) > 2:
+            raise ConfigError(f"a run has one pulse or a pulse pair, not {len(self.pulses)}")
         if len(self.pulses) >= 2 and not self.effective_delta_t() > 0.0:
             raise ConfigError("pulses must be listed in increasing t0 order")
 

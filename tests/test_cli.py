@@ -537,6 +537,21 @@ def test_second_pulse_not_after_first_exits_2(tmp_path, capsys, command, t0):
     )
 
 
+# a run is one pulse or a pulse pair: a third pulse, here earlier than the
+# second, is rejected before any command runs or any output is opened
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_three_pulses_exit_2(tmp_path, capsys, command):
+    data = yaml.safe_load((CONFIGS / "rb87_10us.yaml").read_text())
+    data["pulses"].append({**data["pulses"][0], "t0": "5 ms"})
+    path = tmp_path / "three.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "error: a run has one pulse or a pulse pair, not 3\n"
+    )
+    assert not (tmp_path / "out").exists() and not (tmp_path / "atoms.csv").exists()
+
+
 # each bound lives in the dataclass it guards; the config reaches every one
 # of them, whether the section is built at load or the pulse at command time
 @pytest.mark.parametrize(
@@ -619,12 +634,6 @@ def test_missing_sections_exit_2(tmp_path, capsys):
     assert main(["coils", str(p)]) == 2
     err = capsys.readouterr().err
     assert "scan" in err and "apparatus" in err
-
-
-def test_simulate_without_csv_path_exits_2(config_path, tmp_path, capsys):
-    assert main(["simulate", str(config_path),
-                 "-o", str(tmp_path / "sim.json")]) == 2
-    assert "--csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["scan", "select", "probability", "bands", "coils"])
@@ -921,6 +930,30 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv_tail, sho
             *argv_tail]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {shown}: ")
+
+
+# every output is opened before any is written, so a -o that cannot be opened
+# leaves an existing --csv file with its bytes and a new one without rows
+def test_unwritable_output_leaves_the_csv_unwritten(tmp_path, capsys):
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_bytes(b"old")
+    for csv in (kept, fresh):
+        argv = ["simulate", str(_SHIPPED), "--set", "ensemble.n=100", "--csv", str(csv),
+                "-o", str(tmp_path / "missing" / "sim.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert kept.read_bytes() == b"old"
+    assert not fresh.exists() or fresh.read_bytes() == b""
+
+
+def test_broken_stdout_exits_2(monkeypatch, capsys):
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main(["select", str(_SHIPPED)]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
 
 
 # Outputs are rewritten in place and cut to their length, never opened with

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,8 +78,14 @@ def test_first_band_geometry(cfg, rb87, bands, pulse_first):
     assert b2.center == pytest.approx(1e-2, abs=1e-9)
 
 
-def test_shipped_cell_velocity(cell):
+def test_shipped_cell_velocity(cell, cfg, pulse_first, pulse_second):
     assert cell.v_center == pytest.approx(-4.8986e-3, rel=1e-3)
+    # the one delta_t: the bands' a_v gap is the pulses' t0 gap, bit for bit,
+    # also where that gap (128 ms - 100 ms) is not the float 28 ms
+    assert cell.delta_t == pulse_second.t0 - pulse_first.t0
+    p1, p2 = replace(pulse_first, t0=0.1), replace(pulse_second, t0=0.128)
+    shifted = mw.selection_cell(mw.select(p1, cfg), mw.select(p2, cfg), cfg)
+    assert shifted.delta_t == 0.128 - 0.1 != DELTA_T
 
 
 @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
@@ -158,6 +165,11 @@ def test_selection_cell_needs_a_positive_gap(cfg, pulse_first, pulse_second):
     for pair in ((first, first), (second, first)):
         with pytest.raises(ValueError, match="after the first"):
             mw.selection_cell(*pair, cfg)
+    # the cell itself holds the bound, whoever builds it
+    second_band = mw.PhaseSpaceBand(0.0, 1e-2, 1e-5)
+    for a_v in (0.0, math.nan):
+        with pytest.raises(ValueError, match="after the first"):
+            mw.SelectionCell(mw.PhaseSpaceBand(a_v, 0.0, 1e-5), second_band)
 
 
 def test_dilated_cell_scales_widths(cell):
@@ -167,6 +179,7 @@ def test_dilated_cell_scales_widths(cell):
         2.0 * cell.velocity_support, rel=1e-12
     )
     assert bigger.v_center == pytest.approx(cell.v_center, rel=1e-12)
+    assert cell.dilated(1.0) == cell
     with pytest.raises(ValueError):
         cell.dilated(0.0)
 
