@@ -38,12 +38,13 @@ def main() -> None:
     for tau in (TAU, TAU / 2):
         pulse = mw.PulseSpec.resonant_at(0.0, cfg, t0=0.0, tau=tau, branch=br)
         sel = mw.select(pulse, cfg)
-        dv = mw.velocity_width(sel.position_width, DELTA_T)
+        support = mw.velocity_width(sel.position_width, DELTA_T)
         print(f"tau = {tau * 1e6:4.1f} us:  dz = {sel.position_width * 1e6:7.3f} um "
               f"(low-field est {sel.position_width_low_field * 1e6:7.3f} um), "
-              f"dv = {dv * 1e3:.4f} mm/s")
+              f"dv support 2dz/Dt = {support * 1e3:.4f} mm/s "
+              f"(triangle FWHM {support * 0.5e3:.4f} mm/s)")
     k_doppler = 2.0 * 2.0 * np.pi / 780e-9  # counterpropagating optical pair
-    print(f"optical two-photon reference (1 ms): "
+    print(f"optical two-photon reference FWHM (1 ms): "
           f"{mw.raman_velocity_width(k_doppler, 1e-3) * 1e6:.2f} um/s")
 
     print("\n== upper-branch ballistics ==")

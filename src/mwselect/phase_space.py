@@ -34,6 +34,11 @@ _TABLE_STEP = 0.125  # largest grid step of a pulse's probability table, in dz
 # Fixed cost of one averaged_probability_batch call, in rule rows: 35 us at 1 row
 # against ~5 us per row at 128 (660 us; 2-core AMD EPYC, Python 3.11.7, numpy 2.4.6)
 _CALL_ROWS = 8
+# Atoms above which a pulse bins them for the Rabi-envelope bound (_bin_bound).
+# Binning adds a bound call, 40 us at 1 atom against ~19 ns per atom at 2000
+# (about 2100 atoms' worth), and a pass over the atoms: on both benchmark
+# clouds it paid from 3000-4000 atoms (same host as _CALL_ROWS)
+_BIN_ATOMS = 4096
 
 # Largest ensemble.n and scan.points.  At its peak a run holds about 250
 # bytes per simulate atom (its draws, outcomes and CSV line) or 330 per scan
@@ -226,9 +231,11 @@ class MonteCarloResult:
 
     z_final/v_final are at the second pulse's time and are NaN for atoms
     lost at either stage.  quadrature_rows counts, at pulse 1 and at
-    pulse 2, the atoms whose decision the Rabi-envelope bound left open
-    (decided from the pulse's table or by their own packet average); it
-    is bookkeeping and stays out of summary().
+    pulse 2, the atoms whose decision the Rabi-envelope bound pass left
+    open (decided from the pulse's table or by their own packet
+    average): each atom's own bound on a pulse of at most _BIN_ATOMS
+    atoms, its bin's bound above, which leaves a superset open.  It is
+    bookkeeping and stays out of summary().
     """
 
     z0: np.ndarray
@@ -333,6 +340,92 @@ def _densest_run(z: np.ndarray, dz: float) -> tuple[float, float, int]:
     return lo, hi, _grid_points(lo, hi, j - i + 1, dz)
 
 
+def _table_run(z: np.ndarray, dz: float) -> tuple[float, float, int, np.ndarray] | None:
+    """(lo, hi, points, in_run) of the densest run of z, or None if no table pays.
+
+    The table adds a batch call, so it must save more than one's cost.
+    """
+    lo, hi, points = _densest_run(z, dz)
+    in_run = (lo <= z) & (z <= hi)
+    if points + _CALL_ROWS < np.count_nonzero(in_run):
+        return lo, hi, points, in_run
+    return None
+
+
+def _lookup(z: np.ndarray, lo: float, step: float, table: np.ndarray) -> np.ndarray:
+    """Linear interpolation at z of a table on the uniform grid lo + i*step.
+
+    The table is the rule on np.linspace(lo, hi, table.size), z lies in
+    [lo, hi], and step = (hi - lo)/(table.size - 1) (any step if one
+    point).  Each z's interval is a direct index rather than np.interp's
+    binary search; where rounding puts z one interval off, z is within
+    rounding of the grid point where the two intervals' lines meet.
+    """
+    if table.size == 1:  # every z equals lo
+        return np.full(z.size, table[0])
+    t = (z - lo) / step
+    i = np.minimum(t.astype(np.intp), table.size - 2)
+    t -= i
+    left = table[i]
+    return left + t * (table[i + 1] - left)
+
+
+def _bin_bound(z: np.ndarray, dz: float, bound) -> np.ndarray:
+    """Each atom's Rabi-envelope bound, evaluated once per bin of atoms.
+
+    Atoms are binned at k = floor((z - z_min)/w), w = max(_TABLE_STEP*dz,
+    span/(n/8)), so there are at most n/8 + 1 bins.  A bin's bound covers
+    every center from one bin below it to one above, so an atom whose k
+    rounded one off still lies inside its bin's range (an edge rounded a
+    few ulps of z past it moves delta_min far less than the bound's slack,
+    which grows with |z|), and since averaged_probability_bound over a
+    range is never below the bound of a center in it, no atom's bin bound
+    is below its own.
+    """
+    z_min, z_max = float(z.min()), float(z.max())
+    w = max(_TABLE_STEP * dz, (z_max - z_min) / (z.size / 8))
+    k = ((z - z_min) / w).astype(np.intp)
+    bins = int((z_max - z_min) / w) + 1  # the top atom's k, plus one
+    edges = z_min + w * np.arange(-1.0, bins + 2.0)
+    return bound(edges[:-3], edges[3:])[k]
+
+
+def _binned_rows(
+    u: np.ndarray, z: np.ndarray, dz: float, bound
+) -> tuple[np.ndarray, tuple[float, float, int, np.ndarray] | None, int]:
+    """Rows the bins' bounds leave open, their run as _table_run gives it, and a count.
+
+    The per-atom bound is applied, in one call, to the rows outside the
+    run and to its two end atoms.  If one at or beyond each end passes,
+    the run and the direct call span the lowest to the highest per-atom
+    open atom, so the phase check raises as one call over those would; a
+    row inside the run that only its bin's bound left open is rejected by
+    the table or the average anyway (u >= its bound >= p).  Otherwise
+    every row gets its own bound and the run is found again.  The count
+    is of the rows the bins left open.
+    """
+    (rows,) = np.nonzero(u < _bin_bound(z, dz, bound))
+    n_open = rows.size
+    if not n_open:
+        return rows, None, 0
+    zr = z[rows]
+    run = _table_run(zr, dz)
+    if run is None:
+        return rows[u[rows] < bound(zr, zr)], None, n_open
+    lo, hi, points, in_run = run
+    check = (zr <= lo) | (zr >= hi)
+    ok = ~check
+    ok[check] = u[rows[check]] < bound(zr[check], zr[check])
+    ends = zr[check & ok]
+    if ends.size and ends.min() <= lo and ends.max() >= hi:
+        return rows[ok], (lo, hi, points, in_run[ok]), n_open
+    # at or beyond one end of the run no atom is open: bound every row alone
+    rest = ~check
+    ok[rest] = u[rows[rest]] < bound(zr[rest], zr[rest])
+    rows = rows[ok]
+    return rows, _table_run(z[rows], dz) if rows.size else None, n_open
+
+
 def _accept(
     u: np.ndarray,
     z: np.ndarray,
@@ -346,47 +439,58 @@ def _accept(
 
     In Bernoulli mode the packet average p is needed only for atoms
     with u below averaged_probability_bound: for the others u >= bound
-    >= p, so u < p is false whatever the quadrature would give.  The
-    densest sorted run of the open atoms (_densest_run) is tabulated on
-    a grid of step <= dz*_TABLE_STEP if it has more atoms than grid
-    points by over _CALL_ROWS, the cost of the extra batch call.  On
-    the table, p is interpolated; an atom whose u is more than
+    >= p, so u < p is false whatever the quadrature would give.  Up to
+    _BIN_ATOMS atoms each gets its own bound; above, the atoms are
+    binned once (_binned_rows) and the count is of the rows the bins
+    left open.  The densest sorted run of the open atoms (_densest_run)
+    is tabulated on a grid of step <= dz*_TABLE_STEP if it has more
+    atoms than grid points by over _CALL_ROWS, the cost of the extra
+    batch call.  On the table, p is interpolated by a direct index into
+    the uniform grid; an atom whose u is more than
     interpolation_tolerance from the interpolant is decided from it.
     The rest, and every open atom outside the run, are averaged one by
     one in one direct call.  So every decision equals
     u < averaged_probability_batch(z) bit for bit, and the table and the
-    direct call span the open atoms' lowest and highest positions
-    between them, so the phase check raises QuadratureError exactly when
-    one call over every open atom would.
+    direct call span the per-atom open atoms' lowest and highest
+    positions between them, so the phase check raises QuadratureError
+    exactly when one call over every such atom would.
     """
     if spec.decision_mode == "band":
         return np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0, 0
-    keep = u < averaged_probability_bound(
-        z, dz, pulse, cfg, window_sigmas=window_sigmas
-    )
-    (rows,) = np.nonzero(keep)
-    n_open = rows.size
-    if n_open:
-        z_open = z[rows]
-        lo, hi, points = _densest_run(z_open, dz)
-        run = (lo <= z_open) & (z_open <= hi)
-        # the table adds a batch call, so it must save more than one's cost
-        if points + _CALL_ROWS < np.count_nonzero(run):
-            # linspace ends exactly at lo and hi, so the table's phase check
-            # covers the same span as a direct call on the run would
-            grid = np.linspace(lo, hi, points)
-            table = averaged_probability_batch(
-                grid, dz, pulse, cfg, window_sigmas=window_sigmas
-            )
-            approx = np.interp(z_open, grid, table)
-            step = (hi - lo) / max(points - 1, 1)
-            tol = interpolation_tolerance(step, dz, window_sigmas)
-            sure = run & (np.abs(u[rows] - approx) > tol)
-            keep[rows[sure]] = u[rows[sure]] < approx[sure]
-            rows = rows[~sure]
-    keep[rows] = u[rows] < averaged_probability_batch(
-        z[rows], dz, pulse, cfg, window_sigmas=window_sigmas
-    )
+
+    def bound(lo, hi):
+        return averaged_probability_bound(
+            lo, hi, dz, pulse, cfg, window_sigmas=window_sigmas
+        )
+
+    def average(centers):
+        return averaged_probability_batch(
+            centers, dz, pulse, cfg, window_sigmas=window_sigmas
+        )
+
+    if z.size > _BIN_ATOMS:
+        rows, run, n_open = _binned_rows(u, z, dz, bound)
+    else:
+        (rows,) = np.nonzero(u < bound(z, z))
+        n_open = rows.size
+        run = _table_run(z[rows], dz) if n_open else None
+    keep = np.zeros(z.size, dtype=bool)
+    if run is not None:
+        lo, hi, points, in_run = run
+        # linspace ends exactly at lo and hi, so the table's phase check
+        # covers the same span as a direct call on the run would
+        table = average(np.linspace(lo, hi, points))
+        (inside,) = np.nonzero(in_run)
+        at = rows[inside]
+        step = (hi - lo) / max(points - 1, 1)
+        approx = _lookup(z[at], lo, step, table)
+        tol = interpolation_tolerance(step, dz, window_sigmas)
+        sure = np.abs(u[at] - approx) > tol
+        keep[at[sure]] = u[at[sure]] < approx[sure]
+        direct = ~in_run
+        direct[inside[~sure]] = True
+        rows = rows[direct]
+    keep[rows] = u[rows] < average(z[rows])
     return keep, n_open
 
 

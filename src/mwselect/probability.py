@@ -14,11 +14,12 @@ is one fixed-order Gauss-Legendre rule (averaged_probability_batch),
 taken row by row for Monte Carlo batches and as a one-row call for a
 single packet (transition_probability, which can also report the rule's
 error estimate).  averaged_probability_bound caps the rule from the Rabi
-envelope, so a Monte Carlo decision that the average cannot change
-skips the quadrature, and interpolation_tolerance bounds how far a
-linear interpolation of the rule on a grid of centers can be from the
-rule itself, so a decision far enough from that interpolant needs no
-quadrature of its own either.
+envelope for every packet centered in a range [lo, hi] (one center when
+lo = hi, a bin of Monte Carlo atoms otherwise), so a decision that the
+average cannot change skips the quadrature, and interpolation_tolerance
+bounds how far a linear interpolation of the rule on a grid of centers
+can be from the rule itself, so a decision far enough from that
+interpolant needs no quadrature of its own either.
 """
 
 from __future__ import annotations
@@ -216,22 +217,27 @@ def interpolation_tolerance(step: float, dz: float, window_sigmas: float) -> flo
 
 
 def averaged_probability_bound(
-    centers: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     dz: float,
     pulse: PulseSpec,
     cfg: FieldConfig,
     window_sigmas: float = 8.0,
 ) -> np.ndarray:
-    """Upper bound on averaged_probability_batch, row by row, from 4 evaluations.
+    """Upper bound on averaged_probability_batch for every center in [lo, hi].
 
-    The batch value is sum_j f_j * p(z_j) over nodes z_j inside the
-    window [a, b] = [c - half, c + half], with weights f_j >= 0, and
-    each p(z_j) <= 4*w0^2/(delta(z_j)^2 + 4*w0^2), the Rabi envelope.
-    In the units of breit_rabi the transition is 1/2 + b*u + s/2 with
-    s = sqrt(1 + 2*r*u + u^2) and u affine in z, so T''(u) = (1 - r^2)/
-    (2*s^3) > 0 (r = F-/F+ < 1): the detuning delta(z) is convex in z
-    (strictly, for a nonzero gradient) for every species, sigma and bias.  On [a, b] it
-    therefore lies above both end tangents and below the chord, and
+    Elementwise over lo <= hi; lo = hi = centers bounds each center's own
+    average, and a wider [lo, hi] bounds every packet centered in it at
+    once (phase_space bins atoms this way).  The batch value at a center
+    c is sum_j f_j * p(z_j) over nodes z_j inside the window [c - half,
+    c + half], so inside [a, b] = [lo - half, hi + half], with weights
+    f_j >= 0, and each p(z_j) <= 4*w0^2/(delta(z_j)^2 + 4*w0^2), the
+    Rabi envelope.  In the units of breit_rabi the transition is 1/2 +
+    b*u + s/2 with s = sqrt(1 + 2*r*u + u^2) and u affine in z, so
+    T''(u) = (1 - r^2)/(2*s^3) > 0 (r = F-/F+ < 1): the detuning
+    delta(z) is convex in z (strictly, for a nonzero gradient) for every
+    species, sigma and bias.  On [a, b] it therefore lies above both end
+    tangents and below the chord, and
 
         |delta| >= delta_min = max(0, min_[a,b] max(tangent_a, tangent_b),
                                    -max(delta(a), delta(b))),
@@ -241,29 +247,40 @@ def averaged_probability_bound(
 
         batch <= envelope(delta_min) * sum_j f_j.
 
-    Float error is covered by subtracting 1e-12 * S from delta_min and
-    adding 1e-12 to the weight sum, where S = omega_A + delta_W * (1 +
-    |x(0)| + |kappa| * (|a| + |b|)) bounds, to a factor of about 3,
-    every term met in detuning, its slope, the tangents and the crossing
-    (each rounded a few tens of times at most); the rest of the chain is
-    a few roundings relative to 1.
+    For [a, b] inside [A, B] convexity gives tangent_A <= tangent_a and
+    tangent_B <= tangent_b on [a, b], and max(delta(A), delta(B)) >=
+    max(delta(a), delta(b)), so the bound over a wider range is never
+    below the bound of a center in it.  Float error is covered by
+    subtracting 1e-12 * S from delta_min and adding 1e-12 to the weight
+    sum, where S = omega_A + delta_W * (1 + |x(0)| + |kappa| * (|a| +
+    |b|)) bounds, to a factor of about 3, every term met in detuning, its
+    slope, the tangents and the crossing (each rounded a few tens of
+    times at most); the rest of the chain is a few roundings relative to
+    1.  Where detuning is nearly flat (near a transition minimum),
+    rounding can hide the exact gap between a range's delta_min and that
+    of a center in it, so a range (lo < hi) subtracts twice the slack,
+    which keeps its bound at or above every center's in it.  detuning and
+    its slope are each evaluated once, over both window ends.
     """
-    centers = np.asarray(centers, dtype=float)
     _, factors, half = _packet_rule(dz, RULE_ORDER, window_sigmas)
-    lo = centers - half
-    hi = centers + half
-    d_lo, d_hi = (detuning(z, pulse, cfg) for z in (lo, hi))
-    s_lo, s_hi = (d_transition_dz(pulse.branch, z, cfg) for z in (lo, hi))
+    a = np.ravel(lo) - half
+    b = np.ravel(hi) + half
+    ends = np.concatenate((a, b))
+    d = detuning(ends, pulse, cfg)
+    s = d_transition_dz(pulse.branch, ends, cfg)
+    d_a, d_b, s_a, s_b = d[:a.size], d[a.size:], s[:a.size], s[a.size:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = (s_hi * d_lo - s_lo * d_hi + s_lo * s_hi * (hi - lo)) / (s_hi - s_lo)
-    above = np.where(s_lo >= 0.0, d_lo, np.where(s_hi <= 0.0, d_hi, crossing))
-    delta_min = np.maximum(above, -np.maximum(d_lo, d_hi))
+        crossing = (s_b * d_a - s_a * d_b + s_a * s_b * (b - a)) / (s_b - s_a)
+    above = np.where(s_a >= 0.0, d_a, np.where(s_b <= 0.0, d_b, crossing))
+    delta_min = np.maximum(above, -np.maximum(d_a, d_b))
     scale = pulse.omega_A + cfg.species.delta_W * (
         1.0
         + abs(float(field_coordinate(cfg, 0.0)))
-        + abs(kappa(cfg)) * (np.abs(lo) + np.abs(hi))
+        + abs(kappa(cfg)) * (np.abs(a) + np.abs(b))
     )
-    delta_min = np.maximum(delta_min - _BOUND_ROUNDOFF * scale, 0.0)
+    wide = np.ravel(lo) < np.ravel(hi)
+    roundoff = np.where(wide, 2.0 * _BOUND_ROUNDOFF, _BOUND_ROUNDOFF)
+    delta_min = np.maximum(delta_min - roundoff * scale, 0.0)
     w0 = pulse.coupling_omega0
     envelope = 4.0 * w0 * w0 / (delta_min * delta_min + 4.0 * w0 * w0)
     return envelope * (float(np.sum(factors)) + _BOUND_ROUNDOFF)

@@ -104,7 +104,12 @@ def position_width_low_field(
 
 
 def velocity_width(delta_z: float, delta_t: float) -> float:
-    """Selected velocity FWHM 2*delta_z/delta_t (m/s) for pulse gap delta_t."""
+    """Velocity support 2*delta_z/delta_t (m/s) of two slices delta_z wide.
+
+    It is the full base of the triangular velocity marginal of the cell
+    two equal slices delta_t apart select (marginal_velocity), twice that
+    triangle's FWHM; raman_velocity_width, by contrast, is a FWHM.
+    """
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
     return 2.0 * delta_z / delta_t

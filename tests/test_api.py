@@ -194,7 +194,10 @@ def _window_calls(cfg, pulse_first, pulse_second):
             centers, 3e-6, pulse_first, cfg, window_sigmas=w
         ),
         lambda w: probability.averaged_probability_bound(
-            centers, 3e-6, pulse_first, cfg, window_sigmas=w
+            centers, centers, 3e-6, pulse_first, cfg, window_sigmas=w
+        ),
+        lambda w: probability.averaged_probability_bound(
+            centers - 1e-6, centers + 1e-6, 3e-6, pulse_first, cfg, window_sigmas=w
         ),
         lambda w: mw.run_monte_carlo(
             _ensemble(), pulse_first, pulse_second, cfg, window_sigmas=w

@@ -265,25 +265,38 @@ def test_simulate_rejects_workers_key(config_path, tmp_path, capsys):
 
 
 def test_simulate_uses_quadrature_window(monkeypatch, tmp_path):
-    from mwselect import phase_space
+    """Every bound and batch call takes the config's window, on both bound paths.
 
-    seen = {}
+    2000 atoms stay under phase_space._BIN_ATOMS, so each atom gets its
+    own bound (lo = hi); with the threshold at 0 both pulses bin their
+    atoms, and the bound is also taken over the bins' ranges (lo < hi).
+    """
+    from mwselect import phase_space, probability
+
+    seen, ranges = {}, set()
     for name in ("averaged_probability_batch", "averaged_probability_bound"):
-        def spy(*args, _real=getattr(phase_space, name), _name=name, **kwargs):
+        def spy(*args, _real=getattr(probability, name), _name=name, **kwargs):
             seen.setdefault(_name, set()).add(kwargs.get("window_sigmas"))
+            if _name == "averaged_probability_bound":
+                ranges.add(bool(np.any(args[0] < args[1])))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(phase_space, name, spy)
-    rc = main([
-        "simulate", str(CONFIGS / "rb87_10us.yaml"), "--set", "ensemble.n=2000",
-        "--set", "quadrature.window_sigmas=5.5",
-        "--csv", str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "sim.json"),
-    ])
-    assert rc == 0
-    assert seen == {
-        "averaged_probability_batch": {5.5},
-        "averaged_probability_bound": {5.5},
-    }
+    for bin_atoms in (phase_space._BIN_ATOMS, 0):
+        monkeypatch.setattr(phase_space, "_BIN_ATOMS", bin_atoms)
+        seen.clear()
+        ranges.clear()
+        rc = main([
+            "simulate", str(CONFIGS / "rb87_10us.yaml"), "--set", "ensemble.n=2000",
+            "--set", "quadrature.window_sigmas=5.5",
+            "--csv", str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "sim.json"),
+        ])
+        assert rc == 0
+        assert seen == {
+            "averaged_probability_batch": {5.5},
+            "averaged_probability_bound": {5.5},
+        }
+        assert ranges == ({False} if bin_atoms else {False, True})
 
 
 def test_coils_json(config_path, tmp_path):

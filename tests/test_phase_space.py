@@ -468,7 +468,7 @@ def _open_atoms_averaged(spec, pulse_first, pulse_second, cfg, window_sigmas):
     def decide(u, z, dz, pulse):
         keep = np.zeros(z.size, dtype=bool)
         rows = u < probability.averaged_probability_bound(
-            z, dz, pulse, cfg, window_sigmas=window_sigmas
+            z, z, dz, pulse, cfg, window_sigmas=window_sigmas
         )
         keep[rows] = u[rows] < mw.averaged_probability_batch(
             z[rows], dz, pulse, cfg, window_sigmas=window_sigmas
@@ -622,6 +622,17 @@ def test_thermal_cloud_rarely_needs_quadrature(
     assert not any("quadrature" in key for key in result.summary())
 
 
+def _bin_bounds(z, dz, pulse, cfg, window_sigmas=8.0):
+    """Each atom's bin bound, binned as _accept bins a pulse of more than _BIN_ATOMS."""
+    z_min, z_max = z.min(), z.max()
+    w = max(phase_space._TABLE_STEP * dz, (z_max - z_min) * 8.0 / z.size)
+    k = np.floor((z - z_min) / w)
+    return probability.averaged_probability_bound(
+        z_min + (k - 1.0) * w, z_min + (k + 2.0) * w, dz, pulse, cfg,
+        window_sigmas=window_sigmas,
+    )
+
+
 def test_matched_cloud_is_decided_from_tables(
     monkeypatch, cfg, pulse_first, pulse_second
 ):
@@ -633,12 +644,16 @@ def test_matched_cloud_is_decided_from_tables(
     # per pulse one table call and one call for the atoms it cannot decide
     assert len(calls) == 4
     assert 0 < sum(centers.size for _, centers in calls) < 0.05 * (rows1 + rows2)
-    # the pulse-1 table covers the dense run, not the sparse ends of the span
+    # pulse 1 bins its atoms: rows1 counts the atoms their bins' bounds leave
+    # open, a superset of those the per-atom bound leaves open
     z0, _, u1, _ = phase_space._draws(spec)
-    bound = probability.averaged_probability_bound(z0, spec.dz0, pulse_first, cfg)
+    assert spec.n > phase_space._BIN_ATOMS
+    assert rows1 == np.count_nonzero(u1 < _bin_bounds(z0, spec.dz0, pulse_first, cfg))
+    bound = probability.averaged_probability_bound(z0, z0, spec.dz0, pulse_first, cfg)
     z_open = z0[u1 < bound]
-    assert z_open.size == rows1
-    whole = phase_space._grid_points(z_open.min(), z_open.max(), rows1, spec.dz0)
+    assert z_open.size <= rows1
+    # the pulse-1 table covers the dense run, not the sparse ends of the span
+    whole = phase_space._grid_points(z_open.min(), z_open.max(), z_open.size, spec.dz0)
     assert calls[0][1].size < whole
 
 
@@ -741,7 +756,8 @@ def test_dense_run_is_tabulated_only_if_it_saves_a_call(
     spec = mw.EnsembleSpec(n=z.size, seed=1, **_THERMAL)
     # every atom is open: 1 bounds every average
     monkeypatch.setattr(
-        phase_space, "averaged_probability_bound", lambda z, *a, **k: np.ones(z.size)
+        phase_space, "averaged_probability_bound",
+        lambda lo, hi, *a, **k: np.ones(lo.size),
     )
     calls = _batch_calls(monkeypatch)
     keep, n_open = phase_space._accept(u, z, dz, pulse_first, cfg, spec, 8.0)
@@ -791,7 +807,7 @@ def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
         z = -np.abs(z)
 
     def one_call(dz):
-        rows = u < probability.averaged_probability_bound(z, dz, pulse, cfg)
+        rows = u < probability.averaged_probability_bound(z, z, dz, pulse, cfg)
         return _raises_quadrature_error(
             lambda: mw.averaged_probability_batch(z[rows], dz, pulse, cfg)
         )
@@ -815,9 +831,128 @@ def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
     accept(lo)
     assert len(calls) == 2  # a table and a direct call
     (_, grid), (_, direct) = calls
-    rows = u < probability.averaged_probability_bound(z, lo, pulse, cfg)
+    rows = u < probability.averaged_probability_bound(z, z, lo, pulse, cfg)
     z_open = z[rows]
     whole = phase_space._grid_points(z_open.min(), z_open.max(), z_open.size, lo)
     assert (whole < z_open.size) == (layout == "whole-span")
     both = np.concatenate((grid, direct))
     assert (both.min(), both.max()) == (z_open.min(), z_open.max())
+
+
+# The binned path (_binned_rows) on every size: the same exactness checks
+# with every pulse binned, however few its atoms.
+
+
+@pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+def test_binned_monte_carlo_matches_every_atom_reference(monkeypatch, case):
+    monkeypatch.setattr(phase_space, "_BIN_ATOMS", 0)
+    test_monte_carlo_matches_every_atom_reference(case)
+
+
+def test_binned_monte_carlo_is_exact_across_the_regime(monkeypatch):
+    monkeypatch.setattr(phase_space, "_BIN_ATOMS", 0)
+    test_monte_carlo_is_exact_across_the_regime()
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize(
+    "layout,seed", [("split", 4), ("split", 6), ("whole-span", 8), ("whole-span", 9)]
+)
+def test_binned_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
+    monkeypatch.setattr(phase_space, "_BIN_ATOMS", 0)
+    test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("cloud", ["thermal", "matched"])
+def test_benchmark_clouds_match_open_atom_reference(cfg, pulse_first, pulse_second,
+                                                    cloud, seed):
+    """50k atoms, as the benchmark runs them: pulse 1 bins on both clouds."""
+    spec = mw.EnsembleSpec(
+        n=50000, seed=seed, **(_THERMAL if cloud == "thermal" else _MATCHED)
+    )
+    assert spec.n > phase_space._BIN_ATOMS
+    result = mw.run_monte_carlo(spec, pulse_first, pulse_second, cfg)
+    want = _open_atoms_averaged(spec, pulse_first, pulse_second, cfg, 8.0)
+    assert _outcome(lambda: result) == _outcome(lambda: want)
+    z0, _, u1, _ = phase_space._draws(spec)
+    bound = probability.averaged_probability_bound(z0, z0, spec.dz0, pulse_first, cfg)
+    assert np.count_nonzero(u1 < bound) <= result.quadrature_rows[0]
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("n,bin_atoms", [(5000, None), (50, 0)])
+def test_tied_cloud_matches_open_atom_reference(monkeypatch, n, bin_atoms, sigma):
+    """z_rms = 0 ties every pulse-1 position: one bin and a one-point table."""
+    if bin_atoms is not None:
+        monkeypatch.setattr(phase_space, "_BIN_ATOMS", bin_atoms)
+    assert n > phase_space._BIN_ATOMS
+    cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
+    p1, p2 = _pulse_pair(cfg, sigma, 0.0, _MATCHED["v_mean"])
+    spec = mw.EnsembleSpec(n=n, seed=9, sigma=sigma, **dict(_MATCHED, z_rms=0.0))
+    calls = _batch_calls(monkeypatch)
+    result = mw.run_monte_carlo(spec, p1, p2, cfg)
+    assert calls[0][1].tolist() == [0.0]  # pulse 1's table
+    assert 0 < result.n_survived_both < result.n_survived_first < n
+    want = _open_atoms_averaged(spec, p1, p2, cfg, 8.0)
+    assert _outcome(lambda: result) == _outcome(lambda: want)
+
+
+@pytest.mark.parametrize("layout", ["alone", "run-end"])
+def test_superset_only_end_atom_keeps_the_pulse(monkeypatch, cfg, pulse_first, layout):
+    """An end atom that only its bin's bound leaves open is rejected alone.
+
+    80 atoms 50-60 um below resonance, all open but the lowest, whose
+    draw lies between its own bound and its bin's.  "alone": it sits 10
+    um below the rest, in a bin of its own outside the run, so the run's
+    lowest atom shows the run's end open.  "run-end": it is the run's
+    lowest atom and none below it is open, so every row gets its own
+    bound and the run starts at the next atom.
+    """
+    monkeypatch.setattr(phase_space, "_BIN_ATOMS", 0)
+    dz = 3e-6
+    z = np.linspace(-60e-6, -50e-6, 80)
+    if layout == "alone":
+        z[0] = -70e-6
+
+    def bound(lo, hi):
+        return probability.averaged_probability_bound(lo, hi, dz, pulse_first, cfg)
+
+    own, binned = bound(z[:1], z[:1])[0], phase_space._bin_bound(z, dz, bound)[0]
+    assert own < binned
+    u = np.zeros(z.size)
+    u[0] = 0.5 * (own + binned)
+    spec = mw.EnsembleSpec(n=z.size, seed=1, **_THERMAL)
+    sizes = []
+
+    def spy(lo, hi, *args, **kwargs):
+        sizes.append(lo.size)
+        return probability.averaged_probability_bound(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(phase_space, "averaged_probability_bound", spy)
+    calls = _batch_calls(monkeypatch)
+    keep, n_open = phase_space._accept(u, z, dz, pulse_first, cfg, spec, 8.0)
+    assert n_open == z.size
+    # the bins, the rows outside the run with its two ends, and then, for
+    # "run-end", every other row
+    assert sizes[1:] == ([3] if layout == "alone" else [2, 78])
+    want = u < mw.averaged_probability_batch(z, dz, pulse_first, cfg)
+    assert keep.tobytes() == want.tobytes()
+    assert keep[1:].all() and not keep[0]
+    (_, grid), (_, direct) = calls
+    assert (grid[0], grid[-1]) == (z[1], z[-1]) and direct.size < z.size
+
+
+@pytest.mark.parametrize("points", [1, 2, 283])
+def test_table_lookup_matches_np_interp(cfg, pulse_first, points):
+    """The direct index reads the table as np.interp does, ends included."""
+    lo = -40e-6
+    hi = lo if points == 1 else 65e-6
+    grid = np.linspace(lo, hi, points)
+    table = mw.averaged_probability_batch(grid, 3e-6, pulse_first, cfg)
+    rng = np.random.default_rng(points)
+    z = np.concatenate(([lo, hi], grid, rng.uniform(lo, hi, 5000)))
+    step = (hi - lo) / max(points - 1, 1)
+    got = phase_space._lookup(z, lo, step, table)
+    assert np.max(np.abs(got - np.interp(z, grid, table))) <= 1e-14
+    assert (got[0], got[1]) == (table[0], table[-1])

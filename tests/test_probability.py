@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mwselect as mw
@@ -286,7 +286,9 @@ def test_bound_holds_across_the_transition_minimum():
         pulse = mw.PulseSpec(t0=0.0, tau=1e-5, omega_A=t_min + offset, branch=branch)
         for dz in (3e-6, 1e-4):
             batch = mw.averaged_probability_batch(centers, dz, pulse, _NA23_2T)
-            bound = probability.averaged_probability_bound(centers, dz, pulse, _NA23_2T)
+            bound = probability.averaged_probability_bound(
+                centers, centers, dz, pulse, _NA23_2T
+            )
             assert np.all(batch <= bound)
             if offset <= -3e5:  # below the minimum: no window reaches resonance
                 assert np.all(bound < 0.7)
@@ -324,5 +326,56 @@ def test_bound_is_never_below_the_batch(case, detuning_widths, log_dz, tau, spre
         batch = mw.averaged_probability_batch(centers, dz, pulse, cfg)
     except mw.QuadratureError:
         return  # outside the rule's reach; nothing to bound
-    bound = probability.averaged_probability_bound(centers, dz, pulse, cfg)
+    bound = probability.averaged_probability_bound(centers, centers, dz, pulse, cfg)
     assert np.all(batch <= bound)
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # detuning flat to rounding across a bin, at the Na23 minimum
+    case=(_NA23_2T, 1, _NA23_MINIMUM), detuning_widths=-1.0, log_dz=-7.0,
+    tau=3.524927531590408e-05, layout="tied", spread=0.0, n=2,
+)
+@given(
+    case=_bound_cases(),
+    detuning_widths=st.floats(-30.0, 30.0),
+    log_dz=st.floats(-7.0, -4.0),
+    tau=st.floats(2e-6, 5e-5),
+    layout=st.sampled_from(["spread", "one", "tied", "multiple"]),
+    spread=st.floats(0.0, 200.0),
+    n=st.integers(2, 400),
+)
+def test_bin_bound_is_never_below_an_atoms_own_bound(
+    case, detuning_widths, log_dz, tau, layout, spread, n
+):
+    """phase_space's per-bin bound against each atom's own, on every layout.
+
+    "one" is a single atom and "tied" n atoms at one position (one bin).
+    "multiple" puts n - 1 atoms at a dyadic position and one 2 bins above,
+    a span that is exactly 2 bin widths, so the top atom's k equals the
+    span over the width.
+    """
+    cfg, sigma, z_ref = case
+    branch = mw.StretchedBranch(sigma)
+    omega = float(mw.transition_angular_frequency(branch, z_ref, cfg))
+    pulse = mw.PulseSpec(
+        t0=0.0, tau=tau, omega_A=omega + detuning_widths * math.pi / tau, branch=branch
+    )
+    dz = 10.0**log_dz
+    if layout == "multiple":
+        dz = 2.0 ** round(math.log2(dz))
+        z_ref = round(z_ref * 2.0**30) / 2.0**30
+        n = 16
+    z = {
+        "spread": z_ref + dz * spread * np.sin(np.arange(n)),
+        "one": np.array([z_ref]),
+        "tied": np.full(n, z_ref),
+        "multiple": z_ref + dz / 8.0 * np.array([0.0] * 15 + [2.0]),
+    }[layout]
+    if layout == "multiple":
+        w = max(phase_space._TABLE_STEP * dz, (z.max() - z.min()) / (z.size / 8))
+        assert (z.max() - z.min()) / w == 2.0
+
+    def bound(lo, hi):
+        return probability.averaged_probability_bound(lo, hi, dz, pulse, cfg)
+
+    assert np.all(phase_space._bin_bound(z, dz, bound) >= bound(z, z))
