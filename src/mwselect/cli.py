@@ -57,9 +57,9 @@ from .probability import RULE_ORDER, transition_probability
 from .selection import select, validity_diagnostic, velocity_width
 
 _TWO_PI = 2.0 * np.pi
-# Rows formatted at a time.  A float column's temporaries then peak near
-# 0.75 MB and a block's table near 0.9 MB, small enough to be reused from
-# the heap instead of being mapped and faulted in afresh for every block.
+# Rows formatted at a time.  A block's row table then stays near 1 MB and
+# its temporaries near 0.1 MB each, small enough to be reused from the heap
+# instead of being mapped and faulted in afresh for every block.
 _CSV_BLOCK = 8192
 # Opened without truncation: freeing a file's old blocks is slow under discard.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -75,20 +75,38 @@ def _format_cell(value) -> str:
     return f"{float(value):.16e}"
 
 
-# The "%.16e" kernel.  For |x| in [1e-11, 1e17), k = floor(log10|x|) and
-# q = 16 - k lie in [0, 27], and 10**q = 2**q * 5**q with 5**27 < 2**64 is
-# exact in an x87 extended or IEEE quad long double.  Its product with |x|,
-# y in [1e16, 1e17), is then within half an ulp of the exact Y = |x| * 10**q,
-# and that ulp, at most 2**-7, divides 1/2.  So unless y is itself a tie (a
-# half-integer), Y lies on the same side of every tie as y, and rint(y) is
-# Y rounded to the 17-digit mantissa.  It stays below 1e17: the largest
-# double below each power of ten up to 1e17 is more than 4e-17 below it.
-# NaN is written as "nan"; every other value goes through _format_cell, as
-# does every value on a platform with another long double.
-_EXACT = np.finfo(np.longdouble).nmant in (63, 112)
-_POW10 = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))
-_FIELD = 24  # widest cell: "-4.9406564584124654e-324"
-_U64 = np.uint64
+# The "%.16e" kernel, in float64 alone.  For |x| in [1e-29, 1e17), k =
+# floor(log10|x|) and q = 16 - k lie in [0, 45], and 10**q = 2**q * 5**q
+# with 5**q < 2**105 is exactly the double-double _POW_HI[q] + _POW_LO[q].
+# Dekker's product of |x| and _POW_HI[q], each split in halves by
+# Veltkamp, is exact: |x| * _POW_HI[q] = p + e.  So the exact Y = |x| *
+# 10**q is p + e + |x| * _POW_LO[q], and p is an integer where Y >= 1e16.
+# With r = fl(e + fl(|x| * _POW_LO[q])) and n = rint(r), f = r - n is exact
+# and within 3e-15 of Y - (p + n): where Y < 1e17 < 2**57, |e| <= 8 and
+# |x| * _POW_LO[q] < 12, so each of the two roundings is at most 2**-49.
+# Unless f lies within _TIE of +-1/2, p + n is Y rounded to the 17-digit
+# mantissa.  log10 can pick the wrong decade next to a power of ten; the
+# mantissa is then 10**17 (as it is when Y rounds up to 10**17), below
+# 10**16, or 10**16 with Y just below it, which f < 0 shows: the doubles
+# next to each power of ten in range are at least 1.1e-18 of it away, so
+# there |Y - 1e16| >= 0.011.  Every value left out goes through
+# _format_cell.
+_TIE = 2.0**-46
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant for float64
+_POW_HI = np.array([float(10**q) for q in range(46)])
+_POW_LO = np.array([float(10**q - int(h)) for q, h in enumerate(_POW_HI)])
+_MIN_EXP = -29
+# every integer op pairs equal dtypes: before NEP 50 an array op with a
+# Python int or a narrower scalar chose its dtype from the scalar's value
+_M16, _M17, _M8 = np.int64(10**16), np.int64(10**17), np.int64(10**8)
+_U8, _QUAD = np.uint32(10**8), np.uint32(10_000)
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo, each with at most 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _words(texts) -> np.ndarray:
@@ -96,92 +114,50 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
 
 
-# A fast-path cell is six words: NUL, sign or NUL, the lead digit and the
-# point; four groups of four digits; and the exponent.  An integer cell is
-# one to three groups.  _GROUPS holds each group's word first as a leading
-# group, with a NUL for each leading zero (0 keeps its "0"), then with all
-# four digits, as _QUADS.
-_HEADS = _words(f"\0{sign}{d}." for sign in ("\0", "-") for d in range(10))
-_QUAD = np.uint32(10_000)
+# A cell's first byte is its lead: the "," before it or, in a row's first
+# cell, the "\n" that ends the row before.  A fast-path float cell is six
+# words: the lead, sign or NUL, the lead digit and the point; four groups
+# of four digits; and the exponent.  An integer cell is one to three groups.
+# _GROUPS holds each group's word first as a leading group, with a NUL for
+# each leading zero (0 keeps its "0"), then with all four digits, as _QUADS.
+_LEADS = ("\n", ",")
+_HEADS = {lead: _words(f"{lead}{sign}{d}." for sign in ("\0", "-") for d in range(10))
+          for lead in _LEADS}
+_NANS = {lead: _words([f"{lead}nan"]) for lead in _LEADS}
 _DIGITS = np.arange(_QUAD)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-_LEADS = np.where(np.arange(_QUAD)[:, None] < [1000, 100, 10, 0], 0, _DIGITS)
-_GROUPS = np.vstack([_LEADS, _DIGITS]).astype(np.uint8).view(np.uint32).ravel()
+_TOP = np.where(np.arange(_QUAD)[:, None] < [1000, 100, 10, 0], 0, _DIGITS)
+_GROUPS = np.vstack([_TOP, _DIGITS]).astype(np.uint8).view(np.uint32).ravel()
 _QUADS = _GROUPS[_QUAD:]
-_TAILS = _words(f"e{e:+03d}" for e in range(-11, 17))
-_NAN = np.frombuffer(b"nan", np.uint8)
+_TAILS = _words(f"e{e:+03d}" for e in range(_MIN_EXP, 17))
+_FLOAT_WORDS = 6
 
 
 def _mantissas(x: np.ndarray):
-    """(ok, mant, exp): x = mant * 10**(exp - 16) to 17 digits where ok."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.floor(np.log10(np.abs(x)))
-    ok = (k >= -11) & (k <= 16) & _EXACT
-    a = np.where(ok, np.abs(x), 1.0).astype(np.longdouble)
-    q = np.where(ok, 16 - k, 16).astype(np.intp)
-    y = a * _POW10[q]
-    # log10 can be one off next to a power of ten: those go to _format_cell
-    ok &= (y >= 1e16) & (y < 1e17)
-    nearest = np.rint(y)
-    # y - rint(y) is exact and, for y >= 1e16 > 2**53, a multiple of
-    # ulp(y) >= 2**-10 on x87, so float64 holds it exactly.  On quad it can
-    # round up to 0.5, which only sends a non-tie to _format_cell.
-    ok &= np.abs((y - nearest).astype(np.float64)) < 0.5
-    return ok, np.where(ok, nearest, 1e16).astype(_U64), 16 - q
+    """(ok, mant, exp): |x| = mant * 10**(exp - 16) to 17 digits where ok.
 
-
-def _float_column(values: np.ndarray) -> np.ndarray:
-    """Each float's "%.16e" text as a NUL-padded uint8 row.
-
-    The rows are _FIELD bytes wide, or 3 when every value is NaN.
+    x holds no NaN.  Where not ok, mant is 10**16 and exp is in [-29, 16].
     """
-    x = np.asarray(values, dtype=np.float64)
-    nan = np.isnan(x)
-    if nan.all():
-        return np.broadcast_to(_NAN, (len(x), len(_NAN)))
-    some_nan = nan.any()
-    numbers = x[~nan] if some_nan else x
-    ok, mant, exp = _mantissas(numbers)
-    # every integer op pairs equal dtypes: before NEP 50 a uint32 array times
-    # a uint64 scalar that fits in 32 bits stayed uint32 and overflowed
-    hi = mant // _U64(10**8)
-    lo = (mant - hi * _U64(10**8)).astype(np.uint32)
-    lead, hi = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
-    words = np.empty((_FIELD // 4, len(numbers)), np.uint32)
-    np.take(_HEADS, lead + 10 * (numbers < 0), out=words[0])
-    for row, group in enumerate((*np.divmod(hi, _QUAD), *np.divmod(lo, _QUAD))):
-        np.take(_QUADS, group, out=words[row + 1])
-    np.take(_TAILS, exp + 11, out=words[5])
-    cells = np.ascontiguousarray(words.T)
-    slow = np.flatnonzero(~ok)
-    if slow.size:
-        text = _text_column(numbers[slow].tolist())
-        cells[slow] = 0
-        cells.view(np.uint8)[slow, : text.shape[1]] = text
-    if some_nan:
-        out = np.zeros((len(x), _FIELD // 4), np.uint32)
-        out[~nan] = cells
-        out.view(np.uint8)[nan, : len(_NAN)] = _NAN
-        cells = out
-    return cells.view(np.uint8)
-
-
-def _int_column(values: np.ndarray) -> np.ndarray:
-    """Integers in [0, 2**32) as right-aligned, NUL-padded uint8 rows.
-
-    Each four-digit group is one word of _GROUPS: NUL above a value's
-    leading group, its leading-group word there and _QUADS below it.
-    """
-    # every operand is uint32, as in _float_column
-    v = np.asarray(values).astype(np.uint32)
-    width = len(str(int(v.max())))
-    groups = -(-width // 4)
-    words = np.empty((groups, len(v)), np.uint32)
-    for row in range(groups):
-        upto = v // np.uint32(10 ** (4 * (groups - 1 - row)))
-        np.take(_GROUPS, np.where(upto < _QUAD, upto, upto % _QUAD + _QUAD), out=words[row])
-        if row < groups - 1:
-            words[row, upto == 0] = 0
-    return np.ascontiguousarray(words.T).view(np.uint8)[:, 4 * groups - width :]
+    a = np.abs(x)
+    # values out of range (0, subnormals, huge, infinite) make infinities
+    # and NaNs below, which are discarded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.floor(np.log10(a))
+        exp = np.clip(k, _MIN_EXP, 16)
+        ok = exp == k
+        q = (16 - exp).astype(np.intp)
+        big = np.take(_POW_HI, q)
+        p = a * big
+        a_hi, a_lo = _halves(a)
+        b_hi, b_lo = _halves(big)
+        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        r = e + a * np.take(_POW_LO, q)
+        n = np.rint(r)
+        f = r - n
+        mant = p.astype(np.int64) + n.astype(np.int64)
+    # |f| <= 1/2, so this leaves out every f within _TIE of +-1/2
+    ok &= np.abs(f) < 0.5 - _TIE
+    ok &= (mant < _M17) & ((mant > _M16) | ((mant == _M16) & (f >= 0.0)))
+    return ok, np.where(ok, mant, _M16), exp.astype(np.intp)
 
 
 def _text_column(cells) -> np.ndarray:
@@ -190,32 +166,121 @@ def _text_column(cells) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), -1)
 
 
-def _column(cells) -> np.ndarray:
-    """A column's _format_cell text as NUL-padded uint8 rows."""
+def _put_text(out: np.ndarray, rows, lead: str, text: np.ndarray) -> None:
+    """Write each text row, after lead and NUL-padded, over out[rows] (uint32)."""
+    cells = np.zeros((len(text), out.shape[1] * 4), np.uint8)
+    cells[:, 0] = ord(lead)
+    cells[:, 1 : 1 + text.shape[1]] = text
+    out[rows] = cells.view(np.uint32)
+
+
+def _float_cells(x: np.ndarray, lead: str):
+    """(words, write) for a float column; see _cells.
+
+    A column that is all NaN is one NaN word a row.  Any other has the six
+    words of a fast-path cell, or seven for a 24-character one from
+    _format_cell; its NaN rows are a NaN word and NULs, and only its other
+    rows are formatted.
+    """
+    nan = np.isnan(x)
+    finite = None
+    if nan.any():
+        if nan.all():
+            return 1, lambda out: np.copyto(out, _NANS[lead])
+        finite = np.flatnonzero(~nan)
+        x = x[finite]
+    ok, mant, exp = _mantissas(x)
+    slow = np.flatnonzero(~ok)
+    text = _text_column(x[slow].tolist()) if slow.size else None
+    words = _FLOAT_WORDS if text is None else max(_FLOAT_WORDS, text.shape[1] // 4 + 1)
+
+    def write(out):
+        slot = out if finite is None else np.empty((len(x), words), np.uint32)
+        top = mant // _M8
+        lo = (mant - top * _M8).astype(np.uint32)
+        top = top.astype(np.uint32)
+        digit = top // _U8
+        hi = top - digit * _U8
+        at = words - _FLOAT_WORDS
+        slot[:, :at] = 0
+        slot[:, at] = np.take(_HEADS[lead], digit + np.uint32(10) * (x < 0))
+        for i, group in enumerate((hi, lo)):
+            upper = group // _QUAD
+            slot[:, at + 1 + 2 * i] = np.take(_QUADS, upper)
+            slot[:, at + 2 + 2 * i] = np.take(_QUADS, group - upper * _QUAD)
+        slot[:, at + 5] = np.take(_TAILS, exp - _MIN_EXP)
+        if slow.size:
+            _put_text(slot, slow, lead, text)
+        if finite is not None:
+            out[:, 0] = _NANS[lead]
+            out[:, 1:] = 0
+            out[finite] = slot
+
+    return words, write
+
+
+def _int_cells(v: np.ndarray, lead: str):
+    """(words, write) for integers in [0, 2**32); see _cells.
+
+    Each four-digit group is one word of _GROUPS: NUL above a value's
+    leading group, its leading-group word there and _QUADS below it.  The
+    digits are right-aligned, so the first byte is a NUL for every value
+    and takes the lead.
+    """
+    v = v.astype(np.uint32)
+    width = len(str(int(v.max())))
+    groups = -(-width // 4)
+    words = width // 4 + 1
+
+    def write(out):
+        out[:, : words - groups] = 0
+        above = None
+        for row in range(groups):
+            scale = 10 ** (4 * (groups - 1 - row))
+            upto = v // np.uint32(scale) if scale > 1 else v
+            index = upto
+            if above is not None:
+                group = upto - above * _QUAD
+                index = np.where(above > 0, group + _QUAD, group)
+            col = out[:, words - groups + row]
+            col[:] = np.take(_GROUPS, index)
+            if row < groups - 1:
+                col[upto == 0] = 0
+            above = upto
+        out.view(np.uint8)[:, 0] = ord(lead)
+
+    return words, write
+
+
+def _cells(cells, lead: str):
+    """(words, write) for a column of cells.
+
+    write(out) puts each cell's lead and _format_cell text, NUL-padded,
+    in a (rows, words) uint32 slot.
+    """
     values = np.asarray(cells)
     if values.dtype.kind == "f":
-        return _float_column(values)
+        return _float_cells(values.astype(np.float64, copy=False), lead)
     if values.dtype.kind in "biu" and not (values < 0).any():
         if int(values.max()) < 2**32:
-            return _int_column(values)
-    return _text_column(cells)
+            return _int_cells(values, lead)
+    text = _text_column(cells)
+    return text.shape[1] // 4 + 1, lambda out: _put_text(out, slice(None), lead, text)
 
 
-def _lines(columns: list[np.ndarray]) -> bytes:
-    """CSV lines as bytes from NUL-padded uint8 columns of equal length.
+def _lines(columns: list) -> bytes:
+    """Each row's cells, led by "\n" and then ",", as bytes.
 
-    Every byte of the table is written, so it needs no zeroing; the NULs
-    drop out in the one compress that also makes the bytes.
+    Every byte of the row table is written, so it needs no zeroing; the
+    NULs drop out in the one pass that also makes the bytes.
     """
-    width = sum(c.shape[1] + 1 for c in columns)
-    table = np.empty((len(columns[0]), width), np.uint8)
+    cells = [_cells(col, _LEADS[i > 0]) for i, col in enumerate(columns)]
+    table = np.empty((len(columns[0]), sum(words for words, _ in cells)), np.uint32)
     at = 0
-    for col in columns:
-        table[:, at : at + col.shape[1]] = col
-        at += col.shape[1] + 1
-        table[:, at - 1] = ord(",")
-    table[:, -1] = ord("\n")
-    return table[table != 0].tobytes()
+    for words, write in cells:
+        write(table[:, at : at + words])
+        at += words
+    return table.tobytes().translate(None, b"\0")
 
 
 def _csv(header: list[str], columns: list) -> bytes:
@@ -224,10 +289,11 @@ def _csv(header: list[str], columns: list) -> bytes:
     A column is an array or a sequence of cells; every cell reads as
     _format_cell writes it.
     """
-    blocks = [(",".join(header) + "\n").encode()]
+    blocks = [",".join(header).encode()]
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         rows = slice(start, start + _CSV_BLOCK)
-        blocks.append(_lines([_column(col[rows]) for col in columns]))
+        blocks.append(_lines([col[rows] for col in columns]))
+    blocks.append(b"\n")
     return b"".join(blocks)
 
 

@@ -118,10 +118,12 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=64)
 def _packet_rule(
     dz: float, order: int, window_sigmas: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Node offsets, combined weights (density * quadrature weight), half-window."""
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Node offsets, combined weights (density * quadrature weight), half-window
+    and the weights' sum; cached, so the arrays are read-only."""
     if not dz > 0.0:
         raise ValueError("dz must be positive")
     _check_window(window_sigmas)
@@ -129,7 +131,9 @@ def _packet_rule(
     half = window_sigmas * dz
     offsets = half * nodes
     gauss = np.exp(-0.5 * (offsets / dz) ** 2) / (math.sqrt(2.0 * math.pi) * dz)
-    return offsets, gauss * weights * half, half
+    factors = gauss * weights * half
+    offsets.flags.writeable = factors.flags.writeable = False
+    return offsets, factors, half, float(np.sum(factors))
 
 
 def averaged_probability_batch(
@@ -183,7 +187,7 @@ def _rule_sum(centers, rule, pulse, cfg) -> np.ndarray:
     summed independently, so the block size does not change a bit of the
     result.
     """
-    offsets, factors, _ = rule
+    offsets, factors = rule[:2]
     out = np.empty(centers.size)
     for start in range(0, centers.size, _BLOCK):
         block = centers[start:start + _BLOCK, None] + offsets[None, :]
@@ -262,7 +266,7 @@ def averaged_probability_bound(
     which keeps its bound at or above every center's in it.  detuning and
     its slope are each evaluated once, over both window ends.
     """
-    _, factors, half = _packet_rule(dz, RULE_ORDER, window_sigmas)
+    _, _, half, weight = _packet_rule(dz, RULE_ORDER, window_sigmas)
     a = np.ravel(lo) - half
     b = np.ravel(hi) + half
     ends = np.concatenate((a, b))
@@ -283,4 +287,4 @@ def averaged_probability_bound(
     delta_min = np.maximum(delta_min - roundoff * scale, 0.0)
     w0 = pulse.coupling_omega0
     envelope = 4.0 * w0 * w0 / (delta_min * delta_min + 4.0 * w0 * w0)
-    return envelope * (float(np.sum(factors)) + _BOUND_ROUNDOFF)
+    return envelope * (weight + _BOUND_ROUNDOFF)

@@ -785,6 +785,43 @@ def _rowwise_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SIMULATION_HEADER = ["atom_index", "z0_m", "v0_m_s", "survived_first", "survived_both",
+                      "z_final_m", "v_final_m_s"]
+
+
+def _rowwise_simulation_csv(result) -> bytes:
+    rows = zip(range(result.n_total), result.z0, result.v0, result.survived_first,
+               result.survived_both, result.z_final, result.v_final)
+    return _rowwise_csv(_SIMULATION_HEADER, rows).encode()
+
+
+def _sparse_result(rng):
+    """A result whose z_final and v_final are NaN but in a few rows.
+
+    At 4096-row blocks the first block has no finite row, the second one
+    (z_final alone), the third two, its first and last rows, with zeros,
+    subnormals and 1e300 among them, and the fifth and sixth about 40
+    each, one of them finite in v_final too.
+    """
+    from types import SimpleNamespace
+
+    n = 24_576 + 13
+    z_final, v_final = np.full(n, np.nan), np.full(n, np.nan)
+    z_final[5000] = 1.5e-3
+    z_final[[8192, 12287]] = (-0.0, 1e300)
+    v_final[[8192, 12287]] = (5e-324, -2.5e-320)
+    many = np.sort(rng.choice(np.arange(16384, 24576), 80, replace=False))
+    z_final[many] = rng.standard_normal(80) * 1e-3
+    v_final[many[17]] = -7.25e-5
+    z_final[-1] = 0.25
+    first = rng.random(n) < 0.5
+    return SimpleNamespace(
+        n_total=n, z0=rng.standard_normal(n) * 1e-3, v0=0.7 + rng.standard_normal(n) * 1e-2,
+        survived_first=first, survived_both=first & ~np.isnan(z_final),
+        z_final=z_final, v_final=v_final,
+    )
+
+
 def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
     """The block-wise writer gives the bytes of the row-wise reference.
 
@@ -792,7 +829,8 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
     all finite in the second and all NaN in the third; at the default
     block size the all-NaN rows follow a mixed block.  atom_index goes
     from 9 to 10, 99 to 100 and 9999 to 10000 inside a block and, at one
-    row a block, across block boundaries.
+    row a block, across block boundaries.  A second result is sparse in
+    z_final and v_final (see _sparse_result).
     """
     from types import SimpleNamespace
 
@@ -817,14 +855,11 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
         z_final=np.where(both, values * 0.5, np.nan),
         v_final=np.where(both, -values, np.nan),
     )
-    header = ["atom_index", "z0_m", "v0_m_s", "survived_first", "survived_both",
-              "z_final_m", "v_final_m_s"]
-    rows = zip(range(n), result.z0, result.v0, first, both,
-               result.z_final, result.v_final)
-    want = _rowwise_csv(header, rows).encode()
-    for block in (cli._CSV_BLOCK, 4096, 7, 1):
-        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-        assert cli.simulation_csv(result) == want
+    for result in (result, _sparse_result(rng)):
+        want = _rowwise_simulation_csv(result)
+        for block in (cli._CSV_BLOCK, 4096, 7, 1):
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+            assert cli.simulation_csv(result) == want
 
 
 _INT_TOPS = [0, 1, 9, 10, 10**7, 2**32 - 1, 2**32, 10**19, 2**64 - 1]
@@ -841,21 +876,23 @@ def test_integer_column_matches_format_cell(monkeypatch, dtype, top):
     from mwselect import cli
 
     used = []
-    int_column = cli._int_column
-    monkeypatch.setattr(cli, "_int_column", lambda v: used.append(1) or int_column(v))
+    int_cells = cli._int_cells
+    monkeypatch.setattr(cli, "_int_cells", lambda *a: used.append(1) or int_cells(*a))
     values = np.array(sorted({0, 1, top // 3, top - (top > 0), top}), dtype=dtype)
-    table = cli._column(values)
-    cells = [bytes(row[row != 0]).decode() for row in table]
-    assert cells == [cli._format_cell(v) for v in values.tolist()]
+    assert _csv_cells(values) == [cli._format_cell(v) for v in values.tolist()]
     assert used == ([1] if top < 2**32 else [])
 
 
-def _kernel_cells(values) -> list[str]:
-    """What the "%.16e" kernel writes for each value, NUL padding removed."""
+def _csv_cells(values) -> list[str]:
+    """The cells _csv writes for one column of values."""
     from mwselect import cli
 
-    table = cli._float_column(np.asarray(values, dtype=np.float64))
-    return [bytes(row[row != 0]).decode() for row in table]
+    return cli._csv(["x"], [values]).decode().split("\n")[1:-1]
+
+
+def _kernel_cells(values) -> list[str]:
+    """What the "%.16e" kernel writes for each value."""
+    return _csv_cells(np.asarray(values, dtype=np.float64))
 
 
 def _reference_cells(values) -> list[str]:
@@ -872,15 +909,15 @@ def test_float_kernel_matches_format_cell_for_any_bit_pattern(bits):
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.floats(1e-12, 1e17) | st.floats(-1e17, -1e-12),
+@given(values=st.lists(st.floats(1e-30, 1e17) | st.floats(-1e17, -1e-30),
                        min_size=1, max_size=64))
 def test_float_kernel_matches_format_cell_in_the_fast_range(values):
     assert _kernel_cells(values) == _reference_cells(values)
 
 
 # Doubles whose long-double product |x| * 10**q lands exactly on a
-# half-integer while the exact product does not: rint would round them
-# to the even neighbour, one unit off in the 17th digit.
+# half-integer while the exact product does not: rounding that product
+# would give the even neighbour, one unit off in the 17th digit.
 _LONG_DOUBLE_TIES = [
     0.43042710632523073, 80604300759.26736, 41.98962885468695,
     4.749231150374778e-10, 16280065.250188, 967914518.5979359,
@@ -889,7 +926,7 @@ _LONG_DOUBLE_TIES = [
 
 
 def test_float_kernel_edge_values():
-    decades = [10.0**j for j in range(-12, 18)]
+    decades = [10.0**j for j in range(-31, 18)]
     edges = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
              1e15 + 0.25, np.nan, -np.nan, np.inf, -np.inf, *_LONG_DOUBLE_TIES]
     for d in decades:
@@ -898,22 +935,57 @@ def test_float_kernel_edge_values():
     assert _kernel_cells([1e15 + 0.25]) == ["1.0000000000000002e+15"]
 
 
+def _near_ties(rng) -> list[float]:
+    """Doubles nearest to (m + 1/2) * 10**(k - 16), and their neighbours.
+
+    Random 17-digit m at every k from -31 to 17, and exact ties: for odd t
+    with t * 5**j in [2e16, 2e17) and 2 <= j <= 24, t / 2**(j + 1) is
+    (m + 1/2) * 10**-j with m = (t * 5**j - 1) / 2.
+    """
+    from fractions import Fraction
+
+    ties = []
+    for k in range(-31, 18):
+        for m in rng.integers(10**16, 10**17, 8).tolist():
+            ties.append(float(Fraction(2 * m + 1, 2) * Fraction(10) ** (k - 16)))
+    for j in range(2, 25):
+        for _ in range(4):
+            t = int(rng.integers(2 * 10**16 // 5**j, 2 * 10**17 // 5**j)) | 1
+            ties.append(t / 2.0 ** (j + 1))
+    return [v for tie in ties for v in (np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf))]
+
+
+def _is_tie(value: float) -> bool:
+    """Whether value's exact decimal is 18 digits ending in 5, halfway between two 17-digit ones."""
+    from decimal import Decimal
+
+    digits = "".join(map(str, Decimal(value).as_tuple().digits)).rstrip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+def test_float_kernel_matches_format_cell_next_to_ties():
+    values = _near_ties(np.random.default_rng(22))
+    values += [-v for v in values]
+    assert sum(map(_is_tie, values)) >= 2 * 23 * 4
+    assert _kernel_cells(values) == _reference_cells(values)
+
+
 @pytest.mark.parametrize("cloud", [[], ['ensemble.z_rms="20 um"', 'ensemble.v_rms="2 mm/s"']],
                          ids=["thermal", "matched"])
-def test_simulate_csv_is_the_same_without_the_fast_path(monkeypatch, tmp_path, cloud):
-    from mwselect import cli
+def test_simulate_csv_is_the_same_without_the_fast_path(tmp_path, cloud):
+    """simulate --csv writes the bytes of the row-wise _format_cell reference."""
+    from mwselect.phase_space import run_monte_carlo
 
-    def simulate(name):
-        sets = ["ensemble.n=20000", "ensemble.seed=11", *cloud]
-        argv = ["simulate", str(_SHIPPED), *[a for s in sets for a in ("--set", s)],
-                "--csv", str(tmp_path / name), "-o", str(tmp_path / "out.json")]
-        assert main(argv) == 0
-        return (tmp_path / name).read_bytes()
-
-    fast = simulate("fast.csv")
-    monkeypatch.setattr(cli, "_EXACT", False)
-    assert not cli._mantissas(np.array([1.0, 2.5e-3]))[0].any()
-    assert simulate("slow.csv") == fast
+    sets = ["ensemble.n=20000", "ensemble.seed=11", *cloud]
+    argv = ["simulate", str(_SHIPPED), *[a for s in sets for a in ("--set", s)],
+            "--csv", str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    run = cf.load_config(_SHIPPED, sets)
+    field = cf.to_field_config(run)
+    first, second = cf.to_pulses(run, field)
+    result = run_monte_carlo(cf.to_ensemble_spec(run), first, second, field,
+                             window_sigmas=run.quadrature.window_sigmas)
+    assert (tmp_path / "atoms.csv").read_bytes() == _rowwise_simulation_csv(result)
 
 
 @pytest.mark.parametrize("command,path", [("scan", "scan.points"),

@@ -155,6 +155,17 @@ def test_detail_returns_quadrature_info(cfg, pulse_first):
     assert error == abs(value - float(coarse))
 
 
+def test_packet_rule_is_cached_and_read_only():
+    """One rule per (dz, order, window); callers share its arrays, so none may write them."""
+    rule = probability._packet_rule(3e-6, 201, 8.0)
+    assert probability._packet_rule(3e-6, 201, 8.0) is rule
+    offsets, factors, half, weight = rule
+    assert half == 8.0 * 3e-6 and weight == float(np.sum(factors))
+    for array in (offsets, factors):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_window_sigmas_sets_the_window(cfg, pulse_first):
     # 15 um off resonance, the 5.5-width tail on the resonant side flips
     packet = _packet(15e-6, 3e-6)
@@ -232,7 +243,7 @@ def test_probability_clamped_to_unit_interval(cfg, pulse_first):
 
 def _rule_without_check(centers, dz, pulse, cfg, order=201):
     """The batch rule's sum, bypassing its wide-packet check."""
-    offsets, factors, _ = probability._packet_rule(dz, order, 8.0)
+    offsets, factors = probability._packet_rule(dz, order, 8.0)[:2]
     vals = mw.point_probability(centers[:, None] + offsets[None, :], pulse, cfg)
     return np.sum(vals * factors[None, :], axis=1)
 
