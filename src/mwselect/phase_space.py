@@ -26,18 +26,26 @@ from .errors import LevelMismatchError
 from .probability import (
     averaged_probability_batch,
     averaged_probability_bound,
+    averaged_probability_table,
     interpolation_tolerance,
 )
 from .selection import PulseSpec, SelectionResult, detuning, select
 
-_TABLE_STEP = 0.125  # largest grid step of a pulse's probability table, in dz
-# Fixed cost of one averaged_probability_batch call, in rule rows: 35 us at 1 row
-# against ~5 us per row at 128 (660 us; 2-core AMD EPYC, Python 3.11.7, numpy 2.4.6)
-_CALL_ROWS = 8
+_TABLE_STEP = 0.0625  # largest grid step of a pulse's probability table, in dz
+_BIN_STEP = 0.125  # smallest bin of the Rabi-envelope bound (_bin_bound), in dz
+# Cost of one table grid point, in direct rows: ~30 ns a point against ~2.3 us
+# a row of an averaged_probability_batch call of 1-32 rows (2-core AMD EPYC,
+# Python 3.11.7, numpy 2.4.6)
+_POINT_ROWS = 1 / 64
+# Fixed cost of one table call, in direct rows: 31 us at 2 points, with the
+# 2*128 points of its convolution's ends at window_sigmas = 8 (same host)
+_TABLE_ROWS = 14
 # Atoms above which a pulse bins them for the Rabi-envelope bound (_bin_bound).
 # Binning adds a bound call, 40 us at 1 atom against ~19 ns per atom at 2000
-# (about 2100 atoms' worth), and a pass over the atoms: on both benchmark
-# clouds it paid from 3000-4000 atoms (same host as _CALL_ROWS)
+# (about 2100 atoms' worth), and a pass over the atoms.  With the cached rule
+# and the convolution table, pulse 1 cost the same binned or not at 4000
+# thermal atoms (236 us) and at 3000-4000 matched ones, and binning was
+# 11-19% ahead at 6000-8000: the break-even is 3500-4000 atoms (same host)
 _BIN_ATOMS = 4096
 
 # Largest ensemble.n and scan.points.  At its peak a run holds about 250
@@ -313,58 +321,57 @@ def _draws(spec: EnsembleSpec) -> tuple[np.ndarray, ...]:
     return (z, v, *(rng.random(n) for rng in streams[2:]))
 
 
-def _grid_points(lo: float, hi: float, n: int, dz: float) -> int:
-    """Points of a table of step <= dz*_TABLE_STEP over [lo, hi], at most n + 1."""
-    return math.ceil(min((hi - lo) / (_TABLE_STEP * dz), n)) + 1
-
-
 def _densest_run(z: np.ndarray, dz: float) -> tuple[float, float, int]:
-    """Ends and grid points of the sorted run of z a table saves most rows on.
+    """Ends and atoms of the sorted run of z a table saves most on.
 
-    A table over the sorted positions z_(i)..z_(j) needs about
-    (z_(j) - z_(i))/(_TABLE_STEP*dz) grid points in place of j - i + 1
-    direct rows, so with s_k = k - z_(k)/(_TABLE_STEP*dz) the run
-    maximising s_j - min_(i<=j) s_i saves the most.  A tie of z_(i) with
-    its lower neighbour, or of z_(j) with its upper one, would score one
-    less, so the run holds exactly the atoms with z_(i) <= z <= z_(j).
+    A table over the sorted positions z_(i)..z_(j) costs _POINT_ROWS
+    direct rows for each of its (z_(j) - z_(i))/(_TABLE_STEP*dz) grid
+    steps and saves j - i + 1 direct rows, so with s_k = k -
+    _POINT_ROWS*z_(k)/(_TABLE_STEP*dz) the run maximising s_j -
+    min_(i<=j) s_i saves the most.  A tie of z_(i) with its lower
+    neighbour, or of z_(j) with its upper one, would score one less, so
+    the run holds exactly the j - i + 1 atoms with z_(i) <= z <= z_(j).
     """
     ordered = np.sort(z)
     # in place where it can be: a matched cloud leaves ~45k atoms open, and
     # each fresh array that size is paged in anew
-    s = ordered / -(_TABLE_STEP * dz)
+    s = ordered * -(_POINT_ROWS / (_TABLE_STEP * dz))
     s += np.arange(z.size)
     gain = np.minimum.accumulate(s)
     j = int(np.argmax(np.subtract(s, gain, out=gain)))
     i = int(np.argmin(s[: j + 1]))
-    lo, hi = float(ordered[i]), float(ordered[j])
-    return lo, hi, _grid_points(lo, hi, j - i + 1, dz)
+    return float(ordered[i]), float(ordered[j]), j - i + 1
 
 
-def _table_run(z: np.ndarray, dz: float) -> tuple[float, float, int, np.ndarray] | None:
-    """(lo, hi, points, in_run) of the densest run of z, or None if no table pays.
+def _table_run(z: np.ndarray, dz: float) -> tuple[float, float, float] | None:
+    """(lo, hi, step) of a table over the densest run of z, or None if none pays.
 
-    The table adds a batch call, so it must save more than one's cost.
+    The table pays if its call and grid steps cost fewer direct rows than
+    the run holds atoms.  Its step is dz*_TABLE_STEP, unless that would
+    give more than 8 points per atom of the run: the table then gets a
+    coarser step (and so a wider tolerance) instead of more memory.
     """
-    lo, hi, points = _densest_run(z, dz)
-    in_run = (lo <= z) & (z <= hi)
-    if points + _CALL_ROWS < np.count_nonzero(in_run):
-        return lo, hi, points, in_run
+    lo, hi, atoms = _densest_run(z, dz)
+    if (hi - lo) / (_TABLE_STEP * dz) * _POINT_ROWS + _TABLE_ROWS < atoms:
+        return lo, hi, max(_TABLE_STEP * dz, (hi - lo) / (8 * atoms))
     return None
 
 
 def _lookup(z: np.ndarray, lo: float, step: float, table: np.ndarray) -> np.ndarray:
     """Linear interpolation at z of a table on the uniform grid lo + i*step.
 
-    The table is the rule on np.linspace(lo, hi, table.size), z lies in
-    [lo, hi], and step = (hi - lo)/(table.size - 1) (any step if one
-    point).  Each z's interval is a direct index rather than np.interp's
-    binary search; where rounding puts z one interval off, z is within
-    rounding of the grid point where the two intervals' lines meet.
+    The table holds averaged_probability_table(lo, hi, step).  Each z's
+    interval is a direct index rather than np.interp's binary search;
+    where rounding puts z one interval off, z is within rounding of the
+    grid point where the two intervals' lines meet.  Only z in [lo, hi]
+    read the table; the others get a finite value from an end interval
+    (or the one point, which a table has only if hi = lo), which the
+    caller discards.
     """
-    if table.size == 1:  # every z equals lo
+    if table.size == 1:
         return np.full(z.size, table[0])
     t = (z - lo) / step
-    i = np.minimum(t.astype(np.intp), table.size - 2)
+    i = np.clip(t, 0, table.size - 2).astype(np.intp)
     t -= i
     left = table[i]
     return left + t * (table[i + 1] - left)
@@ -373,7 +380,7 @@ def _lookup(z: np.ndarray, lo: float, step: float, table: np.ndarray) -> np.ndar
 def _bin_bound(z: np.ndarray, dz: float, bound) -> np.ndarray:
     """Each atom's Rabi-envelope bound, evaluated once per bin of atoms.
 
-    Atoms are binned at k = floor((z - z_min)/w), w = max(_TABLE_STEP*dz,
+    Atoms are binned at k = floor((z - z_min)/w), w = max(_BIN_STEP*dz,
     span/(n/8)), so there are at most n/8 + 1 bins.  A bin's bound covers
     every center from one bin below it to one above, so an atom whose k
     rounded one off still lies inside its bin's range (an edge rounded a
@@ -383,47 +390,54 @@ def _bin_bound(z: np.ndarray, dz: float, bound) -> np.ndarray:
     is below its own.
     """
     z_min, z_max = float(z.min()), float(z.max())
-    w = max(_TABLE_STEP * dz, (z_max - z_min) / (z.size / 8))
+    w = max(_BIN_STEP * dz, (z_max - z_min) / (z.size / 8))
     k = ((z - z_min) / w).astype(np.intp)
     bins = int((z_max - z_min) / w) + 1  # the top atom's k, plus one
     edges = z_min + w * np.arange(-1.0, bins + 2.0)
     return bound(edges[:-3], edges[3:])[k]
 
 
-def _binned_rows(
+def _open_rows(
     u: np.ndarray, z: np.ndarray, dz: float, bound
-) -> tuple[np.ndarray, tuple[float, float, int, np.ndarray] | None, int]:
-    """Rows the bins' bounds leave open, their run as _table_run gives it, and a count.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+    """Rows the bound pass leaves open, their z and u, which are live, and a run.
 
-    The per-atom bound is applied, in one call, to the rows outside the
-    run and to its two end atoms.  If one at or beyond each end passes,
-    the run and the direct call span the lowest to the highest per-atom
-    open atom, so the phase check raises as one call over those would; a
-    row inside the run that only its bin's bound left open is rejected by
-    the table or the average anyway (u >= its bound >= p).  Otherwise
-    every row gets its own bound and the run is found again.  The count
-    is of the rows the bins left open.
+    Up to _BIN_ATOMS atoms each gets its own bound and every row is live.
+    Above, the atoms are binned (_bin_bound) and the rows are those the
+    bins' bounds leave open; live marks the rows whose own bound leaves
+    them open, or that lie strictly inside the run and were not bounded
+    alone.  The run is (lo, hi, step) from _table_run, or None.
+
+    On a binned pulse the per-atom bound is applied, in one call, to the
+    rows outside the run and to its two end atoms.  If one at or beyond
+    each end passes, the run and the live rows outside it span the
+    lowest to the highest per-atom open atom, so the phase check raises
+    as one call over those would; a live row inside the run that only
+    its bin's bound left open is rejected by the table or the average
+    anyway (u >= its bound >= p).  Otherwise every row gets its own bound
+    and the run is found again among the live rows.
     """
+    if z.size <= _BIN_ATOMS:
+        (rows,) = np.nonzero(u < bound(z, z))
+        zr, ur = z[rows], u[rows]
+        live = np.ones(rows.size, dtype=bool)
+        return rows, zr, ur, live, _table_run(zr, dz) if rows.size else None
     (rows,) = np.nonzero(u < _bin_bound(z, dz, bound))
-    n_open = rows.size
-    if not n_open:
-        return rows, None, 0
-    zr = z[rows]
-    run = _table_run(zr, dz)
+    zr, ur = z[rows], u[rows]
+    run = _table_run(zr, dz) if rows.size else None
     if run is None:
-        return rows[u[rows] < bound(zr, zr)], None, n_open
-    lo, hi, points, in_run = run
+        return rows, zr, ur, ur < bound(zr, zr), None
+    lo, hi = run[:2]
     check = (zr <= lo) | (zr >= hi)
-    ok = ~check
-    ok[check] = u[rows[check]] < bound(zr[check], zr[check])
-    ends = zr[check & ok]
+    live = ~check
+    live[check] = ur[check] < bound(zr[check], zr[check])
+    ends = zr[check & live]
     if ends.size and ends.min() <= lo and ends.max() >= hi:
-        return rows[ok], (lo, hi, points, in_run[ok]), n_open
+        return rows, zr, ur, live, run
     # at or beyond one end of the run no atom is open: bound every row alone
     rest = ~check
-    ok[rest] = u[rows[rest]] < bound(zr[rest], zr[rest])
-    rows = rows[ok]
-    return rows, _table_run(z[rows], dz) if rows.size else None, n_open
+    live[rest] = ur[rest] < bound(zr[rest], zr[rest])
+    return rows, zr, ur, live, _table_run(zr[live], dz) if live.any() else None
 
 
 def _accept(
@@ -439,21 +453,19 @@ def _accept(
 
     In Bernoulli mode the packet average p is needed only for atoms
     with u below averaged_probability_bound: for the others u >= bound
-    >= p, so u < p is false whatever the quadrature would give.  Up to
-    _BIN_ATOMS atoms each gets its own bound; above, the atoms are
-    binned once (_binned_rows) and the count is of the rows the bins
-    left open.  The densest sorted run of the open atoms (_densest_run)
-    is tabulated on a grid of step <= dz*_TABLE_STEP if it has more
-    atoms than grid points by over _CALL_ROWS, the cost of the extra
-    batch call.  On the table, p is interpolated by a direct index into
-    the uniform grid; an atom whose u is more than
+    >= p, so u < p is false whatever the quadrature would give
+    (_open_rows; above _BIN_ATOMS atoms the count is of the rows the
+    bins left open).  The densest sorted run of the open atoms
+    (_densest_run) is tabulated, by averaged_probability_table on a grid
+    of step dz*_TABLE_STEP, if that costs fewer direct rows than the run
+    holds atoms.  On the table, p is interpolated by a direct index
+    into the uniform grid; a live atom in the run whose u is more than
     interpolation_tolerance from the interpolant is decided from it.
-    The rest, and every open atom outside the run, are averaged one by
-    one in one direct call.  So every decision equals
-    u < averaged_probability_batch(z) bit for bit, and the table and the
-    direct call span the per-atom open atoms' lowest and highest
-    positions between them, so the phase check raises QuadratureError
-    exactly when one call over every such atom would.
+    The other live atoms are averaged one by one in one direct call.  So
+    every decision equals u < averaged_probability_batch(z) bit for bit,
+    and the table and the direct call span the per-atom open atoms'
+    lowest and highest positions between them, so the phase checks raise
+    QuadratureError exactly when one call over every such atom would.
     """
     if spec.decision_mode == "band":
         return np.abs(detuning(z, pulse, cfg)) <= 2.0 * pulse.coupling_omega0, 0
@@ -463,35 +475,24 @@ def _accept(
             lo, hi, dz, pulse, cfg, window_sigmas=window_sigmas
         )
 
-    def average(centers):
-        return averaged_probability_batch(
-            centers, dz, pulse, cfg, window_sigmas=window_sigmas
-        )
-
-    if z.size > _BIN_ATOMS:
-        rows, run, n_open = _binned_rows(u, z, dz, bound)
-    else:
-        (rows,) = np.nonzero(u < bound(z, z))
-        n_open = rows.size
-        run = _table_run(z[rows], dz) if n_open else None
-    keep = np.zeros(z.size, dtype=bool)
+    rows, zr, ur, direct, run = _open_rows(u, z, dz, bound)
+    flip = np.zeros(rows.size, dtype=bool)
     if run is not None:
-        lo, hi, points, in_run = run
-        # linspace ends exactly at lo and hi, so the table's phase check
-        # covers the same span as a direct call on the run would
-        table = average(np.linspace(lo, hi, points))
-        (inside,) = np.nonzero(in_run)
-        at = rows[inside]
-        step = (hi - lo) / max(points - 1, 1)
-        approx = _lookup(z[at], lo, step, table)
+        lo, hi, step = run
+        table = averaged_probability_table(
+            lo, hi, step, dz, pulse, cfg, window_sigmas=window_sigmas
+        )
+        approx = _lookup(zr, lo, step, table)
         tol = interpolation_tolerance(step, dz, window_sigmas)
-        sure = np.abs(u[at] - approx) > tol
-        keep[at[sure]] = u[at[sure]] < approx[sure]
-        direct = ~in_run
-        direct[inside[~sure]] = True
-        rows = rows[direct]
-    keep[rows] = u[rows] < average(z[rows])
-    return keep, n_open
+        sure = direct & (lo <= zr) & (zr <= hi) & (np.abs(ur - approx) > tol)
+        np.less(ur, approx, out=flip, where=sure)
+        direct &= ~sure
+    flip[direct] = ur[direct] < averaged_probability_batch(
+        zr[direct], dz, pulse, cfg, window_sigmas=window_sigmas
+    )
+    keep = np.zeros(z.size, dtype=bool)
+    keep[rows] = flip
+    return keep, rows.size
 
 
 def run_monte_carlo(

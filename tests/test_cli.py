@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -967,6 +968,35 @@ def test_float_kernel_matches_format_cell_next_to_ties():
     values = _near_ties(np.random.default_rng(22))
     values += [-v for v in values]
     assert sum(map(_is_tie, values)) >= 2 * 23 * 4
+    assert _kernel_cells(values) == _reference_cells(values)
+
+
+# Doubles x, found by a lattice search, whose exact product |x| * 10**q with
+# q = 16 - floor(log10|x|) in [24, 29] lies within 1e-16 of a half-integer
+# but not on it: for each q and binade x = m * 2**e, m = (2**(s-1) + d) /
+# 5**q mod 2**s (s = -(e + q)) for every 0 < |d| <= 1e-16 * 2**s, kept where
+# m has 53 bits.  From q = 23 the kernel's low term |x| * _POW_LO[q] is
+# rounded, so these fractions can come out as exactly 1/2 or past it.
+_NEAR_TIES_ROUNDED_LOW = [
+    1.0076000255121024e-08, 4.95286445202696e-09, 4.974148370910348e-09,
+    1.2568395420297045e-10, 2.460469286850939e-10, 4.974148370910348e-10,
+    2.460469286850939e-11, 2.3233180180504022e-11, 2.1861667492498654e-11,
+    6.83280278535067e-11, 1.1959468262253353e-12, 3.587840478676006e-12,
+    6.83280278535067e-12, 4.440909132899999e-12, 1.1959468262253353e-13,
+    3.587840478676006e-13,
+]
+
+
+def test_float_kernel_leaves_near_ties_of_the_rounded_low_term_to_format_cell():
+    """Without the _TIE margin the kernel misrounds 9 of these 16 values."""
+    from fractions import Fraction
+
+    for x in _NEAR_TIES_ROUNDED_LOW:
+        q = 16 - math.floor(math.log10(x))
+        y = Fraction(x) * 10**q
+        gap = abs(y - math.floor(y) - Fraction(1, 2))
+        assert q >= 23 and 0 < gap <= Fraction(1, 10**16)
+    values = _NEAR_TIES_ROUNDED_LOW + [-x for x in _NEAR_TIES_ROUNDED_LOW]
     assert _kernel_cells(values) == _reference_cells(values)
 
 

@@ -584,14 +584,25 @@ def test_every_mode_decides_pulse_two_for_survivors_only(
 
 
 def _batch_calls(monkeypatch):
-    """Spy on the Monte Carlo's batch calls; returns the list of (dz, centers)."""
+    """Spy on the Monte Carlo's table and direct calls; returns a list of (dz, centers).
+
+    A table call's centers are its grid, lo + i*step, with the last
+    point, which lies up to a step past the run, moved back to the run's
+    end hi; a pulse makes its table call, if any, before its direct call.
+    """
     calls = []
 
-    def spy(centers, dz, *args, **kwargs):
+    def direct(centers, dz, *args, **kwargs):
         calls.append((dz, np.array(centers, dtype=float)))
         return mw.averaged_probability_batch(centers, dz, *args, **kwargs)
 
-    monkeypatch.setattr(phase_space, "averaged_probability_batch", spy)
+    def table(lo, hi, step, dz, *args, **kwargs):
+        out = probability.averaged_probability_table(lo, hi, step, dz, *args, **kwargs)
+        calls.append((dz, np.minimum(lo + step * np.arange(out.size), hi)))
+        return out
+
+    monkeypatch.setattr(phase_space, "averaged_probability_batch", direct)
+    monkeypatch.setattr(phase_space, "averaged_probability_table", table)
     return calls
 
 
@@ -605,27 +616,34 @@ def test_thermal_cloud_rarely_needs_quadrature(
     assert 0 < rows1 <= 0.05 * spec.n
     assert 0 < rows2 <= result.n_survived_first
     # the open atoms of a wide cloud are a dense core with sparse tails: pulse 1
-    # tabulates the core and sends the tails with the near-tolerance atoms to
-    # one direct call, so the rule runs on fewer than half of the open atoms
+    # tabulates the core and the tails up to any atom 64 steps beyond the rest,
+    # and sends such atoms with the near-tolerance ones to one direct call, so
+    # the rule and the table together cost fewer rows than half of the open atoms
     first = [centers for dz, centers in calls if dz == spec.dz0]
     assert len(first) == 2
     grid, direct = first
-    assert np.allclose(np.diff(grid), (grid[-1] - grid[0]) / (grid.size - 1))
+    assert np.allclose(np.diff(grid[:-1]), phase_space._TABLE_STEP * spec.dz0)
     z0 = phase_space._draws(spec)[0]
     assert np.isin(direct, z0).all()
-    assert grid.size + direct.size < 0.5 * rows1
-    # pulse 2 averages no more rows than the bound leaves open, in at most a
+    assert _rows(grid, direct) < 0.5 * rows1
+    # pulse 2 costs no more rows than the bound leaves open, in at most a
     # table call and a direct call
-    second = [centers.size for dz, centers in calls if dz != spec.dz0]
-    assert 1 <= len(second) <= 2 and sum(second) <= rows2
+    second = [centers for dz, centers in calls if dz != spec.dz0]
+    assert 1 <= len(second) <= 2 and _rows(*second) <= rows2
     # bookkeeping only: the summary keeps its keys
     assert not any("quadrature" in key for key in result.summary())
+
+
+def _rows(*tables_then_direct):
+    """Direct rows a pulse's calls cost: each table point _POINT_ROWS, each direct row 1."""
+    *grids, direct = tables_then_direct
+    return sum(g.size for g in grids) * phase_space._POINT_ROWS + direct.size
 
 
 def _bin_bounds(z, dz, pulse, cfg, window_sigmas=8.0):
     """Each atom's bin bound, binned as _accept bins a pulse of more than _BIN_ATOMS."""
     z_min, z_max = z.min(), z.max()
-    w = max(phase_space._TABLE_STEP * dz, (z_max - z_min) * 8.0 / z.size)
+    w = max(phase_space._BIN_STEP * dz, (z_max - z_min) * 8.0 / z.size)
     k = np.floor((z - z_min) / w)
     return probability.averaged_probability_bound(
         z_min + (k - 1.0) * w, z_min + (k + 2.0) * w, dz, pulse, cfg,
@@ -652,9 +670,12 @@ def test_matched_cloud_is_decided_from_tables(
     bound = probability.averaged_probability_bound(z0, z0, spec.dz0, pulse_first, cfg)
     z_open = z0[u1 < bound]
     assert z_open.size <= rows1
-    # the pulse-1 table covers the dense run, not the sparse ends of the span
-    whole = phase_space._grid_points(z_open.min(), z_open.max(), z_open.size, spec.dz0)
-    assert calls[0][1].size < whole
+    # the pulse-1 table spans every open atom: its sparse ends cost fewer rows
+    # as grid points than as direct rows, so the direct call holds only the
+    # atoms near the tolerance
+    grid, direct = calls[0][1], calls[1][1]
+    assert (grid[0], grid[-1]) == (z_open.min(), z_open.max())
+    assert direct.size < 0.001 * rows1
 
 
 def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
@@ -698,9 +719,9 @@ def test_thermal_core_table_matches_every_atom_reference(monkeypatch, seed, sigm
     spec = mw.EnsembleSpec(n=20000, seed=seed, sigma=sigma, **_THERMAL)
     calls = _batch_calls(monkeypatch)
     result = mw.run_monte_carlo(spec, p1, p2, cfg)
-    # the core table and the direct call at pulse 1 cover fewer rows than are open
-    first = [centers.size for dz, centers in calls if dz == spec.dz0]
-    assert len(first) == 2 and sum(first) < result.quadrature_rows[0]
+    # the core table and the direct call at pulse 1 cost fewer rows than are open
+    first = [centers for dz, centers in calls if dz == spec.dz0]
+    assert len(first) == 2 and _rows(*first) < result.quadrature_rows[0]
     want = _every_atom_averaged(spec, p1, p2, cfg, DELTA_T)
     assert result.n_survived_both > 0
     names = ("survived_first", "survived_both", "z_final", "v_final")
@@ -740,17 +761,19 @@ def test_one_sided_tail_matches_every_atom_reference(monkeypatch, sigma):
 def test_dense_run_is_tabulated_only_if_it_saves_a_call(
     monkeypatch, cfg, pulse_first, extra
 ):
-    """A run that saves _CALL_ROWS rows or fewer costs more than it saves.
+    """A run whose table costs as many direct rows as it has atoms stays direct.
 
-    Sparse atoms 2 table steps apart, too many for a table over their
-    span, flank a cluster within one step, which a 2-point table
-    covers and so saves its size minus 2 rows.
+    Sparse atoms 100 table steps apart, each farther from the next than
+    its grid points are worth (100*_POINT_ROWS > 1 row), flank a cluster
+    within one step, which a 2-point table covers at a cost of
+    _TABLE_ROWS + 2*_POINT_ROWS rows: it pays for _TABLE_ROWS + 1 atoms,
+    not for _TABLE_ROWS.
     """
-    saved = phase_space._CALL_ROWS + extra
     dz = 3e-6
     step = phase_space._TABLE_STEP * dz
-    cluster = np.linspace(0.0, 0.9 * step, saved + 2)
-    flanks = 2.0 * step * np.arange(1, 21)
+    assert 100 * phase_space._POINT_ROWS > 1
+    cluster = np.linspace(0.0, 0.9 * step, phase_space._TABLE_ROWS + extra)
+    flanks = 100.0 * step * np.arange(1, 21)
     z = np.concatenate((-flanks[::-1], cluster, 0.9 * step + flanks))
     u = np.random.default_rng(5).random(z.size)
     spec = mw.EnsembleSpec(n=z.size, seed=1, **_THERMAL)
@@ -789,22 +812,25 @@ def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
     """QuadratureError from the pulse's table and direct call, or from neither.
 
     At 25 G/cm and tau = 10 us the rule's phase limit falls near dz = 107
-    um.  There the open atoms of 200 thermal atoms are too sparse for a
-    table over their whole span, so _accept tabulates a dense run that
-    saves over _CALL_ROWS rows and sends the rest to the direct call
-    ("split"); those of 150 atoms of the cloud folded onto z <= 0 are
-    dense enough that a table over their whole span would pay
-    ("whole-span"), though a run inside it saves more.  Bisecting dz to
-    the last float where one batch call over every open atom still
-    passes, _accept must pass there and raise one float step above.
+    um, where a table step is 6.7 um and a gap of 64 steps between open
+    atoms costs a table as many rows as an atom saves.  The open atoms of
+    150 atoms of the thermal cloud folded onto z <= 0 lie closer than
+    that, so the table spans all of them and the direct call holds only
+    atoms near its tolerance ("whole-span").  Of 200 folded atoms, one
+    moved to 0.8 mm above resonance with u = 0 is open and farther than
+    that from the rest, so the table spans the others and the direct
+    call holds that atom ("split").  Bisecting dz to the last float where
+    one batch call over every open atom still passes, _accept must pass
+    there and raise one float step above.
     """
     cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
     pulse, _ = _pulse_pair(cfg, sigma, 0.0, _THERMAL["v_mean"])
     n = 200 if layout == "split" else 150
     spec = mw.EnsembleSpec(n=n, seed=seed, sigma=sigma, **_THERMAL)
     z, _, u, _ = phase_space._draws(spec)
-    if layout == "whole-span":
-        z = -np.abs(z)
+    z = -np.abs(z)
+    if layout == "split":
+        z[0], u[0] = 0.8e-3, 0.0
 
     def one_call(dz):
         rows = u < probability.averaged_probability_bound(z, z, dz, pulse, cfg)
@@ -833,13 +859,13 @@ def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
     (_, grid), (_, direct) = calls
     rows = u < probability.averaged_probability_bound(z, z, lo, pulse, cfg)
     z_open = z[rows]
-    whole = phase_space._grid_points(z_open.min(), z_open.max(), z_open.size, lo)
-    assert (whole < z_open.size) == (layout == "whole-span")
+    whole = (grid[0], grid[-1]) == (z_open.min(), z_open.max())
+    assert whole == (layout == "whole-span")
     both = np.concatenate((grid, direct))
     assert (both.min(), both.max()) == (z_open.min(), z_open.max())
 
 
-# The binned path (_binned_rows) on every size: the same exactness checks
+# The binned path of _open_rows on every size: the same exactness checks
 # with every pulse binned, however few its atoms.
 
 
@@ -880,6 +906,50 @@ def test_benchmark_clouds_match_open_atom_reference(cfg, pulse_first, pulse_seco
     assert np.count_nonzero(u1 < bound) <= result.quadrature_rows[0]
 
 
+# Each benchmark workload's simulate call, on configs/rb87_10us.yaml: its
+# --set overrides, its n, and per pulse whether the bound pass bins the
+# atoms and whether the pulse builds a table (every pulse also makes one
+# direct call, for the atoms the table leaves and those outside its run).
+_BENCHMARK_PATHS = {
+    "simulate_thermal": ([], 50000, ((True, True), (False, True))),
+    "simulate_matched": (
+        ["ensemble.z_rms=20 um", "ensemble.v_rms=2 mm/s"], 50000,
+        ((True, True), (True, True)),
+    ),
+    "cli_suite": ([], 2000, ((False, True), (False, False))),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", sorted(_BENCHMARK_PATHS))
+def test_benchmark_pulses_take_their_paths(monkeypatch, workload, seed):
+    from pathlib import Path
+
+    from mwselect import config as cf
+
+    overrides, n, want = _BENCHMARK_PATHS[workload]
+    config = Path(__file__).resolve().parents[1] / "configs" / "rb87_10us.yaml"
+    run = cf.load_config(config, [*overrides, f"ensemble.n={n}", f"ensemble.seed={seed}"])
+    fcfg = cf.to_field_config(run)
+    spec = cf.to_ensemble_spec(run)
+    binned = []
+    real_bin_bound = phase_space._bin_bound
+
+    def bin_bound(z, dz, bound):
+        binned.append(dz)
+        return real_bin_bound(z, dz, bound)
+
+    monkeypatch.setattr(phase_space, "_bin_bound", bin_bound)
+    calls = _batch_calls(monkeypatch)
+    mw.run_monte_carlo(spec, *cf.to_pulses(run, fcfg), fcfg)
+    # a table call, if any, then the direct call, per pulse
+    widths = [dz for dz, _ in calls]
+    dz2 = widths[-1]
+    assert widths[0] == spec.dz0 != dz2
+    got = tuple((dz in binned, widths.count(dz) == 2) for dz in (spec.dz0, dz2))
+    assert got == want
+
+
 @pytest.mark.parametrize("sigma", [1, -1])
 @pytest.mark.parametrize("n,bin_atoms", [(5000, None), (50, 0)])
 def test_tied_cloud_matches_open_atom_reference(monkeypatch, n, bin_atoms, sigma):
@@ -903,7 +973,7 @@ def test_superset_only_end_atom_keeps_the_pulse(monkeypatch, cfg, pulse_first, l
     """An end atom that only its bin's bound leaves open is rejected alone.
 
     80 atoms 50-60 um below resonance, all open but the lowest, whose
-    draw lies between its own bound and its bin's.  "alone": it sits 10
+    draw lies between its own bound and its bin's.  "alone": it sits 20
     um below the rest, in a bin of its own outside the run, so the run's
     lowest atom shows the run's end open.  "run-end": it is the run's
     lowest atom and none below it is open, so every row gets its own
@@ -913,7 +983,7 @@ def test_superset_only_end_atom_keeps_the_pulse(monkeypatch, cfg, pulse_first, l
     dz = 3e-6
     z = np.linspace(-60e-6, -50e-6, 80)
     if layout == "alone":
-        z[0] = -70e-6
+        z[0] = -80e-6
 
     def bound(lo, hi):
         return probability.averaged_probability_bound(lo, hi, dz, pulse_first, cfg)

@@ -264,6 +264,59 @@ def test_batch_is_accurate_up_to_its_phase_limit(cfg, pulse_first):
             assert got == pytest.approx(want, abs=1e-10)
 
 
+def _table_against_riemann(lo, hi, step, dz, pulse, cfg):
+    """Largest gap of the table to the oracle at its ends and middle, and its bound."""
+    table = probability.averaged_probability_table(lo, hi, step, dz, pulse, cfg)
+    assert lo + (table.size - 2) * step < hi <= lo + (table.size - 1) * step
+    gap = max(
+        abs(table[i] - _riemann_average(pulse, cfg, lo + i * step, dz, 8.0 * dz))
+        for i in (0, table.size // 2, table.size - 1)
+    )
+    return gap, probability._table_error(step, dz, 8.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["ensemble.z_rms=20 um", "ensemble.v_rms=2 mm/s"],
+], ids=["thermal", "matched"])
+def test_table_matches_riemann_on_benchmark_clouds(overrides):
+    """The convolution table, at dz/8 and at the Monte Carlo's step, within its charge."""
+    fcfg, picks = _benchmark_cloud_atoms(overrides)
+    for pulse, centers, dz in picks:
+        for step in (dz / 8.0, phase_space._TABLE_STEP * dz):
+            gap, charged = _table_against_riemann(
+                centers.min(), centers.max(), step, dz, pulse, fcfg
+            )
+            assert gap <= charged < 1e-11
+
+
+def test_table_is_accurate_up_to_the_phase_limit(cfg, pulse_first):
+    dz = _dz_at_phase_per_node(0.98 * probability._MAX_PHASE_PER_NODE, pulse_first, cfg)
+    assert 100e-6 < dz < 107e-6
+    for step in (dz / 8.0, phase_space._TABLE_STEP * dz):
+        gap, charged = _table_against_riemann(-2e-5, 2e-5, step, dz, pulse_first, cfg)
+        assert gap <= charged < 1e-11
+
+
+def test_table_raises_as_a_batch_over_its_span_would(cfg, pulse_first):
+    limit = probability._MAX_PHASE_PER_NODE
+    for ratio, raises in ((0.98, False), (1.02, True)):
+        dz = _dz_at_phase_per_node(ratio * limit, pulse_first, cfg)
+        ends = np.array([-dz, dz])
+        calls = (
+            lambda: mw.averaged_probability_batch(ends, dz, pulse_first, cfg),
+            lambda: probability.averaged_probability_table(
+                -dz, dz, dz / 16.0, dz, pulse_first, cfg
+            ),
+        )
+        for call in calls:
+            if raises:
+                with pytest.raises(mw.QuadratureError, match="too wide"):
+                    call()
+            else:
+                call()
+
+
 def test_batch_raises_past_its_phase_limit(cfg, pulse_first):
     centers = np.array([0.0, 5e-6, 2e-5])
     limit = probability._MAX_PHASE_PER_NODE
