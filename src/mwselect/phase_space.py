@@ -28,17 +28,19 @@ from .probability import (
     averaged_probability_bound,
     averaged_probability_table,
     interpolation_tolerance,
+    node_spacing,
 )
 from .selection import PulseSpec, SelectionResult, detuning, select
 
-_TABLE_STEP = 0.0625  # largest grid step of a pulse's probability table, in dz
 _BIN_STEP = 0.125  # smallest bin of the Rabi-envelope bound (_bin_bound), in dz
-# Cost of one table grid point, in direct rows: ~30 ns a point against ~2.3 us
-# a row of an averaged_probability_batch call of 1-32 rows (2-core AMD EPYC,
-# Python 3.11.7, numpy 2.4.6)
+# Cost of one table grid point, in direct rows: 33-51 ns a point against
+# 2.5-3.3 us a row of an averaged_probability_batch call of 1-32 rows, 1/64 to
+# 1/74 of a row at any window_sigmas (2-core AMD EPYC, Python 3.11.7, numpy
+# 2.4.6)
 _POINT_ROWS = 1 / 64
-# Fixed cost of one table call, in direct rows: 31 us at 2 points, with the
-# 2*128 points of its convolution's ends at window_sigmas = 8 (same host)
+# Fixed cost of one table call, in direct rows: 31-53 us at 2 points, 13-16
+# rows, with the 2*100 points of its convolution's ends at any window_sigmas
+# (same host)
 _TABLE_ROWS = 14
 # Atoms above which a pulse bins them for the Rabi-envelope bound (_bin_bound).
 # Binning adds a bound call, 40 us at 1 atom against ~19 ns per atom at 2000
@@ -321,13 +323,13 @@ def _draws(spec: EnsembleSpec) -> tuple[np.ndarray, ...]:
     return (z, v, *(rng.random(n) for rng in streams[2:]))
 
 
-def _densest_run(z: np.ndarray, dz: float) -> tuple[float, float, int]:
-    """Ends and atoms of the sorted run of z a table saves most on.
+def _densest_run(z: np.ndarray, step: float) -> tuple[float, float, int]:
+    """Ends and atoms of the sorted run of z a table saves most on, at grid step step.
 
     A table over the sorted positions z_(i)..z_(j) costs _POINT_ROWS
-    direct rows for each of its (z_(j) - z_(i))/(_TABLE_STEP*dz) grid
-    steps and saves j - i + 1 direct rows, so with s_k = k -
-    _POINT_ROWS*z_(k)/(_TABLE_STEP*dz) the run maximising s_j -
+    direct rows for each of its (z_(j) - z_(i))/step grid steps and
+    saves j - i + 1 direct rows, so with s_k = k -
+    _POINT_ROWS*z_(k)/step the run maximising s_j -
     min_(i<=j) s_i saves the most.  A tie of z_(i) with its lower
     neighbour, or of z_(j) with its upper one, would score one less, so
     the run holds exactly the j - i + 1 atoms with z_(i) <= z <= z_(j).
@@ -335,7 +337,7 @@ def _densest_run(z: np.ndarray, dz: float) -> tuple[float, float, int]:
     ordered = np.sort(z)
     # in place where it can be: a matched cloud leaves ~45k atoms open, and
     # each fresh array that size is paged in anew
-    s = ordered * -(_POINT_ROWS / (_TABLE_STEP * dz))
+    s = ordered * -(_POINT_ROWS / step)
     s += np.arange(z.size)
     gain = np.minimum.accumulate(s)
     j = int(np.argmax(np.subtract(s, gain, out=gain)))
@@ -343,30 +345,29 @@ def _densest_run(z: np.ndarray, dz: float) -> tuple[float, float, int]:
     return float(ordered[i]), float(ordered[j]), j - i + 1
 
 
-def _table_run(z: np.ndarray, dz: float) -> tuple[float, float, float] | None:
-    """(lo, hi, step) of a table over the densest run of z, or None if none pays.
+def _table_run(z: np.ndarray, step: float) -> tuple[float, float] | None:
+    """(lo, hi) of a table over the densest run of z, or None if none pays.
 
     The table pays if its call and grid steps cost fewer direct rows than
-    the run holds atoms.  Its step is dz*_TABLE_STEP, unless that would
-    give more than 8 points per atom of the run: the table then gets a
-    coarser step (and so a wider tolerance) instead of more memory.
+    the run holds atoms, so it holds fewer than 1/_POINT_ROWS points per
+    atom of the run.
     """
-    lo, hi, atoms = _densest_run(z, dz)
-    if (hi - lo) / (_TABLE_STEP * dz) * _POINT_ROWS + _TABLE_ROWS < atoms:
-        return lo, hi, max(_TABLE_STEP * dz, (hi - lo) / (8 * atoms))
+    lo, hi, atoms = _densest_run(z, step)
+    if (hi - lo) / step * _POINT_ROWS + _TABLE_ROWS < atoms:
+        return lo, hi
     return None
 
 
 def _lookup(z: np.ndarray, lo: float, step: float, table: np.ndarray) -> np.ndarray:
     """Linear interpolation at z of a table on the uniform grid lo + i*step.
 
-    The table holds averaged_probability_table(lo, hi, step).  Each z's
-    interval is a direct index rather than np.interp's binary search;
-    where rounding puts z one interval off, z is within rounding of the
-    grid point where the two intervals' lines meet.  Only z in [lo, hi]
-    read the table; the others get a finite value from an end interval
-    (or the one point, which a table has only if hi = lo), which the
-    caller discards.
+    The table holds averaged_probability_table(lo, hi), whose step is
+    the rule's node spacing.  Each z's interval is a direct index rather
+    than np.interp's binary search; where rounding puts z one interval
+    off, z is within rounding of the grid point where the two intervals'
+    lines meet.  Only z in [lo, hi] read the table; the others get a
+    finite value from an end interval (or the one point, which a table
+    has only if hi = lo), which the caller discards.
     """
     if table.size == 1:
         return np.full(z.size, table[0])
@@ -398,7 +399,7 @@ def _bin_bound(z: np.ndarray, dz: float, bound) -> np.ndarray:
 
 
 def _open_rows(
-    u: np.ndarray, z: np.ndarray, dz: float, bound
+    u: np.ndarray, z: np.ndarray, dz: float, step: float, bound
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple | None]:
     """Rows the bound pass leaves open, their z and u, which are live, and a run.
 
@@ -406,7 +407,8 @@ def _open_rows(
     Above, the atoms are binned (_bin_bound) and the rows are those the
     bins' bounds leave open; live marks the rows whose own bound leaves
     them open, or that lie strictly inside the run and were not bounded
-    alone.  The run is (lo, hi, step) from _table_run, or None.
+    alone.  The run is (lo, hi) from _table_run at grid step step, or
+    None.
 
     On a binned pulse the per-atom bound is applied, in one call, to the
     rows outside the run and to its two end atoms.  If one at or beyond
@@ -421,13 +423,13 @@ def _open_rows(
         (rows,) = np.nonzero(u < bound(z, z))
         zr, ur = z[rows], u[rows]
         live = np.ones(rows.size, dtype=bool)
-        return rows, zr, ur, live, _table_run(zr, dz) if rows.size else None
+        return rows, zr, ur, live, _table_run(zr, step) if rows.size else None
     (rows,) = np.nonzero(u < _bin_bound(z, dz, bound))
     zr, ur = z[rows], u[rows]
-    run = _table_run(zr, dz) if rows.size else None
+    run = _table_run(zr, step) if rows.size else None
     if run is None:
         return rows, zr, ur, ur < bound(zr, zr), None
-    lo, hi = run[:2]
+    lo, hi = run
     check = (zr <= lo) | (zr >= hi)
     live = ~check
     live[check] = ur[check] < bound(zr[check], zr[check])
@@ -437,7 +439,7 @@ def _open_rows(
     # at or beyond one end of the run no atom is open: bound every row alone
     rest = ~check
     live[rest] = ur[rest] < bound(zr[rest], zr[rest])
-    return rows, zr, ur, live, _table_run(zr[live], dz) if live.any() else None
+    return rows, zr, ur, live, _table_run(zr[live], step) if live.any() else None
 
 
 def _accept(
@@ -456,9 +458,9 @@ def _accept(
     >= p, so u < p is false whatever the quadrature would give
     (_open_rows; above _BIN_ATOMS atoms the count is of the rows the
     bins left open).  The densest sorted run of the open atoms
-    (_densest_run) is tabulated, by averaged_probability_table on a grid
-    of step dz*_TABLE_STEP, if that costs fewer direct rows than the run
-    holds atoms.  On the table, p is interpolated by a direct index
+    (_densest_run) is tabulated, by averaged_probability_table on the
+    grid of the rule's node spacing, if that costs fewer direct rows than
+    the run holds atoms.  On the table, p is interpolated by a direct index
     into the uniform grid; a live atom in the run whose u is more than
     interpolation_tolerance from the interpolant is decided from it.
     The other live atoms are averaged one by one in one direct call.  So
@@ -475,15 +477,16 @@ def _accept(
             lo, hi, dz, pulse, cfg, window_sigmas=window_sigmas
         )
 
-    rows, zr, ur, direct, run = _open_rows(u, z, dz, bound)
+    step = node_spacing(dz, window_sigmas)
+    rows, zr, ur, direct, run = _open_rows(u, z, dz, step, bound)
     flip = np.zeros(rows.size, dtype=bool)
     if run is not None:
-        lo, hi, step = run
+        lo, hi = run
         table = averaged_probability_table(
-            lo, hi, step, dz, pulse, cfg, window_sigmas=window_sigmas
+            lo, hi, dz, pulse, cfg, window_sigmas=window_sigmas
         )
         approx = _lookup(zr, lo, step, table)
-        tol = interpolation_tolerance(step, dz, window_sigmas)
+        tol = interpolation_tolerance(dz, window_sigmas)
         sure = direct & (lo <= zr) & (zr <= hi) & (np.abs(ur - approx) > tol)
         np.less(ur, approx, out=flip, where=sure)
         direct &= ~sure

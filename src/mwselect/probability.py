@@ -10,15 +10,16 @@ which is 1 on resonance for the pi-pulse coupling omega0 = pi/(2*tau).
 Its Rabi envelope (2*omega0/Omega_R)^2 falls to 1/2 where |detuning| =
 2*omega0; p itself is sin^2(pi/sqrt(2))/2 = 0.3166 there.  A packet of
 rms width dz samples p over its Gaussian position density; the average
-is one fixed-order Gauss-Legendre rule (averaged_probability_batch),
+is one fixed rule of 201 evenly spaced nodes (averaged_probability_batch),
 taken row by row for Monte Carlo batches and as a one-row call for a
 single packet (transition_probability, which can also report the rule's
 error estimate).  averaged_probability_bound caps the rule from the Rabi
 envelope for every packet centered in a range [lo, hi] (one center when
 lo = hi, a bin of Monte Carlo atoms otherwise), so a decision that the
 average cannot change skips the quadrature.  averaged_probability_table
-takes the same average on a uniform grid of centers by one convolution,
-and interpolation_tolerance bounds how far a linear interpolation of that
+is the same rule on a grid of centers spaced like its nodes, so every
+node of every center is a grid point and one convolution takes it, and
+interpolation_tolerance bounds how far a linear interpolation of that
 table can be from the rule, so a decision far enough from that
 interpolant needs no quadrature of its own either.
 """
@@ -36,12 +37,11 @@ from .dynamics import WavepacketState
 from .errors import LevelMismatchError, QuadratureError
 from .selection import PulseSpec, detuning
 
-_MAX_PHASE_PER_NODE = 1.4  # rad of detuning phase per node the fixed rule resolves
+_MAX_PHASE_PER_NODE = 1.4  # cap on rad of detuning phase per node; the rule resolves ~2x
 _BOUND_ROUNDOFF = 1e-12  # relative float slack of averaged_probability_bound
-RULE_ORDER = 201  # nodes of the packet-average rule
-_ESTIMATE_ORDER = 101  # lower order whose gap to the full rule estimates its error
-_RULE_ERROR = 5e-12  # calibrated gap of the rule to the windowed average (see the batch)
-_TABLE_ERROR = 5e-12  # calibrated gap of averaged_probability_table (see _table_error)
+RULE_ORDER = 201  # evenly spaced nodes of the packet-average rule
+_ESTIMATE_ORDER = 101  # every other node; its gap to the full rule estimates its error
+_RULE_ERROR = 1e-11  # calibrated gap of the rule to the windowed average (see the batch)
 _CURVATURE = 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)  # 2*phi(1), see below
 _FLOAT_SLACK = 1e-9  # absolute slack of interpolation_tolerance for rounding
 _BLOCK = 128  # rows of one (rows, order) evaluation in _rule_sum
@@ -95,7 +95,8 @@ def transition_probability(
     width state.dz over +/- window_sigmas widths, so it shares the
     batch rule's QuadratureError check.  With detail=True it returns
     (p, error), where error = |p - p_101| is the gap to the same rule
-    at order 101, which resolves less and so overstates the error of p.
+    on every other node, which resolves less and so overstates the error
+    of p.
     The pulse must address the packet's stretched pair (matching sigma).
     """
     if settings is None:
@@ -115,28 +116,32 @@ def transition_probability(
     return float(value), float(abs(value - coarse))
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
 @lru_cache(maxsize=64)
 def _packet_rule(
     dz: float, order: int, window_sigmas: float
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Node offsets, combined weights (density * quadrature weight), half-window
-    and the weights' sum; cached, so the arrays are read-only."""
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Node offsets, weights, half-window, the weights' sum and the node spacing.
+
+    order nodes evenly spaced by h = 2*half/(order - 1) over [-half,
+    half], each weighted h*phi(offset/dz)/dz: the Gaussian density times
+    its cell.  Orders 201 and 101 share every other node.  Cached, so the
+    arrays are read-only.
+    """
     if not dz > 0.0:
         raise ValueError("dz must be positive")
     _check_window(window_sigmas)
-    nodes, weights = _gauss_legendre(order)
     half = window_sigmas * dz
-    offsets = half * nodes
-    gauss = np.exp(-0.5 * (offsets / dz) ** 2) / (math.sqrt(2.0 * math.pi) * dz)
-    factors = gauss * weights * half
+    step = 2.0 * half / (order - 1)
+    offsets = step * np.arange(-(order // 2), order // 2 + 1)
+    density = np.exp(-0.5 * (offsets / dz) ** 2) / (math.sqrt(2.0 * math.pi) * dz)
+    factors = density * step
     offsets.flags.writeable = factors.flags.writeable = False
-    return offsets, factors, half, float(np.sum(factors))
+    return offsets, factors, half, float(np.sum(factors)), step
+
+
+def node_spacing(dz: float, window_sigmas: float = 8.0) -> float:
+    """Spacing of the rule's nodes, and so of a probability table's grid: W*dz/100."""
+    return _packet_rule(dz, RULE_ORDER, window_sigmas)[4]
 
 
 def averaged_probability_batch(
@@ -149,22 +154,27 @@ def averaged_probability_batch(
     """Packet-averaged flip probability for many centers at a common width.
 
     The package's one packet-average rule: the Gaussian density times
-    the point probability, integrated by fixed-order Gauss-Legendre over
-    +/- window_sigmas widths as one (n_centers, 201) evaluation reduced
-    row by row, so a batch split into chunks reproduces the unsplit
-    result bit for bit.
+    the point probability, summed over 201 nodes evenly spaced across
+    +/- window_sigmas widths (_packet_rule) as one (n_centers, 201)
+    evaluation reduced row by row, so a batch split into chunks
+    reproduces the unsplit result bit for bit.
 
     A fixed rule resolves only so many detuning oscillations across the
     window.  The detuning phase changes across a window by at most
     max|d omega/dz| * 2*half * tau/2; the transition is convex in z, so
     over all windows of the call that maximum slope sits at the lowest
     or the highest window end (two slope evaluations per call).  Above
-    1.4 rad per node QuadratureError is raised.  Against a 2M-point
-    midpoint sum the rule is within 5e-12 up to that limit (orders 101
-    and 201; Rb87, Na23, Cs133; tau 5-20 us) and degrades beyond it:
-    5e-10 at 1.5 rad per node for order 101, 1e-8 at 1.8 for order 201,
-    2.4e-2 at 3.9.  At 25 G/cm and tau = 10 us the limit falls at dz =
-    107 um: dz = 100 um passes (within 2e-12), dz = 300 um raises.
+    1.4 rad per node (about 1.4 rad per node spacing) QuadratureError is
+    raised.  Against a 2M-slice
+    midpoint sum the rule is within 5.7e-12 up to that limit (Rb87, Na23
+    and Cs133 at 25 G/cm, tau 5-20 us, dz from 3 um to 0.98 of the
+    limit): the rounding noise of the point probability (1.7e-11 rms at
+    tau = 20 us) carried through the weighted sum, which _RULE_ERROR
+    charges at 1e-11.  The limit is well inside the rule's reach: within
+    1e-12 up to twice it, 1.2e-4 off at 2.2 times and 1.7e-2 at 3 (the
+    101-node estimate, on every other node, reaches half as far).  At 25
+    G/cm and tau = 10 us the limit falls at dz = 107 um: dz = 100 um
+    passes, dz = 300 um raises.
     """
     centers = np.asarray(centers, dtype=float)
     rule = _packet_rule(dz, RULE_ORDER, window_sigmas)
@@ -193,35 +203,34 @@ def _check_phase(lo, hi, dz, half, pulse, cfg) -> None:
 def averaged_probability_table(
     lo: float,
     hi: float,
-    step: float,
     dz: float,
     pulse: PulseSpec,
     cfg: FieldConfig,
     window_sigmas: float = 8.0,
 ) -> np.ndarray:
-    """The packet average on the grid lo + i*step over [lo, hi], by convolution.
+    """averaged_probability_batch on the grid lo + i*h over [lo, hi], by convolution.
 
-    The grid has P = ceil((hi - lo)/step) + 1 points, the last up to a
-    step past hi.  The point probability is evaluated on it, extended by
-    M = ceil(window_sigmas*dz/step) steps on each side, and convolved with
-    the trapezoid Gaussian taps step*phi(m*step/dz)/dz, |m| <= M: P + 2M
-    point evaluations instead of 201*P nodes, in blocks of _TABLE_BLOCK
-    values so temporaries stay small.  This second quadrature of the
-    average only gates decisions; interpolation_tolerance charges its
-    error.  The phase check runs over [lo, hi], so QuadratureError is
+    h = node_spacing(dz, window_sigmas), so the nodes of a grid center
+    are grid points too.  The grid has P = ceil((hi - lo)/h) + 1 points,
+    the last up to a step past hi.  The point probability is evaluated on
+    it, extended by 100 points on each side (a center's outermost nodes),
+    and convolved with the rule's factors: P + 200 point evaluations
+    instead of 201*P, in blocks of _TABLE_BLOCK values so temporaries
+    stay small.
+    Each point equals the batch value at its center up to the rounding of
+    its node positions and of its sum (the table is not clipped to [0,
+    1]).  The phase check runs over [lo, hi], so QuadratureError is
     raised exactly when a batch call on centers spanning [lo, hi] would.
     """
-    half = _packet_rule(dz, RULE_ORDER, window_sigmas)[2]
+    _, factors, half, _, step = _packet_rule(dz, RULE_ORDER, window_sigmas)
     _check_phase(lo, hi, dz, half, pulse, cfg)
     points = math.ceil((hi - lo) / step) + 1
-    reach = math.ceil(half / step)
-    m = np.arange(-reach, reach + 1) * (step / dz)
-    taps = np.exp(-0.5 * m * m) * (step / (math.sqrt(2.0 * math.pi) * dz))
+    reach = RULE_ORDER // 2
     out = np.empty(points)
     for start in range(0, points, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, points)
         x = lo + step * np.arange(start - reach, stop + reach)
-        out[start:stop] = np.convolve(point_probability(x, pulse, cfg), taps, "valid")
+        out[start:stop] = np.convolve(point_probability(x, pulse, cfg), factors, "valid")
     return out
 
 
@@ -242,46 +251,30 @@ def _rule_sum(centers, rule, pulse, cfg) -> np.ndarray:
     return out
 
 
-def interpolation_tolerance(step: float, dz: float, window_sigmas: float) -> float:
+def interpolation_tolerance(dz: float, window_sigmas: float) -> float:
     """Bound on |linear interpolant - averaged_probability_batch| between grid points.
 
-    The averaged_probability_table values at centers spaced by step
-    (having passed the phase check) are interpolated linearly; at any
-    center in between, the interpolant is within
+    The averaged_probability_table values at centers spaced by h =
+    node_spacing(dz, W) (having passed the phase check) are interpolated
+    linearly; at any center in between, the interpolant is within
 
-        eps = step^2/8 * 2*phi(1)/dz^2 + (5e-12 + erfc(W/sqrt(2)))
-              + _table_error(step, dz, W) + 1e-9
+        eps = h^2/8 * 2*phi(1)/dz^2 + 2*(1e-11 + erfc(W/sqrt(2))) + 1e-9
 
     of the batch value there (W = window_sigmas, phi the normal density).
     The exact Gaussian average P has P'' = int (p - 1/2) G'' because
     int G'' = 0, so 0 <= p <= 1 gives |P''| <= int|G''|/2 = 2*phi(1)/dz^2
-    = 0.4839/dz^2, and interpolating P is off by at most step^2/8 times
-    that.  At the grid the table differs from P by at most
-    _table_error; at the center the rule differs from P by at most its
-    calibrated 5e-12 plus the Gaussian mass outside its window,
-    erfc(W/sqrt(2)) (1.2e-15 at 8, 5.7e-7 at the minimum of 5); clipping
-    the rule to [0, 1] does not widen the gap, and 1e-9 covers rounding.
-    At step = dz/16 and W = 8, eps = 2.36e-4 (9.45e-4 at dz/8).
+    = 0.4839/dz^2, and interpolating P is off by at most h^2/8 times
+    that.  The table is the rule at its grid, and the rule differs from P
+    by at most its calibrated 1e-11 plus the Gaussian mass outside its
+    window, erfc(W/sqrt(2)) (1.2e-15 at 8, 5.7e-7 at the minimum of 5),
+    once at the grid and once at the center; clipping the rule to [0, 1]
+    does not widen the gap, and 1e-9 covers rounding.  At W = 8 (h =
+    0.08*dz), eps = 3.87e-4.
     """
+    step = node_spacing(dz, window_sigmas)
     smooth = step * step / 8.0 * _CURVATURE / (dz * dz)
     rule = _RULE_ERROR + math.erfc(window_sigmas / math.sqrt(2.0))
-    return smooth + rule + _table_error(step, dz, window_sigmas) + _FLOAT_SLACK
-
-
-def _table_error(step: float, dz: float, window_sigmas: float) -> float:
-    """Bound on |averaged_probability_table - exact Gaussian average| at its grid.
-
-    Its calibrated 5e-12 (against a 10^6-slice midpoint sum, as for the
-    rule: within 2.1e-12 on both benchmark pulses for dz = 3-100 um), the
-    Gaussian mass past the window, and aliasing.  p = (w0*tau)^2 *
-    sinc^2(Omega_R*tau/2) is entire, so moving the trapezoid's error
-    contour off the real axis bounds the aliasing by about exp(-g^2/2),
-    g = 2*pi*dz/step - k*dz, where k = max|d omega/dz|*tau and the phase
-    check caps k*dz at 281.4/W; the bound is 1 where g <= 0.
-    """
-    gap = 2.0 * math.pi * dz / step - _MAX_PHASE_PER_NODE * RULE_ORDER / window_sigmas
-    alias = math.exp(-0.5 * max(gap, 0.0) ** 2)
-    return _TABLE_ERROR + math.erfc(window_sigmas / math.sqrt(2.0)) + alias
+    return smooth + 2.0 * rule + _FLOAT_SLACK
 
 
 def averaged_probability_bound(
@@ -330,7 +323,7 @@ def averaged_probability_bound(
     which keeps its bound at or above every center's in it.  detuning and
     its slope are each evaluated once, over both window ends.
     """
-    _, _, half, weight = _packet_rule(dz, RULE_ORDER, window_sigmas)
+    _, _, half, weight, _ = _packet_rule(dz, RULE_ORDER, window_sigmas)
     a = np.ravel(lo) - half
     b = np.ravel(hi) + half
     ends = np.concatenate((a, b))

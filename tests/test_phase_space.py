@@ -1,5 +1,7 @@
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwselect as mw
+from mwselect import config as cf
 from mwselect import phase_space, probability
 from mwselect.breit_rabi import Level
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "rb87_10us.yaml"
 
 DELTA_T = 28e-3
 
@@ -586,9 +591,10 @@ def test_every_mode_decides_pulse_two_for_survivors_only(
 def _batch_calls(monkeypatch):
     """Spy on the Monte Carlo's table and direct calls; returns a list of (dz, centers).
 
-    A table call's centers are its grid, lo + i*step, with the last
-    point, which lies up to a step past the run, moved back to the run's
-    end hi; a pulse makes its table call, if any, before its direct call.
+    A table call's centers are its grid, lo + i*h with h the rule's node
+    spacing, with the last point, which lies up to a step past the run,
+    moved back to the run's end hi; a pulse makes its table call, if any,
+    before its direct call.
     """
     calls = []
 
@@ -596,8 +602,9 @@ def _batch_calls(monkeypatch):
         calls.append((dz, np.array(centers, dtype=float)))
         return mw.averaged_probability_batch(centers, dz, *args, **kwargs)
 
-    def table(lo, hi, step, dz, *args, **kwargs):
-        out = probability.averaged_probability_table(lo, hi, step, dz, *args, **kwargs)
+    def table(lo, hi, dz, *args, **kwargs):
+        out = probability.averaged_probability_table(lo, hi, dz, *args, **kwargs)
+        step = probability.node_spacing(dz, kwargs["window_sigmas"])
         calls.append((dz, np.minimum(lo + step * np.arange(out.size), hi)))
         return out
 
@@ -622,7 +629,7 @@ def test_thermal_cloud_rarely_needs_quadrature(
     first = [centers for dz, centers in calls if dz == spec.dz0]
     assert len(first) == 2
     grid, direct = first
-    assert np.allclose(np.diff(grid[:-1]), phase_space._TABLE_STEP * spec.dz0)
+    assert np.allclose(np.diff(grid[:-1]), probability.node_spacing(spec.dz0))
     z0 = phase_space._draws(spec)[0]
     assert np.isin(direct, z0).all()
     assert _rows(grid, direct) < 0.5 * rows1
@@ -770,7 +777,7 @@ def test_dense_run_is_tabulated_only_if_it_saves_a_call(
     not for _TABLE_ROWS.
     """
     dz = 3e-6
-    step = phase_space._TABLE_STEP * dz
+    step = probability.node_spacing(dz)
     assert 100 * phase_space._POINT_ROWS > 1
     cluster = np.linspace(0.0, 0.9 * step, phase_space._TABLE_ROWS + extra)
     flanks = 100.0 * step * np.arange(1, 21)
@@ -812,16 +819,17 @@ def test_wide_packet_raises_as_one_call_would(monkeypatch, layout, seed, sigma):
     """QuadratureError from the pulse's table and direct call, or from neither.
 
     At 25 G/cm and tau = 10 us the rule's phase limit falls near dz = 107
-    um, where a table step is 6.7 um and a gap of 64 steps between open
-    atoms costs a table as many rows as an atom saves.  The open atoms of
-    150 atoms of the thermal cloud folded onto z <= 0 lie closer than
-    that, so the table spans all of them and the direct call holds only
-    atoms near its tolerance ("whole-span").  Of 200 folded atoms, one
-    moved to 0.8 mm above resonance with u = 0 is open and farther than
-    that from the rest, so the table spans the others and the direct
-    call holds that atom ("split").  Bisecting dz to the last float where
-    one batch call over every open atom still passes, _accept must pass
-    there and raise one float step above.
+    um, where a table step (the rule's node spacing) is 8.5 um and a gap
+    of 64 steps (545 um) between open atoms costs a table as many rows as
+    an atom saves.  The open atoms of 150 atoms of the thermal cloud
+    folded onto z <= 0 lie closer than that, so the table spans all of
+    them and the direct call holds only atoms near its tolerance
+    ("whole-span").  Of 200 folded atoms, one moved to 0.8 mm above
+    resonance with u = 0 is open and farther than that from the rest, so
+    the table spans the others and the direct call holds that atom
+    ("split").  Bisecting dz to the last float where one batch call over
+    every open atom still passes, _accept must pass there and raise one
+    float step above.
     """
     cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species("Rb87"))
     pulse, _ = _pulse_pair(cfg, sigma, 0.0, _THERMAL["v_mean"])
@@ -920,18 +928,19 @@ _BENCHMARK_PATHS = {
 }
 
 
+def _benchmark_run(workload, n, seed):
+    """(spec, pulse 1, pulse 2, field) of a benchmark workload's simulate call."""
+    overrides = _BENCHMARK_PATHS[workload][0]
+    run = cf.load_config(CONFIG, [*overrides, f"ensemble.n={n}", f"ensemble.seed={seed}"])
+    fcfg = cf.to_field_config(run)
+    return cf.to_ensemble_spec(run), *cf.to_pulses(run, fcfg), fcfg
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", sorted(_BENCHMARK_PATHS))
 def test_benchmark_pulses_take_their_paths(monkeypatch, workload, seed):
-    from pathlib import Path
-
-    from mwselect import config as cf
-
-    overrides, n, want = _BENCHMARK_PATHS[workload]
-    config = Path(__file__).resolve().parents[1] / "configs" / "rb87_10us.yaml"
-    run = cf.load_config(config, [*overrides, f"ensemble.n={n}", f"ensemble.seed={seed}"])
-    fcfg = cf.to_field_config(run)
-    spec = cf.to_ensemble_spec(run)
+    _, n, want = _BENCHMARK_PATHS[workload]
+    spec, *pulses, fcfg = _benchmark_run(workload, n, seed)
     binned = []
     real_bin_bound = phase_space._bin_bound
 
@@ -941,13 +950,33 @@ def test_benchmark_pulses_take_their_paths(monkeypatch, workload, seed):
 
     monkeypatch.setattr(phase_space, "_bin_bound", bin_bound)
     calls = _batch_calls(monkeypatch)
-    mw.run_monte_carlo(spec, *cf.to_pulses(run, fcfg), fcfg)
+    mw.run_monte_carlo(spec, *pulses, fcfg)
     # a table call, if any, then the direct call, per pulse
     widths = [dz for dz, _ in calls]
     dz2 = widths[-1]
     assert widths[0] == spec.dz0 != dz2
     got = tuple((dz in binned, widths.count(dz) == 2) for dz in (spec.dz0, dz2))
     assert got == want
+
+
+# sha256 over survived_first and survived_both of seeds 1-8, in order, at
+# n = 20k on each benchmark cloud, as the Gauss-Legendre rule decided them
+# before the rule's nodes were spaced evenly
+_DECISION_HASHES = {
+    "simulate_thermal": "0b8118cda94ea67914bbb478da4be7ff809bc11011793a7c38f618e13a693b11",
+    "simulate_matched": "799568f35faf8c43d8a13e0904d5946c9c3628e6f70c3f9e51f5b43d0b416c79",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_DECISION_HASHES))
+def test_benchmark_cloud_decisions_are_pinned(workload):
+    """Any decision that flips on a benchmark cloud changes the hash."""
+    digest = hashlib.sha256()
+    for seed in range(1, 9):
+        result = mw.run_monte_carlo(*_benchmark_run(workload, 20000, seed))
+        digest.update(result.survived_first.tobytes())
+        digest.update(result.survived_both.tobytes())
+    assert digest.hexdigest() == _DECISION_HASHES[workload]
 
 
 @pytest.mark.parametrize("sigma", [1, -1])

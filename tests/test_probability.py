@@ -2,7 +2,7 @@
 
 The oracle integrates the Gaussian-weighted point probability with a
 plain midpoint rule at 10^6 slices, sharing no code with the
-Gauss-Legendre rule under test.
+evenly spaced 201-node rule under test.
 """
 
 import dataclasses
@@ -159,8 +159,12 @@ def test_packet_rule_is_cached_and_read_only():
     """One rule per (dz, order, window); callers share its arrays, so none may write them."""
     rule = probability._packet_rule(3e-6, 201, 8.0)
     assert probability._packet_rule(3e-6, 201, 8.0) is rule
-    offsets, factors, half, weight = rule
+    offsets, factors, half, weight, step = rule
     assert half == 8.0 * 3e-6 and weight == float(np.sum(factors))
+    # evenly spaced nodes over the window, and the estimate on every other one
+    assert step == probability.node_spacing(3e-6) == 2.0 * half / 200
+    assert offsets[100] == 0.0 and np.allclose(offsets, step * np.arange(-100, 101))
+    assert np.array_equal(probability._packet_rule(3e-6, 101, 8.0)[0], offsets[::2])
     for array in (offsets, factors):
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -168,11 +172,13 @@ def test_packet_rule_is_cached_and_read_only():
 
 def test_window_sigmas_sets_the_window(cfg, pulse_first):
     # 15 um off resonance, the 5.5-width tail on the resonant side flips
+    # the rule sums the nodes' cells of width h, so it spans +/-(5.5 widths + h/2)
     packet = _packet(15e-6, 3e-6)
     narrow = mw.transition_probability(
         packet, pulse_first, cfg, settings=mw.QuadratureSettings(window_sigmas=5.5)
     )
-    want = _riemann_average(pulse_first, cfg, 15e-6, 3e-6, 5.5 * 3e-6)
+    h = probability.node_spacing(3e-6, 5.5)
+    want = _riemann_average(pulse_first, cfg, 15e-6, 3e-6, 5.5 * 3e-6 + 0.5 * h)
     assert narrow == pytest.approx(want, abs=1e-10)
     assert narrow < mw.transition_probability(packet, pulse_first, cfg) - 1e-8
 
@@ -264,15 +270,21 @@ def test_batch_is_accurate_up_to_its_phase_limit(cfg, pulse_first):
             assert got == pytest.approx(want, abs=1e-10)
 
 
-def _table_against_riemann(lo, hi, step, dz, pulse, cfg):
-    """Largest gap of the table to the oracle at its ends and middle, and its bound."""
-    table = probability.averaged_probability_table(lo, hi, step, dz, pulse, cfg)
+def _table_against_riemann(lo, hi, dz, pulse, cfg):
+    """Largest gap of the table to the oracle at its ends and middle, and its bound.
+
+    The table is the rule at its grid, so it is charged the rule's error
+    and the Gaussian mass outside the window, as interpolation_tolerance
+    charges it.
+    """
+    table = probability.averaged_probability_table(lo, hi, dz, pulse, cfg)
+    step = probability.node_spacing(dz)
     assert lo + (table.size - 2) * step < hi <= lo + (table.size - 1) * step
     gap = max(
         abs(table[i] - _riemann_average(pulse, cfg, lo + i * step, dz, 8.0 * dz))
         for i in (0, table.size // 2, table.size - 1)
     )
-    return gap, probability._table_error(step, dz, 8.0)
+    return gap, probability._RULE_ERROR + math.erfc(8.0 / math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -280,22 +292,52 @@ def _table_against_riemann(lo, hi, step, dz, pulse, cfg):
     ["ensemble.z_rms=20 um", "ensemble.v_rms=2 mm/s"],
 ], ids=["thermal", "matched"])
 def test_table_matches_riemann_on_benchmark_clouds(overrides):
-    """The convolution table, at dz/8 and at the Monte Carlo's step, within its charge."""
+    """The convolution table within the rule's charge."""
     fcfg, picks = _benchmark_cloud_atoms(overrides)
     for pulse, centers, dz in picks:
-        for step in (dz / 8.0, phase_space._TABLE_STEP * dz):
-            gap, charged = _table_against_riemann(
-                centers.min(), centers.max(), step, dz, pulse, fcfg
-            )
-            assert gap <= charged < 1e-11
+        gap, charged = _table_against_riemann(
+            centers.min(), centers.max(), dz, pulse, fcfg
+        )
+        assert gap <= charged < 1.1e-11
+
+
+@pytest.mark.parametrize("window", [5.0, 8.0, 40.0])
+def test_table_is_the_rule_on_its_grid(window):
+    """The table's taps are the rule's factors on the rule's node lattice.
+
+    On both benchmark pulses, at the largest packet width up to the
+    pulse's whose node spacing is a power of two, so that the grid and
+    every node of every grid center are exact floats and the table and
+    the batch evaluate the point probability at the same positions: over
+    7 widths either side of the atoms nearest resonance, each grid point
+    is the batch value at its center up to summation rounding, and the
+    linear interpolant at the midpoints between grid points is within
+    interpolation_tolerance.
+    """
+    fcfg, picks = _benchmark_cloud_atoms([])
+    for pulse, centers, width in picks:
+        step = 2.0 ** math.floor(math.log2(window * width / 100.0))
+        dz = 100.0 / window * step
+        assert probability.node_spacing(dz, window) == step
+        lo = math.floor(centers.min() / step - 7.0 * dz / step) * step
+        hi = centers.max() + 7.0 * dz
+        table = probability.averaged_probability_table(
+            lo, hi, dz, pulse, fcfg, window_sigmas=window
+        )
+        grid = lo + step * np.arange(table.size)
+        batch = mw.averaged_probability_batch(grid, dz, pulse, fcfg, window_sigmas=window)
+        assert np.max(np.abs(table - batch)) <= 4.0 * np.spacing(1.0)
+        mids = grid[:-1] + 0.5 * step
+        exact = mw.averaged_probability_batch(mids, dz, pulse, fcfg, window_sigmas=window)
+        gap = np.abs(0.5 * (table[:-1] + table[1:]) - exact)
+        assert np.max(gap) <= probability.interpolation_tolerance(dz, window)
 
 
 def test_table_is_accurate_up_to_the_phase_limit(cfg, pulse_first):
     dz = _dz_at_phase_per_node(0.98 * probability._MAX_PHASE_PER_NODE, pulse_first, cfg)
     assert 100e-6 < dz < 107e-6
-    for step in (dz / 8.0, phase_space._TABLE_STEP * dz):
-        gap, charged = _table_against_riemann(-2e-5, 2e-5, step, dz, pulse_first, cfg)
-        assert gap <= charged < 1e-11
+    gap, charged = _table_against_riemann(-2e-5, 2e-5, dz, pulse_first, cfg)
+    assert gap <= charged < 1.1e-11
 
 
 def test_table_raises_as_a_batch_over_its_span_would(cfg, pulse_first):
@@ -306,7 +348,7 @@ def test_table_raises_as_a_batch_over_its_span_would(cfg, pulse_first):
         calls = (
             lambda: mw.averaged_probability_batch(ends, dz, pulse_first, cfg),
             lambda: probability.averaged_probability_table(
-                -dz, dz, dz / 16.0, dz, pulse_first, cfg
+                -dz, dz, dz, pulse_first, cfg
             ),
         )
         for call in calls:
@@ -323,14 +365,16 @@ def test_batch_raises_past_its_phase_limit(cfg, pulse_first):
     for dz in (300e-6, _dz_at_phase_per_node(1.02 * limit, pulse_first, cfg)):
         with pytest.raises(mw.QuadratureError, match="too wide"):
             mw.averaged_probability_batch(centers, dz, pulse_first, cfg)
-    # the limit is not far inside the rule's reach: 30% beyond it the
-    # unchecked sum is already off by more than 1e-9
-    dz = _dz_at_phase_per_node(1.3 * limit, pulse_first, cfg)
-    errors = [
-        abs(got - _riemann_average(pulse_first, cfg, c, dz, 8.0 * dz))
-        for c, got in zip(centers, _rule_without_check(centers, dz, pulse_first, cfg))
-    ]
-    assert max(errors) > 1e-9
+    # the limit is well inside the evenly spaced rule's reach: the unchecked
+    # sum is still within 1e-10 at twice the limit, and aliasing puts it more
+    # than 1e-3 off at 2.4 times
+    for ratio, within in ((2.0, True), (2.4, False)):
+        dz = _dz_at_phase_per_node(ratio * limit, pulse_first, cfg)
+        errors = [
+            abs(got - _riemann_average(pulse_first, cfg, c, dz, 8.0 * dz))
+            for c, got in zip(centers, _rule_without_check(centers, dz, pulse_first, cfg))
+        ]
+        assert (max(errors) < 1e-10) if within else (max(errors) > 1e-3)
 
 
 def test_batch_of_no_centers_is_empty(cfg, pulse_first):
@@ -436,7 +480,7 @@ def test_bin_bound_is_never_below_an_atoms_own_bound(
         "multiple": z_ref + dz / 8.0 * np.array([0.0] * 15 + [2.0]),
     }[layout]
     if layout == "multiple":
-        w = max(phase_space._TABLE_STEP * dz, (z.max() - z.min()) / (z.size / 8))
+        w = max(phase_space._BIN_STEP * dz, (z.max() - z.min()) / (z.size / 8))
         assert (z.max() - z.min()) / w == 2.0
 
     def bound(lo, hi):
