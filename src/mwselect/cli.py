@@ -20,6 +20,7 @@ import json
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import asdict
 
@@ -268,33 +269,35 @@ def _cells(cells, lead: str):
     return text.shape[1] // 4 + 1, lambda out: _put_text(out, slice(None), lead, text)
 
 
-def _lines(columns: list) -> bytes:
+def _lines(columns: list) -> bytearray:
     """Each row's cells, led by "\n" and then ",", as bytes.
 
-    Every byte of the row table is written, so it needs no zeroing; the
-    NULs drop out in the one pass that also makes the bytes.
+    The row table lives in a bytearray, so the NULs drop out in the one
+    pass that makes the block's bytes, with no copy of the table before it.
     """
     cells = [_cells(col, _LEADS[i > 0]) for i, col in enumerate(columns)]
-    table = np.empty((len(columns[0]), sum(words for words, _ in cells)), np.uint32)
+    width = sum(words for words, _ in cells)
+    buffer = bytearray(4 * width * len(columns[0]))
+    table = np.frombuffer(buffer, np.uint32).reshape(-1, width)
     at = 0
     for words, write in cells:
         write(table[:, at : at + words])
         at += words
-    return table.tobytes().translate(None, b"\0")
+    return buffer.translate(None, b"\0")
 
 
-def _csv(header: list[str], columns: list) -> bytes:
-    """ASCII CSV of equal-length columns, written _CSV_BLOCK rows at a time.
+def _csv(header: list[str], columns: list) -> Iterator[bytes]:
+    """ASCII CSV of equal-length columns, made _CSV_BLOCK rows at a time.
 
     A column is an array or a sequence of cells; every cell reads as
-    _format_cell writes it.
+    _format_cell writes it.  Each block is yielded as it is made, so the
+    whole CSV is never held.
     """
-    blocks = [",".join(header).encode()]
+    yield ",".join(header).encode()
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         rows = slice(start, start + _CSV_BLOCK)
-        blocks.append(_lines([col[rows] for col in columns]))
-    blocks.append(b"\n")
-    return b"".join(blocks)
+        yield _lines([col[rows] for col in columns])
+    yield b"\n"
 
 
 def _jsonable(obj):
@@ -318,22 +321,25 @@ def _json_doc(command: str, run: RunConfig, result: dict) -> bytes:
     return (json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _emit(outputs: list[tuple[bytes, str | None]]) -> None:
-    """Write each (data, path) over path's bytes, cut to length if a regular file,
-    or to stdout if path is None.  All are opened first: a failed open writes nothing."""
+def _emit(outputs: list[tuple[Iterable[bytes], str | None]]) -> None:
+    """Write each (chunks, path) over path's bytes, chunk by chunk as they are
+    made, and cut it to length if a regular file; to stdout if path is None.
+    All are opened first: a failed open writes nothing."""
     with ExitStack() as stack:
         try:
             files = []
             for _, path in outputs:
                 fd = None if path is None else os.open(path, _WRITE_FLAGS, 0o666)
                 files.append(fd if fd is None else stack.enter_context(os.fdopen(fd, "wb")))
-            for (data, path), out in zip(outputs, files):
+            for (chunks, path), out in zip(outputs, files):
                 if out is None:
-                    sys.stdout.write(data.decode())
+                    for chunk in chunks:
+                        sys.stdout.write(chunk.decode())
                     continue
                 # closed here, so a later output to the same file writes over it
                 with out:
-                    out.write(data)
+                    for chunk in chunks:
+                        out.write(chunk)
                     if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
                         out.truncate()
         except OSError as exc:
@@ -346,7 +352,7 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def cmd_scan(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> bytes:
+def cmd_scan(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> Iterator[bytes]:
     _require(run.scan is not None, "scan command needs a 'scan' section")
     omega_ref = pulses[0].omega_A if pulses else cfg.species.delta_W
     lower = StretchedBranch(sigma=run.sigma, level=Level.LOWER)
@@ -445,7 +451,7 @@ def cmd_probability(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     return {"dz0_m": dz0, "pulses": per_pulse}
 
 
-def cmd_bands(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> bytes:
+def cmd_bands(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> Iterator[bytes]:
     _require(len(pulses) >= 2, "bands command needs two pulses")
     cell = selection_cell(select(pulses[0], cfg), select(pulses[1], cfg), cfg)
     v_half = cell.velocity_support  # draw band edges over twice the cell extent
@@ -458,8 +464,7 @@ def cmd_bands(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> bytes:
     return _csv(["element", "vertex", "z_m", "v_m_s"], list(zip(*rows)))
 
 
-def simulation_csv(result: MonteCarloResult) -> bytes:
-    """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms."""
+def _simulation_blocks(result: MonteCarloResult) -> Iterator[bytes]:
     return _csv(
         ["atom_index", "z0_m", "v0_m_s", "survived_first", "survived_both",
          "z_final_m", "v_final_m_s"],
@@ -468,7 +473,14 @@ def simulation_csv(result: MonteCarloResult) -> bytes:
     )
 
 
-def cmd_simulate(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> tuple[bytes, dict]:
+def simulation_csv(result: MonteCarloResult) -> bytes:
+    """Per-atom CSV for a Monte Carlo result; NaN marks lost atoms."""
+    return b"".join(_simulation_blocks(result))
+
+
+def cmd_simulate(
+    run: RunConfig, cfg: FieldConfig, pulses, csv_path
+) -> tuple[Iterator[bytes], dict]:
     _require(len(pulses) >= 2, "simulate command needs two pulses")
     spec = to_ensemble_spec(run)
     _require(csv_path is not None, "simulate needs a per-atom CSV path (--csv)")
@@ -480,7 +492,7 @@ def cmd_simulate(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> tuple[by
     summary["n_survivors_in_cell"] = inside
     summary["n_survivors_outside_cell"] = result.n_survived_both - inside
     summary["per_atom_csv"] = csv_path
-    return simulation_csv(result), summary
+    return _simulation_blocks(result), summary
 
 
 def cmd_coils(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
@@ -525,7 +537,7 @@ def cmd_coils(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
 
 
 # Each command takes the run, its field model, its pulses and simulate's --csv path,
-# and returns CSV bytes, a JSON result, or simulate's per-atom CSV bytes and result.
+# and returns CSV blocks, a JSON result, or simulate's per-atom CSV blocks and result.
 _COMMANDS = {
     "scan": cmd_scan,
     "select": cmd_select,
@@ -568,10 +580,10 @@ def main(argv: list[str] | None = None) -> int:
         run = load_config(args.config, args.overrides)
         cfg = to_field_config(run)
         out = _COMMANDS[args.command](run, cfg, to_pulses(run, cfg), args.csv)
-        # simulate returns its per-atom CSV bytes ahead of its summary
+        # simulate returns its per-atom CSV blocks ahead of its summary
         *csv, out = out if isinstance(out, tuple) else (out,)
         if isinstance(out, dict):
-            out = _json_doc(args.command, run, out)
+            out = [_json_doc(args.command, run, out)]
         _emit([*zip(csv, [args.csv]), (out, args.output)])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,10 +50,11 @@ _TABLE_ROWS = 14
 # 11-19% ahead at 6000-8000: the break-even is 3500-4000 atoms (same host)
 _BIN_ATOMS = 4096
 
-# Largest ensemble.n and scan.points.  At its peak a run holds about 250
-# bytes per simulate atom (its draws, outcomes and CSV line) or 330 per scan
-# point, so this keeps one run under about 3.5 GB; a larger Monte Carlo can
-# be split into runs with different seeds.
+# Largest ensemble.n and scan.points.  At its peak a run holds 60-95 bytes
+# per simulate atom (its draws and outcomes; the CSV is written a block at a
+# time and never held whole) or 80-90 per scan point, so this keeps one run
+# under about 1 GB; a larger Monte Carlo can be split into runs with
+# different seeds.
 _MAX_SIZE = 10**7
 
 

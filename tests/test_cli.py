@@ -7,6 +7,8 @@ import re
 import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,19 +127,13 @@ def test_stdout_matches_output_file(config_path, tmp_path, capsys, command):
 def test_simulate_csv_is_simulation_csv(tmp_path):
     """simulate --csv writes the bytes simulation_csv returns, over several blocks."""
     from mwselect import cli
-    from mwselect.phase_space import run_monte_carlo
 
     sets = ["ensemble.n=20000", "ensemble.seed=3"]
     out = tmp_path / "atoms.csv"
     argv = ["simulate", str(_SHIPPED), *[a for s in sets for a in ("--set", s)],
             "--csv", str(out), "-o", str(tmp_path / "sim.json")]
     assert main(argv) == 0
-    run = cf.load_config(_SHIPPED, sets)
-    field = cf.to_field_config(run)
-    first, second = cf.to_pulses(run, field)
-    result = run_monte_carlo(cf.to_ensemble_spec(run), first, second, field,
-                             window_sigmas=run.quadrature.window_sigmas)
-    assert out.read_bytes() == cli.simulation_csv(result)
+    assert out.read_bytes() == cli.simulation_csv(_shipped_result(sets))
 
 
 def test_select_json(config_path, tmp_path):
@@ -702,6 +698,21 @@ def _leaf_paths(node, prefix=""):
 
 
 _SHIPPED = CONFIGS / "rb87_10us.yaml"
+# the benchmark clouds, as --set overrides of the shipped config
+_CLOUDS = {"thermal": [], "matched": ['ensemble.z_rms="20 um"', 'ensemble.v_rms="2 mm/s"']}
+
+
+def _shipped_result(sets: list[str]):
+    """The Monte Carlo result `simulate` computes for the shipped config and sets."""
+    from mwselect.phase_space import run_monte_carlo
+
+    run = cf.load_config(_SHIPPED, sets)
+    field = cf.to_field_config(run)
+    first, second = cf.to_pulses(run, field)
+    return run_monte_carlo(cf.to_ensemble_spec(run), first, second, field,
+                           window_sigmas=run.quadrature.window_sigmas)
+
+
 # keys that older configs still carry: every command must reject them with exit 2
 _RETIRED = ["delta_t", "ensemble.probability_mode", "ensemble.survival_efficiency",
             "quadrature.max_subdivisions", "quadrature.rel_tol", "output.csv", "output.json"]
@@ -888,7 +899,7 @@ def _csv_cells(values) -> list[str]:
     """The cells _csv writes for one column of values."""
     from mwselect import cli
 
-    return cli._csv(["x"], [values]).decode().split("\n")[1:-1]
+    return b"".join(cli._csv(["x"], [values])).decode().split("\n")[1:-1]
 
 
 def _kernel_cells(values) -> list[str]:
@@ -1000,22 +1011,15 @@ def test_float_kernel_leaves_near_ties_of_the_rounded_low_term_to_format_cell():
     assert _kernel_cells(values) == _reference_cells(values)
 
 
-@pytest.mark.parametrize("cloud", [[], ['ensemble.z_rms="20 um"', 'ensemble.v_rms="2 mm/s"']],
-                         ids=["thermal", "matched"])
+@pytest.mark.parametrize("cloud", _CLOUDS.values(), ids=_CLOUDS.keys())
 def test_simulate_csv_is_the_same_without_the_fast_path(tmp_path, cloud):
     """simulate --csv writes the bytes of the row-wise _format_cell reference."""
-    from mwselect.phase_space import run_monte_carlo
-
     sets = ["ensemble.n=20000", "ensemble.seed=11", *cloud]
     argv = ["simulate", str(_SHIPPED), *[a for s in sets for a in ("--set", s)],
             "--csv", str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "out.json")]
     assert main(argv) == 0
-    run = cf.load_config(_SHIPPED, sets)
-    field = cf.to_field_config(run)
-    first, second = cf.to_pulses(run, field)
-    result = run_monte_carlo(cf.to_ensemble_spec(run), first, second, field,
-                             window_sigmas=run.quadrature.window_sigmas)
-    assert (tmp_path / "atoms.csv").read_bytes() == _rowwise_simulation_csv(result)
+    want = _rowwise_simulation_csv(_shipped_result(sets))
+    assert (tmp_path / "atoms.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("command,path", [("scan", "scan.points"),
@@ -1168,3 +1172,56 @@ def test_rewriting_an_output_never_truncates_at_open(tmp_path, monkeypatch):
     assert len(flags) == 2 and not any(flag & os.O_TRUNC for flag in flags)
     assert cuts == [len(first), len(first)]
     assert out.read_bytes() == first and out.stat().st_ino == inode
+
+
+# The per-atom CSV goes to its file block by block as it is made, so a
+# simulate call never holds it whole.
+
+def _traced_peak(call) -> int:
+    """The largest traced heap, in bytes, while call runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cloud", _CLOUDS.values(), ids=_CLOUDS.keys())
+def test_the_writer_adds_nothing_to_a_simulate_peak(tmp_path, cloud):
+    """One simulate call peaks less than a quarter of its CSV above its Monte Carlo."""
+    sets = ["ensemble.n=200000", *cloud]
+    csv = tmp_path / "atoms.csv"
+    argv = ["simulate", str(_SHIPPED), *[a for s in sets for a in ("--set", s)],
+            "--csv", str(csv), "-o", str(tmp_path / "sim.json")]
+    codes = []
+    monte_carlo = _traced_peak(lambda: _shipped_result(sets))
+    call = _traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert call - monte_carlo < csv.stat().st_size / 4
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_simulate_streams_its_csv_into_a_fifo(tmp_path, monkeypatch):
+    """A FIFO gets the whole CSV, written as its blocks are made, and is never cut."""
+    from mwselect import cli
+
+    n = 20000
+    assert n > 2 * cli._CSV_BLOCK
+    fifo, out = tmp_path / "atoms.csv", tmp_path / "sim.json"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cuts = []
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(
+        os, "fdopen", lambda *args, **kwargs: _CutRecorder(real_fdopen(*args, **kwargs), cuts)
+    )
+    sets = [f"ensemble.n={n}"]
+    assert main(["simulate", str(_SHIPPED), "--set", sets[0],
+                 "--csv", str(fifo), "-o", str(out)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert cuts == [out.stat().st_size]
+    assert received == [cli.simulation_csv(_shipped_result(sets))]
