@@ -834,6 +834,41 @@ def _sparse_result(rng):
     )
 
 
+def _limit_result(rng):
+    """A result whose z_final and v_final sit at the narrow limit.
+
+    With L = 4096 // _SPARSE: in rows 0-4095 z_final is finite in L rows,
+    among them the first and the last, and v_final in L rows, one of them
+    its own; in rows 4096-8191 z_final is finite in L + 1 rows and v_final
+    in L of them.  Rows 8192-12287 are all NaN and the 13 after them finite
+    once, in z_final.  So at 4096-row blocks the first block is narrow in
+    both columns and the second in v_final alone; at 8192-row blocks the
+    first is narrow in v_final alone, 2L finite, with z_final one over.
+    """
+    from types import SimpleNamespace
+
+    from mwselect import cli
+
+    limit = 4096 // cli._SPARSE
+    n = 3 * 4096 + 13
+    z_final, v_final = np.full(n, np.nan), np.full(n, np.nan)
+    picks = rng.choice(np.arange(1, 4095), limit - 1, replace=False)
+    z_rows = np.r_[0, 4095, picks[:-1]]
+    z_final[z_rows] = rng.standard_normal(limit) * 1e-3
+    z_final[z_rows[:4]] = (-0.0, 5e-324, 1e300, np.inf)
+    v_final[np.r_[4095, picks]] = rng.standard_normal(limit) * 1e-2
+    second = 4096 + rng.choice(4096, limit + 1, replace=False)
+    z_final[second] = rng.standard_normal(limit + 1) * 1e-3
+    v_final[second[1:]] = -rng.random(limit)
+    z_final[n - 5] = 0.125
+    both = ~np.isnan(z_final)
+    return SimpleNamespace(
+        n_total=n, z0=rng.standard_normal(n) * 1e-3, v0=0.7 + rng.standard_normal(n) * 1e-2,
+        survived_first=both | (rng.random(n) < 0.1), survived_both=both,
+        z_final=z_final, v_final=v_final,
+    )
+
+
 def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
     """The block-wise writer gives the bytes of the row-wise reference.
 
@@ -842,7 +877,8 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
     block size the all-NaN rows follow a mixed block.  atom_index goes
     from 9 to 10, 99 to 100 and 9999 to 10000 inside a block and, at one
     row a block, across block boundaries.  A second result is sparse in
-    z_final and v_final (see _sparse_result).
+    z_final and v_final (see _sparse_result), and a third sits at the
+    narrow limit (see _limit_result).
     """
     from types import SimpleNamespace
 
@@ -867,11 +903,73 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
         z_final=np.where(both, values * 0.5, np.nan),
         v_final=np.where(both, -values, np.nan),
     )
-    for result in (result, _sparse_result(rng)):
+    for result in (result, _sparse_result(rng), _limit_result(rng)):
         want = _rowwise_simulation_csv(result)
         for block in (cli._CSV_BLOCK, 4096, 7, 1):
             monkeypatch.setattr(cli, "_CSV_BLOCK", block)
             assert cli.simulation_csv(result) == want
+
+
+# block size, and the cells of _limit_result spliced at it: limits * L + extra
+@pytest.mark.parametrize("block,limits,extra", [(4096, 3, 0), (8192, 2, 1), (7, 0, 0), (1, 0, 0)])
+def test_a_sparse_block_splices_its_cells_up_to_the_limit(monkeypatch, block, limits, extra):
+    """A block yields one piece, and two more for each finite cell of a narrow column."""
+    from mwselect import cli
+
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    result = _limit_result(np.random.default_rng(6))
+    pieces = list(cli._simulation_blocks(result))
+    blocks = -(-result.n_total // block)
+    spliced = limits * (4096 // cli._SPARSE) + extra
+    assert len(pieces) == 2 + blocks + 2 * spliced
+    assert b"".join(pieces) == _rowwise_simulation_csv(result)
+
+
+def test_a_text_column_keeps_its_call_free_of_marks():
+    """A text cell may hold the mark byte: beside it a sparse column stays wide."""
+    from mwselect import cli
+
+    n = 300
+    names = ["t"] * n
+    names[2] = "a\x01b"
+    x, nans = np.full(n, np.nan), np.full(n, np.nan)
+    x[[0, 150]] = (1.5, -2.0)
+    assert 2 * cli._SPARSE <= n
+    header = ["name", "x", "all_nan"]
+    pieces = list(cli._csv(header, [names, x, nans]))
+    assert len(pieces) == 3
+    assert b"".join(pieces).decode() == _rowwise_csv(header, zip(names, x, nans))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("cloud", _CLOUDS.values(), ids=_CLOUDS.keys())
+def test_benchmark_final_columns_take_their_paths(monkeypatch, cloud, seed):
+    """At 50k atoms the thermal cloud's final columns are narrow, the matched cloud's wide."""
+    from mwselect import cli
+
+    result = _shipped_result(["ensemble.n=50000", f"ensemble.seed={seed}", *cloud])
+    words = []
+    float_cells = cli._float_cells
+
+    def spy(*args):
+        cells = float_cells(*args)
+        words.append(cells[0])
+        return cells
+
+    monkeypatch.setattr(cli, "_float_cells", spy)
+    assert b"".join(cli._simulation_blocks(result)) == cli.simulation_csv(result)
+    # z0, v0, z_final and v_final in each block
+    finals = {w for i, w in enumerate(words) if i % 4 >= 2}
+    assert result.n_survived_both > 0
+    assert finals == ({1} if cloud == _CLOUDS["thermal"] else {cli._FLOAT_WORDS})
+
+
+def test_a_sparse_csv_to_stdout_is_simulation_csv(capsys):
+    from mwselect import cli
+
+    result = _sparse_result(np.random.default_rng(5))
+    cli._emit([(cli._simulation_blocks(result), None)])
+    assert capsys.readouterr().out == cli.simulation_csv(result).decode()
 
 
 _INT_TOPS = [0, 1, 9, 10, 10**7, 2**32 - 1, 2**32, 10**19, 2**64 - 1]
