@@ -67,6 +67,8 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, float):  # np.float64 too; never a str, bool or int
+        return f"{value:.16e}"
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -517,7 +519,11 @@ def cmd_simulate(
         spec, pulses[0], pulses[1], cfg, window_sigmas=run.quadrature.window_sigmas
     )
     summary = result.summary()
-    inside = int(np.count_nonzero(result.cell.contains(result.z_final, result.v_final)))
+    # z_final and v_final are NaN, and so outside the cell, for every atom lost
+    both = result.survived_both
+    inside = int(np.count_nonzero(
+        result.cell.contains(result.z_final[both], result.v_final[both])
+    ))
     summary["n_survivors_in_cell"] = inside
     summary["n_survivors_outside_cell"] = result.n_survived_both - inside
     summary["per_atom_csv"] = csv_path

@@ -972,6 +972,26 @@ def test_a_sparse_csv_to_stdout_is_simulation_csv(capsys):
     assert capsys.readouterr().out == cli.simulation_csv(result).decode()
 
 
+@pytest.mark.parametrize("value,text", [
+    (0.1, "1.0000000000000001e-01"),
+    (-0.0, "-0.0000000000000000e+00"),
+    (float("nan"), "nan"),
+    (np.float64(5e-324), "4.9406564584124654e-324"),
+    (np.float64(-1e300), "-1.0000000000000001e+300"),
+    (np.float32(0.1), "1.0000000149011612e-01"),
+    (True, "1"),
+    (np.bool_(False), "0"),
+    (7, "7"),
+    (np.int64(-2**63), "-9223372036854775808"),
+    ("a,b", "a,b"),
+])
+def test_format_cell_texts(value, text):
+    """The reference every CSV test compares with, pinned by its literal texts."""
+    from mwselect import cli
+
+    assert cli._format_cell(value) == text
+
+
 _INT_TOPS = [0, 1, 9, 10, 10**7, 2**32 - 1, 2**32, 10**19, 2**64 - 1]
 
 

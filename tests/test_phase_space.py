@@ -685,6 +685,16 @@ def test_matched_cloud_is_decided_from_tables(
     assert direct.size < 0.001 * rows1
 
 
+def _use_draws(monkeypatch, draws):
+    """Make every run draw (z, v, u1, u2) = draws, serial or on the worker.
+
+    Both paths draw each stream through phase_space._stream, so patching
+    it, not _draws, reaches a run of any size.
+    """
+    streams = dict(zip((0, 1, 2, 4), draws))
+    monkeypatch.setattr(phase_space, "_stream", lambda _spec, key: streams[key])
+
+
 def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
     """Uniforms 1e-6 and 1e-5 from the rule's value: only the fallback decides them.
 
@@ -709,8 +719,9 @@ def test_table_is_exact_for_draws_next_to_the_rule(monkeypatch):
         return np.clip(exact + offset, 0.0, top)
 
     draws = (z0, v0, next_to_rule(z0, spec.dz0, p1), next_to_rule(z2, dz2, p2))
-    monkeypatch.setattr(phase_space, "_draws", lambda _spec: draws)
+    _use_draws(monkeypatch, draws)
     result = mw.run_monte_carlo(spec, p1, p2, cfg, window_sigmas=window)
+    assert result.z0 is draws[0]
     want = _every_atom_averaged(spec, p1, p2, cfg, DELTA_T, window_sigmas=window)
     assert 0 < result.n_survived_both < result.n_survived_first < spec.n
     names = ("survived_first", "survived_both", "z_final", "v_final")
@@ -749,9 +760,10 @@ def test_one_sided_tail_matches_every_atom_reference(monkeypatch, sigma):
     spec = mw.EnsembleSpec(n=20000, seed=4, sigma=sigma, **_THERMAL)
     z0, v0, u1, u2 = phase_space._draws(spec)
     draws = (-np.abs(z0), v0, u1, u2)
-    monkeypatch.setattr(phase_space, "_draws", lambda _spec: draws)
+    _use_draws(monkeypatch, draws)
     calls = _batch_calls(monkeypatch)
     result = mw.run_monte_carlo(spec, p1, p2, cfg)
+    assert result.z0 is draws[0]
     first = [centers for dz, centers in calls if dz == spec.dz0]
     assert len(first) == 2
     grid, direct = first
