@@ -16,6 +16,7 @@ configuration error, 3 physically impossible request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -583,6 +584,9 @@ _COMMANDS = {
 }
 
 
+# Built once: parse_args leaves the parser as it was, and the append action
+# copies the --set default before it adds to it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwselect",

@@ -9,6 +9,8 @@ round-trip exactly: serialization uses repr floats with canonical SI units.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -392,15 +394,25 @@ def _list_item(node: list, key: str, path: str):
     return node[_list_index(key, path, len(node))]
 
 
+@functools.lru_cache(maxsize=8)
+def _parse(text: bytes):
+    """The YAML document in text, parsed once per process; never edit it."""
+    return yaml.load(text, Loader=_YAML_LOADER)
+
+
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
-    """Read a YAML config file, apply --set overrides, validate."""
+    """Read a YAML config file, apply --set overrides, validate.
+
+    The file is read on every call and decoded as YAML specifies (UTF-8,
+    or UTF-16 with a byte order mark), whatever the locale.
+    """
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
+        data = _parse(text)
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"invalid YAML in {p}: {exc}") from None
     if data is None:
@@ -408,7 +420,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
     if overrides:
-        data = apply_overrides(data, overrides)
+        # a deep copy keeps aliased nodes shared, as a fresh parse has them
+        data = apply_overrides(copy.deepcopy(data), overrides)
     return from_dict(data)
 
 

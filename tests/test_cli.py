@@ -681,6 +681,34 @@ def test_module_entry_point():
         assert name in proc.stdout
 
 
+def test_configs_read_the_same_under_an_ascii_locale(tmp_path):
+    """A C locale without UTF-8 mode decodes nothing: YAML's own decoding applies."""
+    text = CONFIGS.joinpath("rb87_10us.yaml").read_text(encoding="utf-8")
+    assert '"3 um"' in text
+    micro = tmp_path / "micro.yaml"
+    micro.write_text(text.replace('"3 um"', '"3 µm"'), encoding="utf-8")
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"species: Rb87\n\xff\n")
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for mode in ("0", "1"):
+        out = tmp_path / f"utf8_{mode}.json"
+        proc = subprocess.run(
+            [sys.executable, "-X", f"utf8={mode}", "-m", "mwselect", "select", str(micro),
+             "-o", str(out)], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs[mode] = out.read_bytes()
+    assert main(["select", str(CONFIGS / "rb87_10us.yaml"), "-o", str(tmp_path / "um.json")]) == 0
+    assert outputs["0"] == outputs["1"] == (tmp_path / "um.json").read_bytes()
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "mwselect", "select", str(bad)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid YAML in ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

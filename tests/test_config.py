@@ -288,6 +288,22 @@ class TestLoadAndResolve:
         with pytest.raises(mw.ConfigError, match="mapping"):
             cf.load_config(p)
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_config_is_decoded_as_yaml_specifies(self, tmp_path, encoding):
+        """UTF-8, or UTF-16 after its byte order mark, whatever the locale's encoding."""
+        text = (CONFIG_DIR / "rb87_10us.yaml").read_text(encoding="utf-8")
+        micro = text.replace('"3 um"', '"3 µm"')
+        assert micro != text
+        p = tmp_path / "micro.yaml"
+        p.write_bytes(micro.encode(encoding))
+        assert cf.load_config(p) == cf.load_config(CONFIG_DIR / "rb87_10us.yaml")
+
+    def test_undecodable_byte_is_invalid_yaml(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_bytes(b"species: Rb87\n\xff\n")
+        with pytest.raises(mw.ConfigError, match="invalid YAML in .*bad.yaml"):
+            cf.load_config(p)
+
     def test_integer_past_digit_limit(self, tmp_path):
         p = tmp_path / "big.yaml"
         p.write_text("species: Rb87\nsigma: " + "9" * 5000 + "\n")
