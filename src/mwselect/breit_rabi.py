@@ -61,7 +61,9 @@ class FieldConfig:
 
     eta in T/m, bias in T.  eta = 0 is allowed here (kappa and epsilon
     are still defined) but every position-selective operation rejects it
-    with ZeroGradientError.
+    with ZeroGradientError.  |eta| <= 1e4 T/m and |bias| <= 1e3 T, far
+    past any laboratory magnet, keep every field on the position range
+    and every quantity derived from it finite.
     """
 
     eta: float
@@ -71,6 +73,8 @@ class FieldConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.eta) or not np.isfinite(self.bias):
             raise ValueError("eta and bias must be finite")
+        if abs(self.eta) > 1e4 or abs(self.bias) > 1e3:
+            raise ValueError("|eta| must be at most 1e4 T/m and |bias| at most 1e3 T")
 
 
 def kappa(cfg: FieldConfig) -> float:

@@ -138,6 +138,9 @@ class ScanEntry:
     def __post_init__(self) -> None:
         if not self.z_max > self.z_min:
             raise ConfigError("scan.z_max must exceed scan.z_min")
+        lo, hi = _POSITION_RANGE
+        if not (lo <= self.z_min and self.z_max <= hi):
+            raise ConfigError(f"scan.z_min and scan.z_max must lie in [{lo:g}, {hi:g}] m")
         if self.points < 2:
             raise ConfigError("scan.points must be at least 2")
         if self.points > _MAX_SIZE:
@@ -426,9 +429,12 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
 
 
 def to_field_config(run: RunConfig) -> FieldConfig:
-    """Physics-side field model for this run."""
+    """Physics-side field model for this run; its range check becomes a ConfigError."""
     species = get_species(run.species)
-    return FieldConfig(eta=run.field.gradient, bias=run.field.bias, species=species)
+    try:
+        return FieldConfig(eta=run.field.gradient, bias=run.field.bias, species=species)
+    except ValueError as exc:
+        raise ConfigError(f"field: {exc}") from None
 
 
 def to_pulses(run: RunConfig, cfg: FieldConfig) -> tuple[PulseSpec, ...]:

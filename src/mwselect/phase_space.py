@@ -26,11 +26,10 @@ from .breit_rabi import FieldConfig, Level
 from .dynamics import g_effective, spread_width
 from .errors import LevelMismatchError
 from .probability import (
+    _packet_rule,
     averaged_probability_batch,
     averaged_probability_bound,
     averaged_probability_table,
-    interpolation_tolerance,
-    node_spacing,
 )
 from .selection import PulseSpec, SelectionResult, detuning, select
 
@@ -227,6 +226,11 @@ class EnsembleSpec:
             raise ValueError("z_mean, z_rms, v_mean and v_rms must be finite")
         if self.z_rms < 0.0 or self.v_rms < 0.0:
             raise ValueError("z_rms and v_rms must be nonnegative")
+        # 1 m is the position range and 3e8 m/s the speed of light
+        if max(abs(self.z_mean), self.z_rms) > 1.0:
+            raise ValueError("|z_mean| and z_rms must be at most 1 m")
+        if max(abs(self.v_mean), self.v_rms) > 3e8:
+            raise ValueError("|v_mean| and v_rms must be at most 3e8 m/s")
         # 1 pm is far below any atomic packet; 1 m is the position range
         if not 1e-12 <= self.dz0 <= 1.0:
             raise ValueError("dz0 must lie in [1 pm, 1 m]")
@@ -236,6 +240,12 @@ class EnsembleSpec:
             raise ValueError("sigma must be +1 or -1")
         if self.decision_mode not in _DECISION_MODES:
             raise ValueError(f"decision_mode must be one of {_DECISION_MODES}")
+
+
+# summary() keys of the survivors' statistics, None when no atom survives
+_SURVIVOR_KEYS = ("survivor_v_mean_m_s", "survivor_v_std_m_s", "survivor_v_min_m_s",
+                  "survivor_v_max_m_s", "survivor_v_range_m_s", "survivor_z_mean_m",
+                  "survivor_z_std_m")
 
 
 @dataclass(frozen=True)
@@ -284,28 +294,15 @@ class MonteCarloResult:
             "cell_velocity_support_m_s": self.cell.velocity_support,
             "cell_area_m2_s": self.cell.area,
         }
-        if self.n_survived_both:
-            vf = self.v_final[self.survived_both]
-            zf = self.z_final[self.survived_both]
-            out.update(
-                survivor_v_mean_m_s=float(np.mean(vf)),
-                survivor_v_std_m_s=float(np.std(vf)),
-                survivor_v_min_m_s=float(np.min(vf)),
-                survivor_v_max_m_s=float(np.max(vf)),
-                survivor_v_range_m_s=float(np.max(vf) - np.min(vf)),
-                survivor_z_mean_m=float(np.mean(zf)),
-                survivor_z_std_m=float(np.std(zf)),
-            )
-        else:
-            out.update(
-                survivor_v_mean_m_s=None,
-                survivor_v_std_m_s=None,
-                survivor_v_min_m_s=None,
-                survivor_v_max_m_s=None,
-                survivor_v_range_m_s=None,
-                survivor_z_mean_m=None,
-                survivor_z_std_m=None,
-            )
+        if not self.n_survived_both:
+            out.update(dict.fromkeys(_SURVIVOR_KEYS))
+            return out
+        vf = self.v_final[self.survived_both]
+        zf = self.z_final[self.survived_both]
+        v_min, v_max = float(np.min(vf)), float(np.max(vf))
+        stats = (np.mean(vf), np.std(vf), v_min, v_max, v_max - v_min,
+                 np.mean(zf), np.std(zf))
+        out.update(zip(_SURVIVOR_KEYS, map(float, stats)))
         return out
 
 
@@ -318,7 +315,9 @@ def _stream(spec: EnsembleSpec, key: int) -> np.ndarray:
     survival draw), so every seed draws what it always drew.  A Gaussian
     is scaled in place, which gives the floats of mean + rms * x.
     """
-    rng = np.random.Generator(np.random.Philox(key=[spec.seed, key]))
+    # a list would hold a seed from 2**63 up as float64, so such seeds collide
+    words = np.array([spec.seed, key], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=words))
     if key > 1:
         return rng.random(spec.n)
     mean, rms = (spec.z_mean, spec.z_rms) if key == 0 else (spec.v_mean, spec.v_rms)
@@ -378,8 +377,8 @@ def _draw_and_decide(spec: EnsembleSpec, decide) -> tuple:
     return z0, v0, u2, first
 
 
-def _densest_run(z: np.ndarray, step: float) -> tuple[float, float, int]:
-    """Ends and atoms of the sorted run of z a table saves most on, at grid step step.
+def _table_run(z: np.ndarray, step: float) -> tuple[float, float] | None:
+    """(lo, hi) of a table at grid step step over the run of z it saves most on.
 
     A table over the sorted positions z_(i)..z_(j) costs _POINT_ROWS
     direct rows for each of its (z_(j) - z_(i))/step grid steps and
@@ -388,6 +387,9 @@ def _densest_run(z: np.ndarray, step: float) -> tuple[float, float, int]:
     min_(i<=j) s_i saves the most.  A tie of z_(i) with its lower
     neighbour, or of z_(j) with its upper one, would score one less, so
     the run holds exactly the j - i + 1 atoms with z_(i) <= z <= z_(j).
+    The table pays, and the run is returned, if its call (_TABLE_ROWS)
+    and grid steps cost fewer direct rows than the run holds atoms;
+    otherwise None.
     """
     ordered = np.sort(z)
     # in place where it can be: a matched cloud leaves ~45k atoms open, and
@@ -397,18 +399,8 @@ def _densest_run(z: np.ndarray, step: float) -> tuple[float, float, int]:
     gain = np.minimum.accumulate(s)
     j = int(np.argmax(np.subtract(s, gain, out=gain)))
     i = int(np.argmin(s[: j + 1]))
-    return float(ordered[i]), float(ordered[j]), j - i + 1
-
-
-def _table_run(z: np.ndarray, step: float) -> tuple[float, float] | None:
-    """(lo, hi) of a table over the densest run of z, or None if none pays.
-
-    The table pays if its call and grid steps cost fewer direct rows than
-    the run holds atoms, so it holds fewer than 1/_POINT_ROWS points per
-    atom of the run.
-    """
-    lo, hi, atoms = _densest_run(z, step)
-    if (hi - lo) / step * _POINT_ROWS + _TABLE_ROWS < atoms:
+    lo, hi = float(ordered[i]), float(ordered[j])
+    if (hi - lo) / step * _POINT_ROWS + _TABLE_ROWS < j - i + 1:
         return lo, hi
     return None
 
@@ -513,11 +505,11 @@ def _accept(
     >= p, so u < p is false whatever the quadrature would give
     (_open_rows; above _BIN_ATOMS atoms the count is of the rows the
     bins left open).  The densest sorted run of the open atoms
-    (_densest_run) is tabulated, by averaged_probability_table on the
-    grid of the rule's node spacing, if that costs fewer direct rows than
-    the run holds atoms.  On the table, p is interpolated by a direct index
-    into the uniform grid; a live atom in the run whose u is more than
-    interpolation_tolerance from the interpolant is decided from it.
+    (_table_run) is tabulated, by averaged_probability_table on the
+    grid of the rule's node spacing (its step), if that costs fewer direct
+    rows than the run holds atoms.  On the table, p is interpolated by a
+    direct index into the uniform grid; a live atom in the run whose u is
+    more than the rule's tolerance from the interpolant is decided from it.
     The other live atoms are averaged one by one in one direct call.  So
     every decision equals u < averaged_probability_batch(z) bit for bit,
     and the table and the direct call span the per-atom open atoms'
@@ -532,17 +524,17 @@ def _accept(
             lo, hi, dz, pulse, cfg, window_sigmas=window_sigmas
         )
 
-    step = node_spacing(dz, window_sigmas)
-    rows, zr, ur, direct, run = _open_rows(u, z, dz, step, bound)
+    rule = _packet_rule(dz, window_sigmas)
+    rows, zr, ur, direct, run = _open_rows(u, z, dz, rule.step, bound)
     flip = np.zeros(rows.size, dtype=bool)
     if run is not None:
         lo, hi = run
         table = averaged_probability_table(
             lo, hi, dz, pulse, cfg, window_sigmas=window_sigmas
         )
-        approx = _lookup(zr, lo, step, table)
-        tol = interpolation_tolerance(dz, window_sigmas)
-        sure = direct & (lo <= zr) & (zr <= hi) & (np.abs(ur - approx) > tol)
+        approx = _lookup(zr, lo, rule.step, table)
+        sure = direct & (lo <= zr) & (zr <= hi)
+        sure &= np.abs(ur - approx) > rule.tolerance
         np.less(ur, approx, out=flip, where=sure)
         direct &= ~sure
     flip[direct] = ur[direct] < averaged_probability_batch(

@@ -19,7 +19,7 @@ lo = hi, a bin of Monte Carlo atoms otherwise), so a decision that the
 average cannot change skips the quadrature.  averaged_probability_table
 is the same rule on a grid of centers spaced like its nodes, so every
 node of every center is a grid point and one convolution takes it, and
-interpolation_tolerance bounds how far a linear interpolation of that
+the rule's tolerance bounds how far a linear interpolation of that
 table can be from the rule, so a decision far enough from that
 interpolant needs no quadrature of its own either.
 """
@@ -40,10 +40,9 @@ from .selection import PulseSpec, detuning
 _MAX_PHASE_PER_NODE = 1.4  # cap on rad of detuning phase per node; the rule resolves ~2x
 _BOUND_ROUNDOFF = 1e-12  # relative float slack of averaged_probability_bound
 RULE_ORDER = 201  # evenly spaced nodes of the packet-average rule
-_ESTIMATE_ORDER = 101  # every other node; its gap to the full rule estimates its error
 _RULE_ERROR = 1e-11  # calibrated gap of the rule to the windowed average (see the batch)
 _CURVATURE = 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)  # 2*phi(1), see below
-_FLOAT_SLACK = 1e-9  # absolute slack of interpolation_tolerance for rounding
+_FLOAT_SLACK = 1e-9  # absolute slack of _PacketRule.tolerance for rounding
 _BLOCK = 128  # rows of one (rows, order) evaluation in _rule_sum
 _TABLE_BLOCK = 8192  # grid points of one convolution in averaged_probability_table
 
@@ -94,9 +93,9 @@ def transition_probability(
     A one-row averaged_probability_batch call at center state.z and
     width state.dz over +/- window_sigmas widths, so it shares the
     batch rule's QuadratureError check.  With detail=True it returns
-    (p, error), where error = |p - p_101| is the gap to the same rule
-    on every other node, which resolves less and so overstates the error
-    of p.
+    (p, error), where error = |p - p_101| is the gap to the 101-node
+    rule on the rule's even nodes (each weighing two cells), which
+    resolves less and so overstates the error of p.
     The pulse must address the packet's stretched pair (matching sigma).
     """
     if settings is None:
@@ -111,37 +110,64 @@ def transition_probability(
     (value,) = averaged_probability_batch(centers, dz, pulse, cfg, window_sigmas=window)
     if not detail:
         return float(value)
-    coarse_rule = _packet_rule(dz, _ESTIMATE_ORDER, window)
-    (coarse,) = _rule_sum(centers, coarse_rule, pulse, cfg)
+    rule = _packet_rule(dz, window)
+    (coarse,) = _rule_sum(centers, rule.offsets[::2], 2.0 * rule.factors[::2], pulse, cfg)
     return float(value), float(abs(value - coarse))
 
 
-@lru_cache(maxsize=64)
-def _packet_rule(
-    dz: float, order: int, window_sigmas: float
-) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Node offsets, weights, half-window, the weights' sum and the node spacing.
+@dataclass(frozen=True)
+class _PacketRule:
+    """The packet-average rule of width dz over +/- W widths, half = W*dz.
 
-    order nodes evenly spaced by h = 2*half/(order - 1) over [-half,
-    half], each weighted h*phi(offset/dz)/dz: the Gaussian density times
-    its cell.  Orders 201 and 101 share every other node.  Cached, so the
-    arrays are read-only.
+    RULE_ORDER offsets evenly spaced by step = 2*half/(RULE_ORDER - 1)
+    over [-half, half], each with a factor step*phi(offset/dz)/dz, the
+    Gaussian density times its cell; weight is the factors' sum.  The even
+    nodes, each weighing two cells, are the error estimate's 101-node rule.
+    tolerance bounds |linear interpolant - averaged_probability_batch| at
+    any center between the points of an averaged_probability_table
+    (spaced by step, having passed the phase check):
+
+        eps = step^2/8 * 2*phi(1)/dz^2 + 2*(1e-11 + erfc(W/sqrt(2))) + 1e-9
+
+    (phi the normal density).  The exact Gaussian average P has P'' =
+    int (p - 1/2) G'' because int G'' = 0, so 0 <= p <= 1 gives |P''| <=
+    int|G''|/2 = 2*phi(1)/dz^2 = 0.4839/dz^2, and interpolating P is off
+    by at most step^2/8 times that.  The table is the rule at its grid,
+    and the rule differs from P by at most its calibrated 1e-11 plus the
+    Gaussian mass outside its window, erfc(W/sqrt(2)) (1.2e-15 at 8,
+    5.7e-7 at the minimum of 5), once at the grid and once at the center;
+    clipping the rule to [0, 1] does not widen the gap, and 1e-9 covers
+    rounding.  At W = 8 (step = 0.08*dz), eps = 3.87e-4.
     """
+
+    offsets: np.ndarray
+    factors: np.ndarray
+    half: float
+    weight: float
+    step: float
+    tolerance: float
+
+
+@lru_cache(maxsize=64)
+def _cached_rule(dz: float, window_sigmas: float) -> _PacketRule:
     if not dz > 0.0:
         raise ValueError("dz must be positive")
     _check_window(window_sigmas)
     half = window_sigmas * dz
-    step = 2.0 * half / (order - 1)
-    offsets = step * np.arange(-(order // 2), order // 2 + 1)
+    step = 2.0 * half / (RULE_ORDER - 1)
+    offsets = step * np.arange(-(RULE_ORDER // 2), RULE_ORDER // 2 + 1)
     density = np.exp(-0.5 * (offsets / dz) ** 2) / (math.sqrt(2.0 * math.pi) * dz)
     factors = density * step
     offsets.flags.writeable = factors.flags.writeable = False
-    return offsets, factors, half, float(np.sum(factors)), step
+    smooth = step * step / 8.0 * _CURVATURE / (dz * dz)
+    rule_error = _RULE_ERROR + math.erfc(window_sigmas / math.sqrt(2.0))
+    tolerance = smooth + 2.0 * rule_error + _FLOAT_SLACK
+    return _PacketRule(offsets, factors, half, float(np.sum(factors)), step, tolerance)
 
 
-def node_spacing(dz: float, window_sigmas: float = 8.0) -> float:
-    """Spacing of the rule's nodes, and so of a probability table's grid: W*dz/100."""
-    return _packet_rule(dz, RULE_ORDER, window_sigmas)[4]
+def _packet_rule(dz: float, window_sigmas: float = 8.0) -> _PacketRule:
+    """The _PacketRule of width dz, cached by value: its arrays are read-only."""
+    return _cached_rule(dz, window_sigmas)
 
 
 def averaged_probability_batch(
@@ -177,21 +203,21 @@ def averaged_probability_batch(
     passes, dz = 300 um raises.
     """
     centers = np.asarray(centers, dtype=float)
-    rule = _packet_rule(dz, RULE_ORDER, window_sigmas)
+    rule = _packet_rule(dz, window_sigmas)
     if centers.size:
-        _check_phase(centers.min(), centers.max(), dz, rule[2], pulse, cfg)
-    return np.clip(_rule_sum(centers, rule, pulse, cfg), 0.0, 1.0)
+        _check_phase(centers.min(), centers.max(), dz, rule, pulse, cfg)
+    return np.clip(_rule_sum(centers, rule.offsets, rule.factors, pulse, cfg), 0.0, 1.0)
 
 
-def _check_phase(lo, hi, dz, half, pulse, cfg) -> None:
+def _check_phase(lo, hi, dz, rule, pulse, cfg) -> None:
     """Raise QuadratureError unless the rule resolves every window centered in [lo, hi].
 
     See averaged_probability_batch: the steepest detuning slope over
     those windows sits at lo - half or at hi + half.
     """
-    ends = np.array([lo - half, hi + half])
+    ends = np.array([lo - rule.half, hi + rule.half])
     slope = float(np.max(np.abs(d_transition_dz(pulse.branch, ends, cfg))))
-    phase = slope * half * pulse.tau
+    phase = slope * rule.half * pulse.tau
     if not phase <= _MAX_PHASE_PER_NODE * RULE_ORDER:
         raise QuadratureError(
             f"packet width {dz:.6g} m is too wide for the {RULE_ORDER}-node rule: "
@@ -210,7 +236,7 @@ def averaged_probability_table(
 ) -> np.ndarray:
     """averaged_probability_batch on the grid lo + i*h over [lo, hi], by convolution.
 
-    h = node_spacing(dz, window_sigmas), so the nodes of a grid center
+    h is the rule's step, its node spacing, so the nodes of a grid center
     are grid points too.  The grid has P = ceil((hi - lo)/h) + 1 points,
     the last up to a step past hi.  The point probability is evaluated on
     it, extended by 100 points on each side (a center's outermost nodes),
@@ -222,59 +248,33 @@ def averaged_probability_table(
     1]).  The phase check runs over [lo, hi], so QuadratureError is
     raised exactly when a batch call on centers spanning [lo, hi] would.
     """
-    _, factors, half, _, step = _packet_rule(dz, RULE_ORDER, window_sigmas)
-    _check_phase(lo, hi, dz, half, pulse, cfg)
-    points = math.ceil((hi - lo) / step) + 1
+    rule = _packet_rule(dz, window_sigmas)
+    _check_phase(lo, hi, dz, rule, pulse, cfg)
+    points = math.ceil((hi - lo) / rule.step) + 1
     reach = RULE_ORDER // 2
     out = np.empty(points)
     for start in range(0, points, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, points)
-        x = lo + step * np.arange(start - reach, stop + reach)
-        out[start:stop] = np.convolve(point_probability(x, pulse, cfg), factors, "valid")
+        x = lo + rule.step * np.arange(start - reach, stop + reach)
+        p = point_probability(x, pulse, cfg)
+        out[start:stop] = np.convolve(p, rule.factors, "valid")
     return out
 
 
-def _rule_sum(centers, rule, pulse, cfg) -> np.ndarray:
-    """Sums of a _packet_rule over centers, without the phase check or clipping.
+def _rule_sum(centers, offsets, factors, pulse, cfg) -> np.ndarray:
+    """Sums of factors * p(center + offsets) per center, without phase check or clip.
 
     At most _BLOCK rows are evaluated at a time, which keeps each
     (rows, order) float64 temporary near 200 KB and so in cache; rows are
     summed independently, so the block size does not change a bit of the
     result.
     """
-    offsets, factors = rule[:2]
     out = np.empty(centers.size)
     for start in range(0, centers.size, _BLOCK):
         block = centers[start:start + _BLOCK, None] + offsets[None, :]
         vals = point_probability(block, pulse, cfg)
         out[start:start + _BLOCK] = np.sum(vals * factors[None, :], axis=1)
     return out
-
-
-def interpolation_tolerance(dz: float, window_sigmas: float) -> float:
-    """Bound on |linear interpolant - averaged_probability_batch| between grid points.
-
-    The averaged_probability_table values at centers spaced by h =
-    node_spacing(dz, W) (having passed the phase check) are interpolated
-    linearly; at any center in between, the interpolant is within
-
-        eps = h^2/8 * 2*phi(1)/dz^2 + 2*(1e-11 + erfc(W/sqrt(2))) + 1e-9
-
-    of the batch value there (W = window_sigmas, phi the normal density).
-    The exact Gaussian average P has P'' = int (p - 1/2) G'' because
-    int G'' = 0, so 0 <= p <= 1 gives |P''| <= int|G''|/2 = 2*phi(1)/dz^2
-    = 0.4839/dz^2, and interpolating P is off by at most h^2/8 times
-    that.  The table is the rule at its grid, and the rule differs from P
-    by at most its calibrated 1e-11 plus the Gaussian mass outside its
-    window, erfc(W/sqrt(2)) (1.2e-15 at 8, 5.7e-7 at the minimum of 5),
-    once at the grid and once at the center; clipping the rule to [0, 1]
-    does not widen the gap, and 1e-9 covers rounding.  At W = 8 (h =
-    0.08*dz), eps = 3.87e-4.
-    """
-    step = node_spacing(dz, window_sigmas)
-    smooth = step * step / 8.0 * _CURVATURE / (dz * dz)
-    rule = _RULE_ERROR + math.erfc(window_sigmas / math.sqrt(2.0))
-    return smooth + 2.0 * rule + _FLOAT_SLACK
 
 
 def averaged_probability_bound(
@@ -323,9 +323,9 @@ def averaged_probability_bound(
     which keeps its bound at or above every center's in it.  detuning and
     its slope are each evaluated once, over both window ends.
     """
-    _, _, half, weight, _ = _packet_rule(dz, RULE_ORDER, window_sigmas)
-    a = np.ravel(lo) - half
-    b = np.ravel(hi) + half
+    rule = _packet_rule(dz, window_sigmas)
+    a = np.ravel(lo) - rule.half
+    b = np.ravel(hi) + rule.half
     ends = np.concatenate((a, b))
     d = detuning(ends, pulse, cfg)
     s = d_transition_dz(pulse.branch, ends, cfg)
@@ -344,4 +344,4 @@ def averaged_probability_bound(
     delta_min = np.maximum(delta_min - roundoff * scale, 0.0)
     w0 = pulse.coupling_omega0
     envelope = 4.0 * w0 * w0 / (delta_min * delta_min + 4.0 * w0 * w0)
-    return envelope * (weight + _BOUND_ROUNDOFF)
+    return envelope * (rule.weight + _BOUND_ROUNDOFF)

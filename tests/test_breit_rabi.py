@@ -242,3 +242,11 @@ def test_stretched_branch_validation():
 def test_field_config_rejects_non_finite(rb87):
     with pytest.raises(ValueError):
         mw.FieldConfig(eta=float("nan"), bias=0.0, species=rb87)
+
+
+def test_field_config_bounds(rb87):
+    for eta, bias in ((1e4, 1e3), (-1e4, -1e3)):
+        assert mw.FieldConfig(eta=eta, bias=bias, species=rb87).eta == eta
+    for eta, bias in ((1.0001e4, 0.0), (0.25, -1.0001e3), (1e300, 0.0), (0.25, 1e300)):
+        with pytest.raises(ValueError, match="at most"):
+            mw.FieldConfig(eta=eta, bias=bias, species=rb87)

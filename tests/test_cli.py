@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwselect import config as cf
@@ -325,6 +325,19 @@ def test_shipped_configs_run_scan_and_select(tmp_path):
         (["--set", "ensemble.n=0"], "ensemble"),
         (["--set", "pulses.0.omega=6.8 GHz"], "exactly one"),
         (["--set", "ensemble.n=" + "9" * 5000], "ensemble.n"),
+        (["--set", "scan.z_max=-1 cm"], "scan.z_max must exceed scan.z_min"),
+        (["--set", "scan.points=1"], "scan.points must be at least 2"),
+        (["--set", "ensemble.z_rms=-1 mm"], "ensemble: z_rms and v_rms must be nonnegative"),
+        (["--set", "ensemble.v_rms=-1 mm/s"], "ensemble: z_rms and v_rms must be nonnegative"),
+        # magnitudes whose products overflow are out of range
+        (["--set", "scan.z_min=-1e300 m"], "scan.z_min and scan.z_max must lie in [-1, 1] m"),
+        (["--set", "scan.z_max=1e300 m"], "scan.z_min and scan.z_max must lie in [-1, 1] m"),
+        (["--set", "field.gradient=1e300 T/m"], "field: |eta| must be at most 1e4 T/m"),
+        (["--set", "field.bias=-1e300 T"], "and |bias| at most 1e3 T"),
+        (["--set", "ensemble.z_mean=1e300 m"], "|z_mean| and z_rms must be at most 1 m"),
+        (["--set", "ensemble.z_rms=1e300 m"], "|z_mean| and z_rms must be at most 1 m"),
+        (["--set", "ensemble.v_mean=-1e300 m/s"], "|v_mean| and v_rms must be at most 3e8"),
+        (["--set", "ensemble.v_rms=1e300 m/s"], "|v_mean| and v_rms must be at most 3e8"),
     ],
 )
 def test_config_errors_exit_2(config_path, tmp_path, capsys, argv_tail, needle):
@@ -764,6 +777,11 @@ _OVERRIDE_VALUES = st.one_of(
 @pytest.mark.parametrize("path", _LEAVES)
 @settings(max_examples=3, deadline=None)
 @given(value=_OVERRIDE_VALUES)
+# magnitudes whose products overflow: a bound must reject them on every run
+@example(value="1e300 m")
+@example(value="1e300 T")
+@example(value="1e300 T/m")
+@example(value="1e300 m/s")
 def test_any_single_override_exits_cleanly(tmp_path_factory, path, value):
     base = tmp_path_factory.getbasetemp()
     # simulate runs 2000 atoms unless the override sets ensemble.n itself

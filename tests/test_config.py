@@ -242,6 +242,12 @@ class TestOverrides:
         with pytest.raises(mw.ConfigError, match="list index"):
             cf.apply_overrides(_two_pulse(), ["pulses.first.tau=1 us"])
 
+    def test_scalar_list_item_is_not_a_parent(self):
+        with pytest.raises(mw.ConfigError, match="parent is not a mapping or list"):
+            cf.apply_overrides({"pulses": [1]}, ["pulses.0.tau=1"])
+        with pytest.raises(mw.ConfigError, match=r"pulses\.0 is not a mapping"):
+            cf.apply_overrides({"pulses": [1]}, ["pulses.0.a.b=1"])
+
 
 class TestLoadAndResolve:
     @pytest.mark.parametrize("name", ["rb87_10us.yaml", "rb87_5us.yaml"])
@@ -341,6 +347,13 @@ class TestLoadAndResolve:
             # resolution happens when physics objects are built
             pulse = cf.to_pulses(run, cf.to_field_config(run))[0]
             mw.resonant_position(pulse.omega_A, pulse.branch, cf.to_field_config(run))
+
+    def test_scan_stays_in_the_position_range(self):
+        scan = {"z_min": "-1 m", "z_max": "1 m", "points": 2}
+        assert cf.from_dict(_minimal(scan=scan)).scan.z_max == 1.0
+        for key, value in (("z_min", "-1.001 m"), ("z_max", "1.001 m")):
+            with pytest.raises(mw.ConfigError, match=r"must lie in \[-1, 1\] m"):
+                cf.from_dict(_minimal(scan={**scan, key: value}))
 
     def test_ensemble_spec_requires_section(self):
         with pytest.raises(mw.ConfigError, match="ensemble"):

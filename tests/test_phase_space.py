@@ -203,6 +203,33 @@ def test_ensemble_spec_validation():
         _ensemble(decision_mode="maybe")
     with pytest.raises(ValueError):
         _ensemble(sigma=3)
+    # the position range, and the speed of light
+    for key, top in (("z_mean", 1.0), ("z_rms", 1.0), ("v_mean", 3e8), ("v_rms", 3e8)):
+        assert getattr(_ensemble(**{key: top}), key) == top
+        with pytest.raises(ValueError, match="at most"):
+            _ensemble(**{key: 1.001 * top})
+    for key in ("z_mean", "v_mean"):
+        with pytest.raises(ValueError, match="at most"):
+            _ensemble(**{key: -1e300})
+
+
+def test_every_64_bit_seed_draws_its_own_atoms():
+    """The seed is a uint64 Philox key word, so seeds from 2**63 up neither collide nor warn.
+
+    Below 2**63 the draws are those of the key given as a list of ints.
+    """
+    for seed in (0, 20260815, 2**63 - 1):
+        for key in (0, 1, 2, 4):
+            rng = np.random.Generator(np.random.Philox(key=[seed, key]))
+            want = rng.random(200) if key > 1 else rng.standard_normal(200)
+            got = phase_space._stream(_ensemble(seed=seed, z_mean=0.0, z_rms=1.0,
+                                                v_mean=0.0, v_rms=1.0), key)
+            np.testing.assert_array_equal(got, want)
+    a, b = (phase_space._stream(_ensemble(seed=2**63 + k), 0) for k in (0, 5))
+    assert not np.any(a == b)
+    # no RuntimeWarning (the suite makes it an error), and not seed 0's key
+    top = phase_space._draws(_ensemble(seed=2**64 - 1))
+    assert not np.any(top[0] == phase_space._stream(_ensemble(seed=0), 0))
 
 
 def test_draws_are_a_prefix_of_longer_runs():
@@ -358,6 +385,19 @@ def test_cloud_inside_both_bands_survives_fully(cfg, rb87, cell):
                                   branch=mw.StretchedBranch(1))
     result = mw.run_monte_carlo(spec, p1, p2, cfg)
     assert result.summary()["fraction_both"] == 1.0
+
+
+def test_summary_without_survivors_has_the_same_keys(cfg, pulse_first, pulse_second):
+    some = mw.run_monte_carlo(_ensemble(n=500, decision_mode="band"),
+                              pulse_first, pulse_second, cfg)
+    none = mw.run_monte_carlo(_ensemble(n=500, decision_mode="band", z_mean=0.5),
+                              pulse_first, pulse_second, cfg)
+    assert some.n_survived_both and not none.n_survived_both
+    filled, empty = some.summary(), none.summary()
+    assert list(filled) == list(empty)
+    survivor = [key for key in filled if key.startswith("survivor_")]
+    assert len(survivor) == 7
+    assert all(isinstance(filled[key], float) and empty[key] is None for key in survivor)
 
 
 def test_summary_reports_counts(cfg, pulse_first, pulse_second):
@@ -604,7 +644,7 @@ def _batch_calls(monkeypatch):
 
     def table(lo, hi, dz, *args, **kwargs):
         out = probability.averaged_probability_table(lo, hi, dz, *args, **kwargs)
-        step = probability.node_spacing(dz, kwargs["window_sigmas"])
+        step = probability._packet_rule(dz, kwargs["window_sigmas"]).step
         calls.append((dz, np.minimum(lo + step * np.arange(out.size), hi)))
         return out
 
@@ -629,7 +669,7 @@ def test_thermal_cloud_rarely_needs_quadrature(
     first = [centers for dz, centers in calls if dz == spec.dz0]
     assert len(first) == 2
     grid, direct = first
-    assert np.allclose(np.diff(grid[:-1]), probability.node_spacing(spec.dz0))
+    assert np.allclose(np.diff(grid[:-1]), probability._packet_rule(spec.dz0).step)
     z0 = phase_space._draws(spec)[0]
     assert np.isin(direct, z0).all()
     assert _rows(grid, direct) < 0.5 * rows1
@@ -789,7 +829,7 @@ def test_dense_run_is_tabulated_only_if_it_saves_a_call(
     not for _TABLE_ROWS.
     """
     dz = 3e-6
-    step = probability.node_spacing(dz)
+    step = probability._packet_rule(dz).step
     assert 100 * phase_space._POINT_ROWS > 1
     cluster = np.linspace(0.0, 0.9 * step, phase_space._TABLE_ROWS + extra)
     flanks = 100.0 * step * np.arange(1, 21)

@@ -147,27 +147,35 @@ def test_detail_returns_quadrature_info(cfg, pulse_first):
     value, error = mw.transition_probability(packet, pulse_first, cfg, detail=True)
     assert value == mw.transition_probability(packet, pulse_first, cfg)
     assert 0.0 <= error < 1e-10
-    # the estimate is the gap to the 101-node rule, which resolves less
-    rule = probability._packet_rule(3e-6, probability._ESTIMATE_ORDER, 8.0)
-    (coarse,) = np.clip(
-        probability._rule_sum(np.array([0.0]), rule, pulse_first, cfg), 0.0, 1.0
-    )
+    # the estimate is the gap to the 101-node rule on the even nodes, which
+    # resolves less
+    rule = probability._packet_rule(3e-6)
+    (coarse,) = np.clip(probability._rule_sum(
+        np.array([0.0]), rule.offsets[::2], 2.0 * rule.factors[::2], pulse_first, cfg
+    ), 0.0, 1.0)
     assert error == abs(value - float(coarse))
 
 
 def test_packet_rule_is_cached_and_read_only():
-    """One rule per (dz, order, window); callers share its arrays, so none may write them."""
-    rule = probability._packet_rule(3e-6, 201, 8.0)
-    assert probability._packet_rule(3e-6, 201, 8.0) is rule
-    offsets, factors, half, weight, step = rule
-    assert half == 8.0 * 3e-6 and weight == float(np.sum(factors))
-    # evenly spaced nodes over the window, and the estimate on every other one
-    assert step == probability.node_spacing(3e-6) == 2.0 * half / 200
+    """One rule per (dz, window); callers share its arrays, so none may write them."""
+    rule = probability._packet_rule(3e-6, 8.0)
+    assert probability._packet_rule(3e-6) is rule
+    assert probability._packet_rule(3e-6, window_sigmas=8) is rule
+    offsets, factors, half, step = rule.offsets, rule.factors, rule.half, rule.step
+    assert half == 8.0 * 3e-6 and rule.weight == float(np.sum(factors))
+    # evenly spaced nodes over the window
+    assert offsets.size == probability.RULE_ORDER and step == 2.0 * half / 200
     assert offsets[100] == 0.0 and np.allclose(offsets, step * np.arange(-100, 101))
-    assert np.array_equal(probability._packet_rule(3e-6, 101, 8.0)[0], offsets[::2])
+    # the estimate's even nodes, each of two cells, are the 101-node rule
+    coarse = 2.0 * half / 100
+    assert np.array_equal(offsets[::2], coarse * np.arange(-50, 51))
+    density = np.exp(-0.5 * (offsets[::2] / 3e-6) ** 2) / (math.sqrt(2.0 * math.pi) * 3e-6)
+    assert np.array_equal(2.0 * factors[::2], density * coarse)
     for array in (offsets, factors):
         with pytest.raises(ValueError):
             array[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.step = 1.0
 
 
 def test_window_sigmas_sets_the_window(cfg, pulse_first):
@@ -177,7 +185,7 @@ def test_window_sigmas_sets_the_window(cfg, pulse_first):
     narrow = mw.transition_probability(
         packet, pulse_first, cfg, settings=mw.QuadratureSettings(window_sigmas=5.5)
     )
-    h = probability.node_spacing(3e-6, 5.5)
+    h = probability._packet_rule(3e-6, 5.5).step
     want = _riemann_average(pulse_first, cfg, 15e-6, 3e-6, 5.5 * 3e-6 + 0.5 * h)
     assert narrow == pytest.approx(want, abs=1e-10)
     assert narrow < mw.transition_probability(packet, pulse_first, cfg) - 1e-8
@@ -247,11 +255,11 @@ def test_probability_clamped_to_unit_interval(cfg, pulse_first):
     assert np.all(batch <= 1.0)
 
 
-def _rule_without_check(centers, dz, pulse, cfg, order=201):
+def _rule_without_check(centers, dz, pulse, cfg):
     """The batch rule's sum, bypassing its wide-packet check."""
-    offsets, factors = probability._packet_rule(dz, order, 8.0)[:2]
-    vals = mw.point_probability(centers[:, None] + offsets[None, :], pulse, cfg)
-    return np.sum(vals * factors[None, :], axis=1)
+    rule = probability._packet_rule(dz)
+    vals = mw.point_probability(centers[:, None] + rule.offsets[None, :], pulse, cfg)
+    return np.sum(vals * rule.factors[None, :], axis=1)
 
 
 def _dz_at_phase_per_node(ratio, pulse, cfg, order=201):
@@ -274,11 +282,11 @@ def _table_against_riemann(lo, hi, dz, pulse, cfg):
     """Largest gap of the table to the oracle at its ends and middle, and its bound.
 
     The table is the rule at its grid, so it is charged the rule's error
-    and the Gaussian mass outside the window, as interpolation_tolerance
+    and the Gaussian mass outside the window, as the rule's tolerance
     charges it.
     """
     table = probability.averaged_probability_table(lo, hi, dz, pulse, cfg)
-    step = probability.node_spacing(dz)
+    step = probability._packet_rule(dz).step
     assert lo + (table.size - 2) * step < hi <= lo + (table.size - 1) * step
     gap = max(
         abs(table[i] - _riemann_average(pulse, cfg, lo + i * step, dz, 8.0 * dz))
@@ -311,14 +319,15 @@ def test_table_is_the_rule_on_its_grid(window):
     the batch evaluate the point probability at the same positions: over
     7 widths either side of the atoms nearest resonance, each grid point
     is the batch value at its center up to summation rounding, and the
-    linear interpolant at the midpoints between grid points is within
-    interpolation_tolerance.
+    linear interpolant at the midpoints between grid points is within the
+    rule's tolerance.
     """
     fcfg, picks = _benchmark_cloud_atoms([])
     for pulse, centers, width in picks:
         step = 2.0 ** math.floor(math.log2(window * width / 100.0))
         dz = 100.0 / window * step
-        assert probability.node_spacing(dz, window) == step
+        rule = probability._packet_rule(dz, window)
+        assert rule.step == step
         lo = math.floor(centers.min() / step - 7.0 * dz / step) * step
         hi = centers.max() + 7.0 * dz
         table = probability.averaged_probability_table(
@@ -330,7 +339,7 @@ def test_table_is_the_rule_on_its_grid(window):
         mids = grid[:-1] + 0.5 * step
         exact = mw.averaged_probability_batch(mids, dz, pulse, fcfg, window_sigmas=window)
         gap = np.abs(0.5 * (table[:-1] + table[1:]) - exact)
-        assert np.max(gap) <= probability.interpolation_tolerance(dz, window)
+        assert np.max(gap) <= rule.tolerance
 
 
 def test_table_is_accurate_up_to_the_phase_limit(cfg, pulse_first):
