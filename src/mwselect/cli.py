@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import stat
@@ -24,6 +25,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,8 @@ from .probability import RULE_ORDER, transition_probability
 from .selection import select, validity_diagnostic, velocity_width
 
 _TWO_PI = 2.0 * np.pi
-# Rows formatted at a time.  A block's row table then stays near 0.6 MB
+# Rows formatted at a time, and the most finite cells that one kernel call
+# formats.  A block's row table then stays near 0.6 MB
 # (0.9 MB where the final columns are wide) and its temporaries near 0.1 MB
 # each.  4096 rows fault a third as often but take as long, 16384 longer.
 _CSV_BLOCK = 8192
@@ -125,8 +128,9 @@ def _words(texts) -> np.ndarray:
 # _GROUPS holds each group's word first as a leading group, with a NUL for
 # each leading zero (0 keeps its "0"), then with all four digits, as _QUADS.
 _LEADS = ("\n", ",")
-_HEADS = {lead: _words(f"{lead}{sign}{d}." for sign in ("\0", "-") for d in range(10))
-          for lead in _LEADS}
+# head words, the 20 with a "," lead first and then the 20 with a "\n"
+_HEADS = _words(f"{lead}{sign}{d}." for lead in _LEADS[::-1] for sign in ("\0", "-")
+                for d in range(10))
 _NANS = {lead: _words([f"{lead}nan"]) for lead in _LEADS}
 # A narrow float column's finite row holds a mark: its lead and _MARK, a
 # byte no number's text holds.  Narrowing a column saves about 0.09 ms of
@@ -185,15 +189,23 @@ def _put_text(out: np.ndarray, rows, lead: str, text: np.ndarray) -> None:
     out[rows] = cells.view(np.uint32)
 
 
+class _Floats(NamedTuple):
+    """A float column for the kernel: its values where not NaN, the rows
+    they fill (None where it has no NaN) and its cells' lead."""
+
+    x: np.ndarray
+    finite: np.ndarray | None
+    lead: str
+
+
 def _float_cells(x: np.ndarray, lead: str, narrow: bool):
-    """(words, write, splices) for a float column; see _cells.
+    """(words, write, splices) for a narrow float column, or _Floats; see _cells.
 
     Where narrow allows and the column is NaN in all but at most
     1/_SPARSE of its rows, it is one word a row: a NaN word, or a mark
     word for a finite row, whose _format_cell text is spliced in for the
-    mark.  Any other column has the six words of a fast-path cell, or
-    seven for a 24-character one from _format_cell; its NaN rows are a NaN
-    word and NULs, and only its other rows are formatted.
+    mark.  Any other column goes to a kernel call (_kernel_call), with its
+    NaN rows left out.
     """
     nan = np.isnan(x)
     finite = None
@@ -208,34 +220,76 @@ def _float_cells(x: np.ndarray, lead: str, narrow: bool):
 
             return 1, write_narrow, zip(finite.tolist(), texts)
         x = x[finite]
+    return _Floats(x, finite, lead)
+
+
+def _fast_words(out: np.ndarray, x: np.ndarray, mant, exp, newline: int) -> None:
+    """Write the six words of each x's fast-path cell over out (cells, 6).
+
+    The first newline cells lead with "\n", the others with ",".
+    """
+    top = mant // _M8
+    lo = (mant - top * _M8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    digit = top // _U8
+    hi = top - digit * _U8
+    head = digit + np.uint32(10) * (x < 0)
+    if newline:
+        head[:newline] += np.uint32(20)
+    out[:, 0] = np.take(_HEADS, head)
+    for i, group in enumerate((hi, lo)):
+        upper = group // _QUAD
+        out[:, 1 + 2 * i] = np.take(_QUADS, upper)
+        out[:, 2 + 2 * i] = np.take(_QUADS, group - upper * _QUAD)
+    out[:, 5] = np.take(_TAILS, exp - _MIN_EXP)
+
+
+def _kernel_call(columns: list[_Floats]) -> list:
+    """(words, write, ()) for each column, all formatted in one kernel call.
+
+    The call is one _mantissas pass and one pass of digit words over the
+    columns' finite cells together.  A column has the six words of a
+    fast-path cell, or seven where one of its cells is a 24-character text
+    from _format_cell; its NaN rows are a NaN word and NULs.  A call's only
+    column, where it has no NaN, gets its words straight in its table slot;
+    otherwise the call's words are made once and each column copies its
+    rows of them.
+    """
+    x = columns[0].x if len(columns) == 1 else np.concatenate([c.x for c in columns])
     ok, mant, exp = _mantissas(x)
-    slow = np.flatnonzero(~ok)
-    text = _text_column(x[slow].tolist()) if slow.size else None
-    words = _FLOAT_WORDS if text is None else max(_FLOAT_WORDS, text.shape[1] // 4 + 1)
+    newline = len(columns[0].x) if columns[0].lead == "\n" else 0
+    fast = None
+    if len(columns) > 1 or columns[0].finite is not None:
+        fast = np.empty((len(x), _FLOAT_WORDS), np.uint32)
+        _fast_words(fast, x, mant, exp, newline)
+    bounds = list(itertools.accumulate((len(c.x) for c in columns), initial=0))
+    slow_rows = np.flatnonzero(~ok)
+    cuts = np.searchsorted(slow_rows, bounds).tolist() if slow_rows.size else [0] * len(bounds)
 
-    def write(out):
-        slot = out if finite is None else np.empty((len(x), words), np.uint32)
-        top = mant // _M8
-        lo = (mant - top * _M8).astype(np.uint32)
-        top = top.astype(np.uint32)
-        digit = top // _U8
-        hi = top - digit * _U8
+    def cells(column, start, stop, slow):
+        text = _text_column(column.x[slow].tolist()) if slow.size else None
+        words = _FLOAT_WORDS if text is None else max(_FLOAT_WORDS, text.shape[1] // 4 + 1)
         at = words - _FLOAT_WORDS
-        slot[:, :at] = 0
-        slot[:, at] = np.take(_HEADS[lead], digit + np.uint32(10) * (x < 0))
-        for i, group in enumerate((hi, lo)):
-            upper = group // _QUAD
-            slot[:, at + 1 + 2 * i] = np.take(_QUADS, upper)
-            slot[:, at + 2 + 2 * i] = np.take(_QUADS, group - upper * _QUAD)
-        slot[:, at + 5] = np.take(_TAILS, exp - _MIN_EXP)
-        if slow.size:
-            _put_text(slot, slow, lead, text)
-        if finite is not None:
-            out[:, 0] = _NANS[lead]
-            out[:, 1:] = 0
-            out[finite] = slot
+        rows = slice(None) if column.finite is None else column.finite
 
-    return words, write, ()
+        def write(out):
+            if column.finite is not None:
+                out[:, 0] = _NANS[column.lead]
+                out[:, 1:] = 0
+            if fast is None:
+                _fast_words(out[:, at:], x, mant, exp, newline)
+            else:
+                out[rows, at:] = fast[start:stop]
+            if at:
+                out[rows, :at] = 0
+            if text is not None:
+                _put_text(out, slow if column.finite is None else column.finite[slow],
+                          column.lead, text)
+
+        return words, write, ()
+
+    return [cells(c, start, stop, slow_rows[i:j] - start)
+            for c, start, stop, i, j in zip(columns, bounds, bounds[1:], cuts, cuts[1:])]
 
 
 def _int_cells(v: np.ndarray, lead: str):
@@ -272,7 +326,7 @@ def _int_cells(v: np.ndarray, lead: str):
 
 
 def _cells(cells, lead: str, narrow: bool):
-    """(words, write, splices) for a column of cells.
+    """(words, write, splices) for a column of cells, or _Floats for the kernel.
 
     write(out) puts each cell's lead and _format_cell text, NUL-padded,
     in a (rows, words) uint32 slot.  splices holds (row, text) for each
@@ -291,14 +345,28 @@ def _cells(cells, lead: str, narrow: bool):
 def _lines(columns: list) -> list:
     """Each row's cells, led by "\n" and then ",", as pieces of bytes.
 
-    The row table lives in a bytearray, so the NULs drop out in the one
-    pass that makes the block's bytes, with no copy of the table before it.
-    The block is then cut at each mark, and the pieces are views of it with
-    the marks' texts between them.
+    The kernel's float columns go, in table order, into calls of at most
+    _CSV_BLOCK finite cells, so a short table's columns share one call and
+    a full block's dense column has one of its own.  The row table lives in
+    a bytearray, so the NULs drop out in the one pass that makes the
+    block's bytes, with no copy of the table before it.  The block is then
+    cut at each mark, and the pieces are views of it with the marks' texts
+    between them.
     """
     # a text cell may hold the mark byte, so a block with one has no marks
     narrow = all(np.asarray(col).dtype.kind in "biuf" for col in columns)
     cells = [_cells(col, _LEADS[i > 0], narrow) for i, col in enumerate(columns)]
+    calls, size = [], 0
+    for i, cell in enumerate(cells):
+        if isinstance(cell, _Floats):
+            if not calls or size + len(cell.x) > _CSV_BLOCK:
+                calls.append([])
+                size = 0
+            calls[-1].append(i)
+            size += len(cell.x)
+    for call in calls:
+        for i, cell in zip(call, _kernel_call([cells[i] for i in call])):
+            cells[i] = cell
     width = sum(words for words, _, _ in cells)
     buffer = bytearray(4 * width * len(columns[0]))
     table = np.frombuffer(buffer, np.uint32).reshape(-1, width)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .breit_rabi import (
+    _POSITION_RANGE,
     FieldConfig,
     StretchedBranch,
     d_transition_dz,
@@ -185,15 +186,28 @@ def select(pulse: PulseSpec, cfg: FieldConfig) -> SelectionResult:
     (2*omega0/Omega_R)^2: 2*(pi/tau) over the exact analytic slope at
     the resonance.  The bands, the selection cell and the stability budget
     read the result instead of solving for the resonance again.
+
+    Raises PhysicsDomainError where the gradient is too weak to select a
+    slice: the slice is wider than the whole position range.  That holds
+    too wherever the transition is so flat that the resonance lands on an
+    end of the range, while a pulse tuned to an end of it keeps its slice.
     """
     z_c = resonant_position(pulse.omega_A, pulse.branch, cfg)
     slope = float(d_transition_dz(pulse.branch, z_c, cfg))
     if slope == 0.0:
         raise ZeroGradientError("position width is undefined at zero slope")
+    width = 2.0 * pulse.rabi_at_resonance / abs(slope)
+    za, zb = _POSITION_RANGE
+    if width > zb - za:
+        raise PhysicsDomainError(
+            f"the gradient is too weak to select a slice: the pulse at omega_A = "
+            f"{pulse.omega_A:.6e} rad/s selects {width:.3e} m, wider than the "
+            f"position range [{za:g}, {zb:g}] m"
+        )
     return SelectionResult(
         pulse=pulse,
         z_center=z_c,
-        position_width=2.0 * pulse.rabi_at_resonance / abs(slope),
+        position_width=width,
         position_width_low_field=position_width_low_field(pulse, cfg.species, cfg.eta),
         transition_slope=slope,
     )

@@ -432,6 +432,38 @@ def test_underflowing_inputs_exit_cleanly(config_path, tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+# A gradient too weak to select a slice exits 3 on every command that
+# resolves a pulse: at 1e-6 T/m the slice is 4.76 m wide, wider than the
+# position range [-1, 1] m, and at 1e-20 T/m the transition is so flat that
+# the resonance lands on the range's end.  At 1e-4 T/m it is 4.8 cm wide.
+@pytest.mark.parametrize("command", ["select", "probability", "bands", "coils", "simulate"])
+@pytest.mark.parametrize("gradient,code", [("1e-6", 3), ("1e-20", 3), ("1e-4", 0)])
+def test_a_gradient_too_weak_to_select_exits_3(tmp_path, capsys, command, gradient, code):
+    out = tmp_path / "o"
+    argv = [command, str(CONFIGS / "rb87_10us.yaml"), "--set",
+            f"field.gradient={gradient} T/m", "-o", str(out)]
+    if command == "simulate":
+        argv += ["--set", "ensemble.n=2000", "--csv", str(tmp_path / "atoms.csv")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: the gradient is too weak to select") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == "" and out.stat().st_size > 0
+
+
+def test_a_pulse_tuned_to_the_range_end_keeps_its_slice(tmp_path):
+    """A resonance on an end of [-1, 1] m from a pulse tuned there is not a weak gradient."""
+    data = yaml.safe_load((CONFIGS / "rb87_10us.yaml").read_text())
+    data["pulses"][1]["resonant_at"] = "1 m"
+    path, out = tmp_path / "edge.yaml", tmp_path / "select.json"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert main(["select", str(path), "-o", str(out)]) == 0
+    second = json.loads(out.read_text())["result"]["pulses"][1]
+    assert second["z_center_m"] == 1.0 and second["position_width_m"] < 1e-4
+
+
 # exit 2, out of range: a turns count past float's range, a coil geometry whose
 # eta0*z underflows or whose r^2 overflows, a current that overflows the
 # gradient, a lever arm that sends the gradient budget to inf and, in the last
@@ -990,24 +1022,118 @@ def test_a_text_column_keeps_its_call_free_of_marks():
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("cloud", _CLOUDS.values(), ids=_CLOUDS.keys())
 def test_benchmark_final_columns_take_their_paths(monkeypatch, cloud, seed):
-    """At 50k atoms the thermal cloud's final columns are narrow, the matched cloud's wide."""
+    """At 50k atoms the thermal cloud's final columns are narrow, the matched cloud's wide.
+
+    A narrow column never reaches a kernel call; a wide one does, with six
+    words a row.  z0 and v0 have no NaN, and the final columns are NaN for
+    every atom lost.
+    """
     from mwselect import cli
 
     result = _shipped_result(["ensemble.n=50000", f"ensemble.seed={seed}", *cloud])
-    words = []
-    float_cells = cli._float_cells
+    want = cli.simulation_csv(result)
+    finals = []
+    kernel_call = cli._kernel_call
 
-    def spy(*args):
-        cells = float_cells(*args)
-        words.append(cells[0])
+    def spy(columns):
+        cells = kernel_call(columns)
+        finals.extend(cell[0] for c, cell in zip(columns, cells) if c.finite is not None)
         return cells
 
-    monkeypatch.setattr(cli, "_float_cells", spy)
-    assert b"".join(cli._simulation_blocks(result)) == cli.simulation_csv(result)
-    # z0, v0, z_final and v_final in each block
-    finals = {w for i, w in enumerate(words) if i % 4 >= 2}
+    monkeypatch.setattr(cli, "_kernel_call", spy)
+    assert b"".join(cli._simulation_blocks(result)) == want
     assert result.n_survived_both > 0
-    assert finals == ({1} if cloud == _CLOUDS["thermal"] else {cli._FLOAT_WORDS})
+    blocks = -(-result.n_total // cli._CSV_BLOCK)
+    assert finals == ([] if cloud == _CLOUDS["thermal"] else [cli._FLOAT_WORDS] * 2 * blocks)
+
+
+def _kernel_calls(monkeypatch) -> list[list[int]]:
+    """Per block written from now on, the cells of each _mantissas call."""
+    from mwselect import cli
+
+    calls = []
+    lines, mantissas = cli._lines, cli._mantissas
+    monkeypatch.setattr(cli, "_lines", lambda columns: calls.append([]) or lines(columns))
+    monkeypatch.setattr(cli, "_mantissas", lambda x: calls[-1].append(len(x)) or mantissas(x))
+    return calls
+
+
+def test_a_short_table_formats_its_floats_in_one_call(monkeypatch, tmp_path):
+    """scan's six float columns, bands' two and a 2k simulate's share one call."""
+    calls = _kernel_calls(monkeypatch)
+    assert main(["scan", str(_SHIPPED), "-o", str(tmp_path / "scan.csv")]) == 0
+    assert calls == [[6 * 201]]
+    del calls[:]
+    assert main(["bands", str(_SHIPPED), "-o", str(tmp_path / "bands.csv")]) == 0
+    assert len(calls) == 1 and len(calls[0]) == 1
+    for cloud in _CLOUDS.values():
+        del calls[:]
+        argv = ["simulate", str(_SHIPPED), "--set", "ensemble.n=2000", "--csv",
+                str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "sim.json")]
+        for item in cloud:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert len(calls) == 1 and len(calls[0]) == 1 and calls[0][0] >= 4000
+
+
+@pytest.mark.parametrize("cloud", _CLOUDS.values(), ids=_CLOUDS.keys())
+def test_a_full_block_gives_each_dense_column_its_own_call(monkeypatch, cloud):
+    """At 50k a full block's z0 and v0 fill a call each, never gathered.
+
+    The thermal cloud's final columns are narrow, so its full blocks make
+    two calls; the matched cloud's share a third.  The last block's
+    columns share one call.
+    """
+    from mwselect import cli
+
+    result = _shipped_result(["ensemble.n=50000", *cloud])
+    want = cli.simulation_csv(result)
+    calls = _kernel_calls(monkeypatch)
+    assert b"".join(cli._simulation_blocks(result)) == want
+    full = result.n_total // cli._CSV_BLOCK
+    assert len(calls) == full + 1 and len(calls[-1]) == 1
+    dense = [cli._CSV_BLOCK] * 2
+    for call in calls[:full]:
+        if cloud == _CLOUDS["thermal"]:
+            assert call == dense
+        else:
+            assert call[:2] == dense and len(call) <= 3
+
+
+def _mixed_table(rng, n):
+    """Four float columns and an integer one (see the test below)."""
+    ties = np.array(_LONG_DOUBLE_TIES)
+    slow = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 18, n)
+    odd = rng.random(n) < 0.02
+    slow[odd] = rng.choice([5e-324, 1e300, -0.0, -1e300, -2.5e-320, 0.0], odd.sum())
+    slow[n - len(ties):] = ties
+    wide = np.full(n, np.nan)
+    some = rng.random(n) < 0.1
+    wide[some] = rng.standard_normal(some.sum()) * 1e-3
+    wide[np.flatnonzero(some)[::9]] = -1e300
+    dense = 0.7 + rng.standard_normal(n) * 1e-2
+    return {"slow": slow, "index": np.arange(n), "wide": wide,
+            "all_nan": np.full(n, np.nan), "dense": dense}
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, None])
+def test_csv_of_shared_calls_matches_row_by_row_formatting(monkeypatch, block):
+    """_csv gives the bytes of the row-wise reference wherever its calls fall.
+
+    The first column leads each row with "\n" and has slow-path cells
+    (5e-324, 1e300, -0.0, 24-character texts, long-double ties) among
+    dense ones; "wide" is NaN in about nine rows of ten, so it stays wide,
+    with 24-character cells among its finite ones.  At 4096 and the
+    default block size the last, short block's columns share one call;
+    at 1 and 7 rows a dense column fills a call.
+    """
+    from mwselect import cli
+
+    if block is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    table = _mixed_table(np.random.default_rng(8), 10_050)
+    want = _rowwise_csv(list(table), zip(*table.values()))
+    assert b"".join(cli._csv(list(table), list(table.values()))).decode() == want
 
 
 def test_a_sparse_csv_to_stdout_is_simulation_csv(capsys):

@@ -127,6 +127,23 @@ def test_pulse_validation(cfg, branch):
             mw.PulseSpec(t0=0.0, tau=1e-6, omega_A=omega, branch=branch)
 
 
+@pytest.mark.parametrize("gradient", [1e-4, 1e-6, 1e-20])
+def test_a_gradient_too_weak_to_select_is_a_domain_error(cfg, branch, gradient):
+    """A slice wider than [-1, 1] m, or a resonance on its end, selects nothing.
+
+    At 1e-4 T/m the slice is 4.8 cm wide; at 1e-6 T/m it is 4.76 m, and at
+    1e-20 T/m the transition is so flat that the resonance lands on the
+    range's end.
+    """
+    weak = dataclasses.replace(cfg, eta=gradient)
+    pulse = mw.PulseSpec.resonant_at(0.0, weak, t0=0.0, tau=TAU, branch=branch)
+    if gradient == 1e-4:
+        assert mw.select(pulse, weak).position_width == pytest.approx(4.758e-2, rel=1e-3)
+        return
+    with pytest.raises(mw.PhysicsDomainError, match="too weak to select"):
+        mw.select(pulse, weak)
+
+
 def test_width_requires_gradient(rb87, branch):
     flat = mw.FieldConfig(eta=0.0, bias=0.0, species=rb87)
     pulse = mw.PulseSpec(t0=0.0, tau=TAU, omega_A=rb87.delta_W, branch=branch)
