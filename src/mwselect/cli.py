@@ -132,10 +132,10 @@ _LEADS = ("\n", ",")
 _HEADS = _words(f"{lead}{sign}{d}." for lead in _LEADS[::-1] for sign in ("\0", "-")
                 for d in range(10))
 _NANS = {lead: _words([f"{lead}nan"]) for lead in _LEADS}
-# A narrow float column's finite row holds a mark: its lead and _MARK, a
-# byte no number's text holds.  Narrowing a column saves about 0.09 ms of
-# kernel calls per block and costs about 1 us per finite cell spliced in,
-# so it pays up to about 1/100 of a block's rows finite.
+# A cell no kernel formats holds a mark: its lead and _MARK, a byte no
+# kernel writes.  So does a narrow float column's finite row: narrowing a
+# column saves about 0.09 ms of kernel calls per block and costs about 1 us
+# per finite cell spliced in, so it pays up to about 1/100 of a block's rows finite.
 _MARK = b"\x01"
 _MARKS = {lead: _words([f"{lead}{_MARK.decode()}\0\0"]) for lead in _LEADS}
 _SPARSE = 128
@@ -175,18 +175,17 @@ def _mantissas(x: np.ndarray):
     return ok, np.where(ok, mant, _M16), exp.astype(np.intp)
 
 
-def _text_column(cells) -> np.ndarray:
-    """Cells written by _format_cell as a NUL-padded uint8 matrix."""
-    text = np.array([_format_cell(c).encode() for c in cells], dtype=bytes)
-    return text.view(np.uint8).reshape(len(text), -1)
+def _marked(rows: np.ndarray, cells, lead: str):
+    """(mark, splices) for cells no kernel formats: mark(out) writes a mark
+    word and NULs over out[rows], and splices holds (row, _format_cell text)
+    for each of rows, which _lines splices in at its mark."""
+    texts = [_format_cell(c).encode() for c in cells]
 
+    def mark(out):
+        out[rows, 1:] = 0
+        out[rows, 0] = _MARKS[lead]
 
-def _put_text(out: np.ndarray, rows, lead: str, text: np.ndarray) -> None:
-    """Write each text row, after lead and NUL-padded, over out[rows] (uint32)."""
-    cells = np.zeros((len(text), out.shape[1] * 4), np.uint8)
-    cells[:, 0] = ord(lead)
-    cells[:, 1 : 1 + text.shape[1]] = text
-    out[rows] = cells.view(np.uint32)
+    return mark, zip(rows.tolist(), texts)
 
 
 class _Floats(NamedTuple):
@@ -198,27 +197,25 @@ class _Floats(NamedTuple):
     lead: str
 
 
-def _float_cells(x: np.ndarray, lead: str, narrow: bool):
+def _float_cells(x: np.ndarray, lead: str):
     """(words, write, splices) for a narrow float column, or _Floats; see _cells.
 
-    Where narrow allows and the column is NaN in all but at most
-    1/_SPARSE of its rows, it is one word a row: a NaN word, or a mark
-    word for a finite row, whose _format_cell text is spliced in for the
-    mark.  Any other column goes to a kernel call (_kernel_call), with its
-    NaN rows left out.
+    A column NaN in all but at most 1/_SPARSE of its rows is one word a
+    row: a NaN word, or a mark word for a finite row.  Any other column
+    goes to a kernel call (_kernel_call), with its NaN rows left out.
     """
     nan = np.isnan(x)
     finite = None
     if nan.any():
         finite = np.flatnonzero(~nan)
-        if narrow and finite.size * _SPARSE <= len(x):
-            texts = [_format_cell(v).encode() for v in x[finite].tolist()]
+        if finite.size * _SPARSE <= len(x):
+            mark, splices = _marked(finite, x[finite].tolist(), lead)
 
             def write_narrow(out):
                 np.copyto(out, _NANS[lead])
-                out[finite] = _MARKS[lead]
+                mark(out)
 
-            return 1, write_narrow, zip(finite.tolist(), texts)
+            return 1, write_narrow, splices
         x = x[finite]
     return _Floats(x, finite, lead)
 
@@ -245,15 +242,14 @@ def _fast_words(out: np.ndarray, x: np.ndarray, mant, exp, newline: int) -> None
 
 
 def _kernel_call(columns: list[_Floats]) -> list:
-    """(words, write, ()) for each column, all formatted in one kernel call.
+    """(words, write, splices) for each column, formatted in one kernel call.
 
     The call is one _mantissas pass and one pass of digit words over the
-    columns' finite cells together.  A column has the six words of a
-    fast-path cell, or seven where one of its cells is a 24-character text
-    from _format_cell; its NaN rows are a NaN word and NULs.  A call's only
-    column, where it has no NaN, gets its words straight in its table slot;
-    otherwise the call's words are made once and each column copies its
-    rows of them.
+    columns' finite cells together.  A column is six words a row: a
+    fast-path cell, a NaN word and NULs, or a mark word and NULs where
+    _mantissas leaves a cell to _format_cell.  A call's only column, where
+    it has no NaN, gets its words straight in its table slot; otherwise
+    the call's words are made once and each column copies its rows of them.
     """
     x = columns[0].x if len(columns) == 1 else np.concatenate([c.x for c in columns])
     ok, mant, exp = _mantissas(x)
@@ -267,26 +263,24 @@ def _kernel_call(columns: list[_Floats]) -> list:
     cuts = np.searchsorted(slow_rows, bounds).tolist() if slow_rows.size else [0] * len(bounds)
 
     def cells(column, start, stop, slow):
-        text = _text_column(column.x[slow].tolist()) if slow.size else None
-        words = _FLOAT_WORDS if text is None else max(_FLOAT_WORDS, text.shape[1] // 4 + 1)
-        at = words - _FLOAT_WORDS
         rows = slice(None) if column.finite is None else column.finite
+        mark, splices = None, ()
+        if slow.size:
+            mark, splices = _marked(slow if column.finite is None else column.finite[slow],
+                                    column.x[slow].tolist(), column.lead)
 
         def write(out):
             if column.finite is not None:
                 out[:, 0] = _NANS[column.lead]
                 out[:, 1:] = 0
             if fast is None:
-                _fast_words(out[:, at:], x, mant, exp, newline)
+                _fast_words(out, x, mant, exp, newline)
             else:
-                out[rows, at:] = fast[start:stop]
-            if at:
-                out[rows, :at] = 0
-            if text is not None:
-                _put_text(out, slow if column.finite is None else column.finite[slow],
-                          column.lead, text)
+                out[rows] = fast[start:stop]
+            if mark:
+                mark(out)
 
-        return words, write, ()
+        return _FLOAT_WORDS, write, splices
 
     return [cells(c, start, stop, slow_rows[i:j] - start)
             for c, start, stop, i, j in zip(columns, bounds, bounds[1:], cuts, cuts[1:])]
@@ -325,21 +319,21 @@ def _int_cells(v: np.ndarray, lead: str):
     return words, write
 
 
-def _cells(cells, lead: str, narrow: bool):
+def _cells(cells, lead: str):
     """(words, write, splices) for a column of cells, or _Floats for the kernel.
 
-    write(out) puts each cell's lead and _format_cell text, NUL-padded,
-    in a (rows, words) uint32 slot.  splices holds (row, text) for each
-    mark it writes, in row order.
+    write(out) puts each cell's lead and text, NUL-padded, in a (rows,
+    words) uint32 slot, or a mark word for a text that _lines splices in:
+    splices holds (row, text) for each mark, in row order.  A cell that is
+    neither a float nor an integer in [0, 2**32) is a mark.
     """
     values = np.asarray(cells)
     if values.dtype.kind == "f":
-        return _float_cells(values.astype(np.float64, copy=False), lead, narrow)
+        return _float_cells(values.astype(np.float64, copy=False), lead)
     if values.dtype.kind in "biu" and not (values < 0).any():
         if int(values.max()) < 2**32:
             return *_int_cells(values, lead), ()
-    text = _text_column(cells)
-    return text.shape[1] // 4 + 1, lambda out: _put_text(out, slice(None), lead, text), ()
+    return 1, *_marked(np.arange(len(values)), cells, lead)
 
 
 def _lines(columns: list) -> list:
@@ -351,11 +345,10 @@ def _lines(columns: list) -> list:
     a bytearray, so the NULs drop out in the one pass that makes the
     block's bytes, with no copy of the table before it.  The block is then
     cut at each mark, and the pieces are views of it with the marks' texts
-    between them.
+    between them: the marks are found before any text goes in, so a text
+    may hold _MARK.
     """
-    # a text cell may hold the mark byte, so a block with one has no marks
-    narrow = all(np.asarray(col).dtype.kind in "biuf" for col in columns)
-    cells = [_cells(col, _LEADS[i > 0], narrow) for i, col in enumerate(columns)]
+    cells = [_cells(col, _LEADS[i > 0]) for i, col in enumerate(columns)]
     calls, size = [], 0
     for i, cell in enumerate(cells):
         if isinstance(cell, _Floats):

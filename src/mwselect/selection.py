@@ -190,8 +190,14 @@ def select(pulse: PulseSpec, cfg: FieldConfig) -> SelectionResult:
     Raises PhysicsDomainError where the gradient is too weak to select a
     slice: the slice is wider than the whole position range.  That holds
     too wherever the transition is so flat that the resonance lands on an
-    end of the range, while a pulse tuned to an end of it keeps its slice.
+    end of the range, while a pulse tuned to an end of it keeps its slice,
+    and for a nonzero gradient whose kappa underflows to 0.
     """
+    if cfg.eta != 0.0 and kappa(cfg) == 0.0:
+        raise PhysicsDomainError(
+            f"the gradient is too weak to select a slice: at {cfg.eta:.3e} T/m "
+            "the inverse length scale kappa underflows to 0"
+        )
     z_c = resonant_position(pulse.omega_A, pulse.branch, cfg)
     slope = float(d_transition_dz(pulse.branch, z_c, cfg))
     if slope == 0.0:

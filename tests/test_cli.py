@@ -435,9 +435,12 @@ def test_underflowing_inputs_exit_cleanly(config_path, tmp_path, capsys, command
 # A gradient too weak to select a slice exits 3 on every command that
 # resolves a pulse: at 1e-6 T/m the slice is 4.76 m wide, wider than the
 # position range [-1, 1] m, and at 1e-20 T/m the transition is so flat that
-# the resonance lands on the range's end.  At 1e-4 T/m it is 4.8 cm wide.
+# the resonance lands on the range's end.  At 1e-302 and 1e-310 T/m kappa
+# underflows to 0 though the gradient is not zero.  At 1e-4 T/m the slice
+# is 4.8 cm wide.
 @pytest.mark.parametrize("command", ["select", "probability", "bands", "coils", "simulate"])
-@pytest.mark.parametrize("gradient,code", [("1e-6", 3), ("1e-20", 3), ("1e-4", 0)])
+@pytest.mark.parametrize("gradient,code", [("1e-6", 3), ("1e-20", 3), ("1e-4", 0),
+                                           ("1e-302", 3), ("1e-310", 3)])
 def test_a_gradient_too_weak_to_select_exits_3(tmp_path, capsys, command, gradient, code):
     out = tmp_path / "o"
     argv = [command, str(CONFIGS / "rb87_10us.yaml"), "--set",
@@ -988,35 +991,56 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
             assert cli.simulation_csv(result) == want
 
 
-# block size, and the cells of _limit_result spliced at it: limits * L + extra
+# block size, and the cells of _limit_result's narrow columns spliced at it:
+# limits * L + extra
 @pytest.mark.parametrize("block,limits,extra", [(4096, 3, 0), (8192, 2, 1), (7, 0, 0), (1, 0, 0)])
 def test_a_sparse_block_splices_its_cells_up_to_the_limit(monkeypatch, block, limits, extra):
-    """A block yields one piece, and two more for each finite cell of a narrow column."""
+    """A block yields one piece, and two more for each cell spliced in.
+
+    That is each finite cell of a narrow column and each cell that
+    _mantissas leaves out.  z_final's -0.0, 5e-324, 1e300 and inf lie in a
+    narrow column at 4096-row blocks and in a wide one at every other size,
+    where they are spliced all the same.
+    """
     from mwselect import cli
 
     monkeypatch.setattr(cli, "_CSV_BLOCK", block)
     result = _limit_result(np.random.default_rng(6))
     pieces = list(cli._simulation_blocks(result))
     blocks = -(-result.n_total // block)
-    spliced = limits * (4096 // cli._SPARSE) + extra
+    slow = 0 if block == 4096 else 4
+    spliced = limits * (4096 // cli._SPARSE) + extra + slow
     assert len(pieces) == 2 + blocks + 2 * spliced
     assert b"".join(pieces) == _rowwise_simulation_csv(result)
 
 
-def test_a_text_column_keeps_its_call_free_of_marks():
-    """A text cell may hold the mark byte: beside it a sparse column stays wide."""
+def test_a_text_cell_holding_the_mark_byte_is_spliced_whole(monkeypatch):
+    """Every text cell is spliced in at a mark, beside narrow and wide columns.
+
+    The mark search runs over the block before any text goes in, so
+    "a\x01b" is written whole.  In one 300-row block "x" is narrow (two
+    finite rows) and "wide" is NaN in every third row, with a 24-character
+    cell: each of the 300 texts, x's two finite cells and that one cell
+    are spliced.
+    """
     from mwselect import cli
 
     n = 300
     names = ["t"] * n
     names[2] = "a\x01b"
-    x, nans = np.full(n, np.nan), np.full(n, np.nan)
+    x, wide, nans = np.full(n, np.nan), np.linspace(-1.0, 1.0, n), np.full(n, np.nan)
     x[[0, 150]] = (1.5, -2.0)
-    assert 2 * cli._SPARSE <= n
-    header = ["name", "x", "all_nan"]
-    pieces = list(cli._csv(header, [names, x, nans]))
-    assert len(pieces) == 3
-    assert b"".join(pieces).decode() == _rowwise_csv(header, zip(names, x, nans))
+    wide[::3] = np.nan
+    wide[4] = -1e300
+    assert 2 * cli._SPARSE <= n and len(cli._format_cell(-1e300)) == 24
+    header = ["name", "x", "wide", "all_nan"]
+    want = _rowwise_csv(header, zip(names, x, wide, nans))
+    for block in (cli._CSV_BLOCK, 4096, 7, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        pieces = list(cli._csv(header, [names, x, wide, nans]))
+        assert b"".join(pieces).decode() == want
+        if block >= n:
+            assert len(pieces) == 3 + 2 * (n + 2 + 1)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -1076,6 +1100,25 @@ def test_a_short_table_formats_its_floats_in_one_call(monkeypatch, tmp_path):
         assert len(calls) == 1 and len(calls[0]) == 1 and calls[0][0] >= 4000
 
 
+def test_scan_splices_exactly_its_three_zero_cells(monkeypatch):
+    """scan's one kernel call leaves out z_m's, kz's and detuning's 0.0 alone.
+
+    They are spliced into its one block, which comes as four views of it
+    between the header and the final newline.
+    """
+    from mwselect import cli
+
+    run = cf.load_config(str(_SHIPPED), [])
+    field = cf.to_field_config(run)
+    calls = _kernel_calls(monkeypatch)
+    pieces = list(cli.cmd_scan(run, field, cf.to_pulses(run, field), None))
+    assert calls == [[6 * 201]]
+    assert len(pieces) == 9
+    assert pieces[2:-2:2] == [b"0.0000000000000000e+00"] * 3
+    rows = b"".join(pieces).decode().split("\n")[101].split(",")
+    assert [rows[i] for i in (0, 1, 5)] == ["0.0000000000000000e+00"] * 3
+
+
 @pytest.mark.parametrize("cloud", _CLOUDS.values(), ids=_CLOUDS.keys())
 def test_a_full_block_gives_each_dense_column_its_own_call(monkeypatch, cloud):
     """At 50k a full block's z0 and v0 fill a call each, never gathered.
@@ -1122,10 +1165,10 @@ def test_csv_of_shared_calls_matches_row_by_row_formatting(monkeypatch, block):
 
     The first column leads each row with "\n" and has slow-path cells
     (5e-324, 1e300, -0.0, 24-character texts, long-double ties) among
-    dense ones; "wide" is NaN in about nine rows of ten, so it stays wide,
-    with 24-character cells among its finite ones.  At 4096 and the
-    default block size the last, short block's columns share one call;
-    at 1 and 7 rows a dense column fills a call.
+    dense ones, each spliced in at a mark; "wide" is NaN in about nine rows
+    of ten, so it stays wide, with 24-character cells among its finite
+    ones.  At 4096 and the default block size the last, short block's
+    columns share one call; at 1 and 7 rows a dense column fills a call.
     """
     from mwselect import cli
 

@@ -545,14 +545,15 @@ def _outcome(call):
 
 
 @st.composite
-def _regime_cases(draw):
+def _regime_cases(draw, atoms=st.integers(1, 2000)):
     """A species, field, pulse pair and cloud, sized in units of the two slices.
 
-    |eta| <= 1 T/m keeps every species' transition monotone on the [-1, 1]
-    m position range.  dz0 runs from 1e-3 slice widths to past the rule's
-    phase limit near 45/window_sigmas slice widths; a narrow dz0 spreads
-    into a wide pulse-2 packet.  The cloud's offset and rms are drawn in
-    slice widths at each pulse, and a zero rms ties every atom's position.
+    The cloud's atom count is drawn from atoms.  |eta| <= 1 T/m keeps every
+    species' transition monotone on the [-1, 1] m position range.  dz0
+    runs from 1e-3 slice widths to past the rule's phase limit near
+    45/window_sigmas slice widths; a narrow dz0 spreads into a wide
+    pulse-2 packet.  The cloud's offset and rms are drawn in slice widths
+    at each pulse, and a zero rms ties every atom's position.
     """
     species = mw.get_species(draw(st.sampled_from(mw.available_species())))
     sigma = draw(st.sampled_from([1, -1]))
@@ -574,15 +575,13 @@ def _regime_cases(draw):
         dz0=dz0,
     )
     spec = mw.EnsembleSpec(
-        n=draw(st.integers(1, 2000)), seed=draw(st.integers(0, 2**32)), sigma=sigma,
+        n=draw(atoms), seed=draw(st.integers(0, 2**32)), sigma=sigma,
         **cloud,
     )
     return spec, p1, p2, cfg, window
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(case=_regime_cases())
-def test_monte_carlo_is_exact_across_the_regime(case):
+def _check_regime(case):
     """run_monte_carlo against both references, the same bytes or both raising.
 
     The open-atom reference must agree always; the every-atom reference
@@ -596,6 +595,25 @@ def test_monte_carlo_is_exact_across_the_regime(case):
         lambda: _every_atom_averaged(spec, p1, p2, cfg, DELTA_T, window_sigmas=window)
     )
     assert every is None or every == got
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_regime_cases())
+def test_monte_carlo_is_exact_across_the_regime(case):
+    _check_regime(case)
+
+
+# past phase_space._BIN_ATOMS (4096), where pulse 1 bins its atoms, and on
+# both sides of _THREAD_ATOMS (16384), where the draws move to the worker
+_LARGE_N = [4097, 6000, 16384, 30000]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=_regime_cases(st.sampled_from(_LARGE_N)))
+def test_monte_carlo_is_exact_past_the_bin_and_thread_floors(case):
+    assert min(_LARGE_N) > phase_space._BIN_ATOMS
+    assert min(_LARGE_N) < phase_space._THREAD_ATOMS <= max(_LARGE_N)
+    _check_regime(case)
 
 
 @pytest.mark.parametrize("mode", [
