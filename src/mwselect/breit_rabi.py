@@ -38,21 +38,13 @@ class Level(enum.Enum):
 
 @dataclass(frozen=True)
 class StretchedBranch:
-    """One stretched-state pair, selected by the sign s of m_F = s*F.
-
-    sigma picks the |F-, s*F-> <-> |F+, s*F+> pair; level labels which of
-    the two states an energy refers to.  Transition-level quantities use
-    only sigma.
-    """
+    """The stretched pair |F-, s*F-> <-> |F+, s*F+> with sigma = s = +/-1."""
 
     sigma: int
-    level: Level = Level.LOWER
 
     def __post_init__(self) -> None:
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        if not isinstance(self.level, Level):
-            raise ValueError("level must be a Level enum member")
 
 
 @dataclass(frozen=True)
@@ -100,9 +92,8 @@ def field_coordinate(cfg: FieldConfig, z):
     )
 
 
-def _energy_dimensionless(level: Level, sigma: int, x, species: AtomSpecies):
-    """Stretched-state energy in units of hbar*delta_W at field coordinate x."""
-    u = sigma * x
+def _energy_dimensionless(level: Level, u, species: AtomSpecies):
+    """Stretched-state energy in units of hbar*delta_W at u = sigma*x."""
     if level is Level.UPPER:
         return 0.5 + species.gamma1 * u
     fm = species.f_minus
@@ -110,28 +101,10 @@ def _energy_dimensionless(level: Level, sigma: int, x, species: AtomSpecies):
     return -fm * species.gamma2 * u - 0.5 * np.sqrt(1.0 + 2.0 * ratio * u + u * u)
 
 
-def _slope_dimensionless(level: Level, sigma: int, x, species: AtomSpecies):
-    """d/dx of _energy_dimensionless, same units."""
-    u = sigma * x
-    if level is Level.UPPER:
-        return sigma * species.gamma1 * np.ones_like(np.asarray(x, dtype=float))
-    fm = species.f_minus
-    ratio = fm / species.f_plus
-    root = np.sqrt(1.0 + 2.0 * ratio * u + u * u)
-    return sigma * (-fm * species.gamma2 - (ratio + u) / (2.0 * root))
-
-
-def eigenvalue(branch: StretchedBranch, kz, species: AtomSpecies):
-    """Energy (J) of the branch's stretched state at dimensionless field kz."""
-    return CONST.hbar * species.delta_W * _energy_dimensionless(
-        branch.level, branch.sigma, kz, species
-    )
-
-
-def _transition_dimensionless(sigma: int, x, species: AtomSpecies):
-    return _energy_dimensionless(Level.UPPER, sigma, x, species) - (
-        _energy_dimensionless(Level.LOWER, sigma, x, species)
-    )
+def eigenvalue(branch: StretchedBranch, level: Level, kz, species: AtomSpecies):
+    """Energy (J) of the branch's stretched state in level at dimensionless field kz."""
+    u = branch.sigma * kz
+    return CONST.hbar * species.delta_W * _energy_dimensionless(level, u, species)
 
 
 def transition_angular_frequency(branch: StretchedBranch, z, cfg: FieldConfig):
@@ -139,21 +112,29 @@ def transition_angular_frequency(branch: StretchedBranch, z, cfg: FieldConfig):
 
     Equals delta_W exactly where the total field vanishes.
     """
-    x = field_coordinate(cfg, z)
-    return cfg.species.delta_W * _transition_dimensionless(branch.sigma, x, cfg.species)
+    u = branch.sigma * field_coordinate(cfg, z)
+    species = cfg.species
+    return species.delta_W * (
+        _energy_dimensionless(Level.UPPER, u, species)
+        - _energy_dimensionless(Level.LOWER, u, species)
+    )
 
 
 def d_transition_dz(branch: StretchedBranch, z, cfg: FieldConfig):
     """Analytic spatial derivative of the transition frequency (rad/s/m).
 
-    Never computed by finite differences; the finite-difference version
-    exists only as a test oracle.
+    d/du is gamma1 for the upper level and -F-*gamma2 - (r + u)/(2*S) for
+    the lower, S = sqrt(1 + 2*r*u + u^2), r = F-/F+.  The finite-difference
+    version exists only as a test oracle.
     """
-    x = field_coordinate(cfg, z)
-    dslope = _slope_dimensionless(
-        Level.UPPER, branch.sigma, x, cfg.species
-    ) - _slope_dimensionless(Level.LOWER, branch.sigma, x, cfg.species)
-    return kappa(cfg) * cfg.species.delta_W * dslope
+    sigma = branch.sigma
+    u = sigma * field_coordinate(cfg, z)
+    species = cfg.species
+    fm = species.f_minus
+    ratio = fm / species.f_plus
+    root = np.sqrt(1.0 + 2.0 * ratio * u + u * u)
+    lower = -fm * species.gamma2 - (ratio + u) / (2.0 * root)
+    return kappa(cfg) * species.delta_W * (sigma * species.gamma1 - sigma * lower)
 
 
 def resonant_position(
@@ -176,11 +157,19 @@ def resonant_position(
 
     Raises ZeroGradientError for a zero gradient, and NoBracketError
     unless the transition frequencies at the two ends of the range
-    straddle omega_A, which leaves exactly one root inside it.
+    straddle omega_A, which leaves exactly one root inside it.  The
+    transition is convex, with its minimum at u = -r - 2*b*sqrt((1 -
+    r^2)/A) when A > 0; where that lies inside the range the message
+    counts it in the range and says when omega_A is crossed twice.
     """
     k = kappa(cfg)
     if k == 0.0:
         raise ZeroGradientError("resonant_position requires a nonzero gradient")
+    species = cfg.species
+    b = species.gamma1 + species.f_minus * species.gamma2
+    r = species.f_minus / species.f_plus
+    qa = 1.0 - 4.0 * b * b
+    x0 = float(field_coordinate(cfg, 0.0))
     za, zb = _POSITION_RANGE
     ends = [float(transition_angular_frequency(branch, z, cfg)) for z in (za, zb)]
     fa, fb = (f - omega_A for f in ends)
@@ -190,18 +179,22 @@ def resonant_position(
         return zb
     if not fa * fb < 0.0:  # also rejects a NaN frequency
         lo, hi = sorted(ends)
+        where = "outside"
+        if qa > 0.0:
+            u_min = -r - 2.0 * b * math.sqrt((1.0 - r * r) / qa)
+            z_min = (branch.sigma * u_min - x0) / k
+            if za < z_min < zb:
+                lo = float(transition_angular_frequency(branch, z_min, cfg))
+                if lo <= omega_A < hi:
+                    where = f"crossed twice, either side of z = {z_min:.6e} m, in"
         raise NoBracketError(
-            f"omega_A = {omega_A:.6e} rad/s is outside the transition range "
+            f"omega_A = {omega_A:.6e} rad/s is {where} the transition range "
             f"[{lo:.6e}, {hi:.6e}] attained on [{za:g}, {zb:g}] m"
         )
-    species = cfg.species
-    b = species.gamma1 + species.f_minus * species.gamma2
-    r = species.f_minus / species.f_plus
     c = omega_A / species.delta_W - 0.5
-    qa, qb, qc = 1.0 - 4.0 * b * b, 2.0 * r + 8.0 * b * c, 1.0 - 4.0 * c * c
+    qb, qc = 2.0 * r + 8.0 * b * c, 1.0 - 4.0 * c * c
     q = -0.5 * (qb + math.copysign(math.sqrt(qb * qb - 4.0 * qa * qc), qb))
     roots = [qc / q] + ([q / qa] if qa else [])
-    x0 = float(field_coordinate(cfg, 0.0))
     z = min(
         ((branch.sigma * u - x0) / k for u in roots if c - b * u >= 0.0),
         key=lambda z: abs(z - 0.5 * (za + zb)),

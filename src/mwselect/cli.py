@@ -448,13 +448,12 @@ def _require(condition: bool, message: str) -> None:
 def cmd_scan(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> Iterator[bytes]:
     _require(run.scan is not None, "scan command needs a 'scan' section")
     omega_ref = pulses[0].omega_A if pulses else cfg.species.delta_W
-    lower = StretchedBranch(sigma=run.sigma, level=Level.LOWER)
-    upper = StretchedBranch(sigma=run.sigma, level=Level.UPPER)
+    branch = StretchedBranch(sigma=run.sigma)
     z = np.linspace(run.scan.z_min, run.scan.z_max, run.scan.points)
     x = field_coordinate(cfg, z)
-    v_lower = eigenvalue(lower, x, cfg.species)
-    v_upper = eigenvalue(upper, x, cfg.species)
-    omega = transition_angular_frequency(lower, z, cfg)
+    v_lower = eigenvalue(branch, Level.LOWER, x, cfg.species)
+    v_upper = eigenvalue(branch, Level.UPPER, x, cfg.species)
+    omega = transition_angular_frequency(branch, z, cfg)
     return _csv(
         ["z_m", "kz", "V_minus_J", "V_plus_J", "transition_Hz", "detuning_rad_s"],
         [z, x, v_lower, v_upper, omega / _TWO_PI, omega - omega_ref],

@@ -264,13 +264,12 @@ def test_criterion_10_eigenvalue_oracle(report):
         species = mw.get_species(name)
         energy_unit = CONST.hbar * species.delta_W
         for sigma in (1, -1):
-            lower_b = mw.StretchedBranch(sigma, Level.LOWER)
-            upper_b = mw.StretchedBranch(sigma, Level.UPPER)
+            branch = mw.StretchedBranch(sigma)
             for kz in np.linspace(-1.0, 1.0, 101):
                 field_B = kz * energy_unit / species.g_sum
                 want_lo, want_up = _oracle_energies(field_B, species, sigma)
-                got_lo = mw.eigenvalue(lower_b, kz, species)
-                got_up = mw.eigenvalue(upper_b, kz, species)
+                got_lo = mw.eigenvalue(branch, Level.LOWER, kz, species)
+                got_up = mw.eigenvalue(branch, Level.UPPER, kz, species)
                 worst = max(
                     worst,
                     abs(got_lo - want_lo) / energy_unit,

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwselect as mw
-from mwselect.breit_rabi import Level, _slope_dimensionless
+from mwselect.breit_rabi import Level
 from mwselect.constants import CONST
 
 
@@ -60,8 +60,9 @@ def test_eigenvalues_match_diagonalization(name, sigma):
     for kz in np.linspace(-1.0, 1.0, 81):
         field_B = kz * energy_unit / species.g_sum
         want_lo, want_up = _oracle_energies(field_B, species, sigma)
-        got_lo = mw.eigenvalue(mw.StretchedBranch(sigma, Level.LOWER), kz, species)
-        got_up = mw.eigenvalue(mw.StretchedBranch(sigma, Level.UPPER), kz, species)
+        branch = mw.StretchedBranch(sigma)
+        got_lo = mw.eigenvalue(branch, Level.LOWER, kz, species)
+        got_up = mw.eigenvalue(branch, Level.UPPER, kz, species)
         assert abs(got_lo - want_lo) <= 1e-12 * energy_unit
         assert abs(got_up - want_up) <= 1e-12 * energy_unit
 
@@ -69,28 +70,17 @@ def test_eigenvalues_match_diagonalization(name, sigma):
 def test_zero_field_levels(rb87):
     half = 0.5 * CONST.hbar * rb87.delta_W
     for sigma in (1, -1):
-        lo = mw.eigenvalue(mw.StretchedBranch(sigma, Level.LOWER), 0.0, rb87)
-        up = mw.eigenvalue(mw.StretchedBranch(sigma, Level.UPPER), 0.0, rb87)
+        lo = mw.eigenvalue(mw.StretchedBranch(sigma), Level.LOWER, 0.0, rb87)
+        up = mw.eigenvalue(mw.StretchedBranch(sigma), Level.UPPER, 0.0, rb87)
         assert lo == pytest.approx(-half, rel=1e-15)
         assert up == pytest.approx(half, rel=1e-15)
 
 
-def test_derivative_matches_finite_difference(rb87):
-    # the per-level analytic slope that d_transition_dz differences
-    h = 1e-6
-    for sigma in (1, -1):
-        for level in (Level.LOWER, Level.UPPER):
-            branch = mw.StretchedBranch(sigma, level)
-            for kz in np.linspace(-0.9, 0.9, 1000):
-                fd = (
-                    mw.eigenvalue(branch, kz + h, rb87)
-                    - mw.eigenvalue(branch, kz - h, rb87)
-                ) / (2.0 * h) / (CONST.hbar * rb87.delta_W)
-                got = _slope_dimensionless(level, sigma, kz, rb87)
-                assert abs(got - fd) <= 1e-6
-
-
-def test_transition_slope_matches_finite_difference(cfg, branch):
+@pytest.mark.parametrize("name", ["Rb87", "Rb85", "Na23", "Cs133"])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_transition_slope_matches_finite_difference(name, sigma):
+    cfg = mw.FieldConfig(eta=0.25, bias=0.0, species=mw.get_species(name))
+    branch = mw.StretchedBranch(sigma)
     h = 1e-7
     for z in np.linspace(-0.05, 0.05, 201):
         fd = (
@@ -106,8 +96,8 @@ def test_transition_slope_matches_finite_difference(cfg, branch):
 def test_branch_symmetry_is_exact(kz):
     species = mw.get_species("Rb87")
     for level in (Level.LOWER, Level.UPPER):
-        plus = mw.eigenvalue(mw.StretchedBranch(1, level), kz, species)
-        minus = mw.eigenvalue(mw.StretchedBranch(-1, level), -kz, species)
+        plus = mw.eigenvalue(mw.StretchedBranch(1), level, kz, species)
+        minus = mw.eigenvalue(mw.StretchedBranch(-1), level, -kz, species)
         assert plus == minus  # u = sigma*kz makes this an identity, bit for bit
 
 
@@ -235,8 +225,6 @@ def test_resonance_at_field_zero_is_positive_zero(cfg, sigma):
 def test_stretched_branch_validation():
     with pytest.raises(ValueError):
         mw.StretchedBranch(sigma=2)
-    with pytest.raises(ValueError):
-        mw.StretchedBranch(sigma=1, level="lower")
 
 
 def test_field_config_rejects_non_finite(rb87):

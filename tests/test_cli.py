@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwselect import config as cf
+from mwselect import get_species
 from mwselect.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -383,6 +384,19 @@ def test_unreachable_frequency_reports_finite_range(config_path, tmp_path, capsy
     lo, hi = (float(x) for x in match.groups())
     assert np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi
     assert "nan" not in err and "Traceback" not in err
+    # pulse 1 is tuned to z = 0, where the transition is exactly delta_W.  The
+    # convex transition dips below it inside [-1, 1] m at both gradients, but
+    # only at 400 T/m does it cross delta_W twice there: exit 3 with the dip
+    # counted in the range, which then holds delta_W.
+    delta_w = get_species("Rb87").delta_W
+    for gradient, code in (("300 T/m", 0), ("400 T/m", 3)):
+        rc = main(["select", str(config_path), "--set", f"field.gradient={gradient}",
+                   "-o", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert rc == code, err
+    assert "crossed twice" in err and "outside" not in err
+    lo, hi = (float(x) for x in re.search(r"range \[(\S+), (\S+)\]", err).groups())
+    assert lo < delta_w < hi
 
 
 @pytest.mark.parametrize("value", ["2 m", "-1e300 m", "-1.0000001 m"])
@@ -950,16 +964,45 @@ def _limit_result(rng):
     )
 
 
+def _kind_rows(columns) -> list[int]:
+    """The first row of each kind of cell in each column.
+
+    A float's kind is its sign and its class: NaN, infinite, zero,
+    subnormal, |x| >= 1e17, |x| < 1e-29, or else whether _mantissas formats
+    it or leaves it to _format_cell.  A bool's kind is its value, an
+    integer's its number of digits.
+    """
+    from mwselect import cli
+
+    rows = set()
+    for col in map(np.asarray, columns):
+        if col.dtype.kind == "f":
+            a, finite = np.abs(col), np.isfinite(col)
+            ok = np.zeros(len(col), bool)
+            ok[finite] = cli._mantissas(col[finite])[0]
+            with np.errstate(invalid="ignore"):
+                classes = [np.isnan(col), np.isinf(col), a == 0.0,
+                           a < np.finfo(float).tiny, a >= 1e17, a < 1e-29, ok]
+            kind = 2 * np.select(classes, range(len(classes)), len(classes)) + np.signbit(col)
+        else:
+            kind = col if col.dtype.kind == "b" else np.char.str_len(col.astype(str))
+        rows.update(np.unique(kind, return_index=True)[1].tolist())
+    return sorted(rows)
+
+
 def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
     """The block-wise writer gives the bytes of the row-wise reference.
 
     At 4096-row blocks z_final and v_final are mixed in the first block,
     all finite in the second and all NaN in the third; at the default
     block size the all-NaN rows follow a mixed block.  atom_index goes
-    from 9 to 10, 99 to 100 and 9999 to 10000 inside a block and, at one
-    row a block, across block boundaries.  A second result is sparse in
-    z_final and v_final (see _sparse_result), and a third sits at the
-    narrow limit (see _limit_result).
+    from 9 to 10, 99 to 100 and 9999 to 10000 inside a block.  A second
+    result is sparse in z_final and v_final (see _sparse_result), and a
+    third sits at the narrow limit (see _limit_result).  At one row a
+    block, cli._csv writes a subset of each result's rows: the first of
+    each kind of cell in each column (_kind_rows) and those around each
+    step of atom_index to one more digit, which then cross block
+    boundaries.
     """
     from types import SimpleNamespace
 
@@ -984,11 +1027,21 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
         z_final=np.where(both, values * 0.5, np.nan),
         v_final=np.where(both, -values, np.nan),
     )
+    default = cli._CSV_BLOCK
     for result in (result, _sparse_result(rng), _limit_result(rng)):
         want = _rowwise_simulation_csv(result)
-        for block in (cli._CSV_BLOCK, 4096, 7, 1):
+        for block in (default, 4096, 7):
             monkeypatch.setattr(cli, "_CSV_BLOCK", block)
             assert cli.simulation_csv(result) == want
+        columns = [np.arange(result.n_total), result.z0, result.v0, result.survived_first,
+                   result.survived_both, result.z_final, result.v_final]
+        steps = [i for i in (9, 10, 99, 100, 999, 1000, 9999, 10000) if i < result.n_total]
+        rows = sorted({*_kind_rows(columns), *steps})
+        subset = [col[rows] for col in columns]
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 1)
+        assert b"".join(cli._csv(_SIMULATION_HEADER, subset)) == _rowwise_csv(
+            _SIMULATION_HEADER, zip(*subset)
+        ).encode()
 
 
 # block size, and the cells of _limit_result's narrow columns spliced at it:

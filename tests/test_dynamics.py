@@ -52,11 +52,12 @@ def test_upper_branch_acceleration_matches_g_effective(cfg, rb87):
     h = 1e-6
     k = mw.kappa(cfg)
     for sigma in (1, -1):
-        branch = mw.StretchedBranch(sigma, Level.UPPER)
+        branch = mw.StretchedBranch(sigma)
         g = mw.g_effective(rb87, ETA, Level.UPPER, sigma)
         for kz in (-0.5, 0.0, 0.3):
             slope = (
-                eigenvalue(branch, kz + h, rb87) - eigenvalue(branch, kz - h, rb87)
+                eigenvalue(branch, Level.UPPER, kz + h, rb87)
+                - eigenvalue(branch, Level.UPPER, kz - h, rb87)
             ) / (2.0 * h)
             assert g == pytest.approx(CONST.g0 + slope * k / rb87.mass, rel=1e-9)
 
