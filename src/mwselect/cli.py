@@ -409,9 +409,24 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(obj) -> str:
+    """obj as strict JSON one level down in a document: a newline is never
+    inside a string, so each one takes the next level's two spaces."""
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+# Keyed by the run's id as well: a RunConfig compares -0.0 equal to 0.0,
+# which echo differently, and a cached run is held, so its id is not reused.
+@functools.lru_cache(maxsize=8)
+def _echo(run_id: int, run: RunConfig) -> str:
+    """The config echo of a run, rendered once per run object."""
+    return _json_text(to_dict(run))
+
+
 def _json_doc(command: str, run: RunConfig, result: dict) -> bytes:
-    payload = {"command": command, "config": to_dict(run), "result": result}
-    return (json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
+    """json.dumps of {"command", "config", "result"}, indent 2, sorted keys."""
+    return (f'{{\n  "command": {json.dumps(command)},\n  "config": {_echo(id(run), run)},'
+            f'\n  "result": {_json_text(result)}\n}}\n').encode()
 
 
 def _emit(outputs: list[tuple[Iterable[bytes], str | None]]) -> None:

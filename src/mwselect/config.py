@@ -407,7 +407,9 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
     """Read a YAML config file, apply --set overrides, validate.
 
     The file is read on every call and decoded as YAML specifies (UTF-8,
-    or UTF-16 with a byte order mark), whatever the locale.
+    or UTF-16 with a byte order mark), whatever the locale.  Each distinct
+    (text, overrides) is validated once per process, and every call with
+    it returns that one RunConfig; an error is raised on every call.
     """
     p = Path(path)
     try:
@@ -415,16 +417,24 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     try:
-        data = _parse(text)
+        _parse(text)  # here, so that its error names this call's path
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"invalid YAML in {p}: {exc}") from None
+    return _validated(text, tuple(overrides or ()))
+
+
+# A RunConfig is frozen, so one object per (text, overrides) serves every call.
+@functools.lru_cache(maxsize=8)
+def _validated(text: bytes, overrides: tuple[str, ...]) -> RunConfig:
+    """The RunConfig of a parsed text under --set overrides, built once per process."""
+    data = _parse(text)
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
     if overrides:
         # a deep copy keeps aliased nodes shared, as a fresh parse has them
-        data = apply_overrides(copy.deepcopy(data), overrides)
+        data = apply_overrides(copy.deepcopy(data), list(overrides))
     return from_dict(data)
 
 

@@ -1,13 +1,17 @@
-"""The per-process caches: the CLI parser and each config text's YAML document.
+"""The per-process caches: the CLI parser, each config text's YAML document,
+each (text, --set list)'s RunConfig and each run's config echo.
 
-cli.main builds its parser once and load_config parses each distinct
-config text once.  Every call must still give what a fresh process
-gives: --set edits never reach a later call, an edited file is read
-again, and an aliased node stays shared under --set as a fresh parse
-leaves it.
+cli.main builds its parser once, load_config parses each distinct config
+text once and validates each distinct (text, --set list) once, and
+_json_doc renders each RunConfig object's echo once.  Every call must
+still give what a fresh process gives: --set edits never reach a later
+call, an edited file is read again, an aliased node stays shared under
+--set as a fresh parse leaves it, a -0.0 echoes as -0.0 after an equal
+0.0, and an error is raised on every call.
 """
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -123,6 +127,7 @@ def test_each_text_is_parsed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(yaml, "load", spy)
     cf._parse.cache_clear()
+    cf._validated.cache_clear()
     first = cf.load_config(path)
     edited = cf.load_config(path, ["ensemble.n=10", "ensemble.seed=3"])
     assert cf.load_config(path) == first
@@ -132,8 +137,67 @@ def test_each_text_is_parsed_once(tmp_path, monkeypatch):
     assert (first.ensemble.n, first.ensemble.seed) == (20000, 20260815)
 
 
+@pytest.mark.parametrize("key,zero,echo", [("field.bias", "0 G", b'"bias": "-0.0 T"'),
+                                            ("pulses.0.resonant_at", "0 m", b'"-0.0 m"')],
+                         ids=["bias", "resonant_at"])
+def test_a_signed_zero_echoes_as_in_a_fresh_process(tmp_path, capsys, key, zero, echo):
+    """-0.0 and 0.0 make equal RunConfigs, which echo differently, in either order."""
+    out = tmp_path / "out.json"
+    argv = {sign: ["select", str(SHIPPED), "--set", f"{key}={sign}{zero}"] for sign in ("", "-")}
+    fresh = {sign: _fresh(call, out) for sign, call in argv.items()}
+    assert echo in fresh["-"][2] and echo not in fresh[""][2]
+    for order in (["", "-", ""], ["-", "", "-"]):
+        cf._validated.cache_clear()
+        cli._echo.cache_clear()
+        assert [_here(argv[sign], out, capsys) for sign in order] == [fresh[s] for s in order]
+
+
+def test_a_repeated_load_is_validated_once(tmp_path, monkeypatch):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(SHIPPED.read_bytes())
+    built = []
+    from_dict = cf.from_dict
+    monkeypatch.setattr(cf, "from_dict", lambda data: built.append(data) or from_dict(data))
+    cf._validated.cache_clear()
+    sets = ["ensemble.n=10", "field.gradient=20 G/cm"]
+    first = cf.load_config(path, sets)
+    assert cf.load_config(path, list(sets)) is first
+    assert len(built) == 1
+    # the same values in another order are another key
+    swapped = cf.load_config(path, sets[::-1])
+    assert swapped == first and swapped is not first
+    assert len(built) == 2
+    # no --set list and an empty one are the same key
+    assert cf.load_config(path) is cf.load_config(path, [])
+    assert len(built) == 3
+
+
+_SHIPPED_TEXT = SHIPPED.read_bytes()
+
+
+@pytest.mark.parametrize("text,sets,message", [
+    (_SHIPPED_TEXT, ["pulses.0.tau"], "--set expects dotted.path=value"),
+    (_SHIPPED_TEXT, ["bogus.key=1"], "config: unknown keys 'bogus'"),
+    (_SHIPPED_TEXT, ["field.gradient=25"], "gradient: dimensional values must be strings"),
+    (b"species: [Rb87\n", [], "invalid YAML in"),
+    (b"- a\n", [], "config root must be a mapping"),
+], ids=["bad-set", "unknown-key", "bare-number", "invalid-yaml", "not-a-mapping"])
+def test_an_error_is_raised_on_every_call(tmp_path, text, sets, message):
+    paths = [tmp_path / "a.yaml", tmp_path / "b.yaml"]
+    for path in paths:
+        path.write_bytes(text)
+    cf._validated.cache_clear()
+    for path in [*paths, paths[0]]:
+        with pytest.raises(cf.ConfigError, match=re.escape(message)) as err:
+            cf.load_config(path, sets)
+        if message == "invalid YAML in":
+            # the same bad bytes at each path name that path
+            assert str(err.value).startswith(f"invalid YAML in {path}: ")
+    assert cf._validated.cache_info().currsize == 0
+
+
 def test_concurrent_calls_match_their_serial_runs(tmp_path, capsys):
-    """Four threads, each with its own seed and gradient, through both caches."""
+    """Four threads, each with its own seed and gradient, through every cache."""
     sets = [[f"ensemble.seed={10 + i}", f"field.gradient={20 + i} G/cm"] for i in range(4)]
     outs = [tmp_path / f"select{i}.json" for i in range(4)]
     argvs = [["select", str(SHIPPED), *(a for s in sets[i] for a in ("--set", s)),
@@ -155,8 +219,10 @@ def test_concurrent_calls_match_their_serial_runs(tmp_path, capsys):
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
-    # both caches start empty, so the threads race to fill them
+    # every cache starts empty, so the threads race to fill them
     cf._parse.cache_clear()
+    cf._validated.cache_clear()
+    cli._echo.cache_clear()
     cli.build_parser.cache_clear()
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()

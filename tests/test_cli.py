@@ -176,6 +176,49 @@ def test_coils_golden_result(tmp_path):
     assert json.dumps(result, sort_keys=True) + "\n" == golden
 
 
+# JSON leaves as a result holds them: numpy and Python scalars, non-finite
+# and signed-zero floats, integers past 2**63, and texts with escapes
+_JSON_TEXTS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "a\nb", '"q"', "back\\slash", "\u00b5m \u00e9\U0001f600", "\r\t\x00\n"]),
+)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_), _JSON_TEXTS,
+    st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, np.float64(-0.0)]),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXTS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["select", "probability", "simulate", "coils"]),
+    overrides=st.sampled_from([[], ["field.bias=-0 G"], ["pulses.0.resonant_at=-0 m"]]),
+    result=st.dictionaries(_JSON_TEXTS, _JSON_PAYLOADS, max_size=5),
+)
+def test_json_doc_is_json_dumps_of_the_whole_document(command, overrides, result):
+    """The echo and result, each dumped alone one level down, nest exactly.
+
+    The reference is the document dumped in one call, as json.dumps writes it.
+    """
+    from mwselect import cli
+
+    run = cf.load_config(CONFIGS / "rb87_10us.yaml", overrides)
+    payload = {"command": command, "config": cf.to_dict(run), "result": result}
+    want = (json.dumps(cli._jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
+    assert cli._json_doc(command, run, result) == want
+
+
 def test_select_single_pulse_has_note(tmp_path):
     # a single pulse resolves a position, not a velocity
     data = _base_config()
@@ -1055,10 +1098,21 @@ def test_a_sparse_block_splices_its_cells_up_to_the_limit(monkeypatch, block, li
     narrow column at 4096-row blocks and in a wide one at every other size,
     where they are spliced all the same.
     """
+    from types import SimpleNamespace
+
     from mwselect import cli
 
     monkeypatch.setattr(cli, "_CSV_BLOCK", block)
     result = _limit_result(np.random.default_rng(6))
+    if block == 1:
+        # one row a block: the first row of each kind of cell in each column,
+        # among them z_final's four slow cells
+        columns = {"z0": result.z0, "v0": result.v0, "survived_first": result.survived_first,
+                   "survived_both": result.survived_both, "z_final": result.z_final,
+                   "v_final": result.v_final}
+        rows = _kind_rows([np.arange(result.n_total), *columns.values()])
+        result = SimpleNamespace(n_total=len(rows),
+                                 **{name: col[rows] for name, col in columns.items()})
     pieces = list(cli._simulation_blocks(result))
     blocks = -(-result.n_total // block)
     slow = 0 if block == 4096 else 4
@@ -1222,12 +1276,18 @@ def test_csv_of_shared_calls_matches_row_by_row_formatting(monkeypatch, block):
     of ten, so it stays wide, with 24-character cells among its finite
     ones.  At 4096 and the default block size the last, short block's
     columns share one call; at 1 and 7 rows a dense column fills a call.
+    At one row a block the table is cut to the first row of each kind of
+    cell in each column (_kind_rows), which keeps index's steps to one
+    more digit.
     """
     from mwselect import cli
 
     if block is not None:
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
     table = _mixed_table(np.random.default_rng(8), 10_050)
+    if block == 1:
+        rows = _kind_rows(table.values())
+        table = {name: col[rows] for name, col in table.items()}
     want = _rowwise_csv(list(table), zip(*table.values()))
     assert b"".join(cli._csv(list(table), list(table.values()))).decode() == want
 
