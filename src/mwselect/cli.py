@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
+import math
 import os
 import stat
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
-from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 import numpy as np
@@ -393,26 +393,35 @@ def _csv(header: list[str], columns: list) -> Iterator[bytes]:
     yield b"\n"
 
 
-def _jsonable(obj):
-    """Coerce numpy scalars and non-finite floats for strict JSON."""
+def _json_text(obj, indent: str = "\n  ") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, one level down
+    in a document (each newline followed by indent), in one walk: a numpy scalar
+    as the Python number it holds, a non-finite float as null.  A key that is not
+    a str, or a leaf of another type, is a TypeError, as in json.dumps."""
+    if isinstance(obj, float):  # np.float64 too
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{inner}{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{','.join(items)}{indent}}}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return f"[{','.join([inner + _json_text(v, inner) for v in obj])}{indent}]"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if np.isfinite(f) else None
-    return obj
-
-
-def _json_text(obj) -> str:
-    """obj as strict JSON one level down in a document: a newline is never
-    inside a string, so each one takes the next level's two spaces."""
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True).replace("\n", "\n  ")
+        return int.__repr__(int(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.floating):
+        return _json_text(float(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # Keyed by the run's id as well: a RunConfig compares -0.0 equal to 0.0,
@@ -424,8 +433,9 @@ def _echo(run_id: int, run: RunConfig) -> str:
 
 
 def _json_doc(command: str, run: RunConfig, result: dict) -> bytes:
-    """json.dumps of {"command", "config", "result"}, indent 2, sorted keys."""
-    return (f'{{\n  "command": {json.dumps(command)},\n  "config": {_echo(id(run), run)},'
+    """json.dumps of {"command", "config", "result"}, indent 2, sorted keys,
+    put together around the run's echo."""
+    return (f'{{\n  "command": {_quote(command)},\n  "config": {_echo(id(run), run)},'
             f'\n  "result": {_json_text(result)}\n}}\n').encode()
 
 
@@ -483,7 +493,7 @@ def cmd_select(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     cell = selection_cell(*sels, cfg) if len(sels) == 2 else None
     per_pulse = []
     for i, (pulse, sel) in enumerate(zip(pulses, sels)):
-        stability = asdict(app.stability_budget(sel, cfg, displacement))
+        stability = vars(app.stability_budget(sel, cfg, displacement))
         entry = {
             "index": i,
             "t0_s": pulse.t0,
@@ -640,7 +650,7 @@ def cmd_coils(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     if pulses:
         sel = select(pulses[0], cfg)
         result["stability"] = {
-            **asdict(app.stability_budget(sel, cfg, coils.displacement)),
+            **vars(app.stability_budget(sel, cfg, coils.displacement)),
             "rabi_rad_s": pulses[0].rabi_at_resonance,
             "position_width_m": sel.position_width,
         }

@@ -71,6 +71,54 @@ def test_linearity_region_loose_tolerance_saturates(coils):
     assert mw.linearity_region(coils, rel_tol=10.0) == cap
 
 
+def _numpy_linearity_region(coils, rel_tol):
+    """linearity_region's bisection with each field taken as a 0-d array."""
+    eta0 = mw.gradient_at_center(coils)
+    cap = min(coils.radius, coils.half_separation)
+
+    def deviation(z):
+        return abs(float(mw.on_axis_field(coils, z)) / (eta0 * z) - 1.0)
+
+    if deviation(cap) <= rel_tol:
+        return cap
+    lo, hi = 1e-9 * cap, cap
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if deviation(mid) <= rel_tol:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("radius,half_separation,current,turns", [
+    (5e-2, 2.5e-2, 5.79233904, 100),
+    (5e-2, 5e-4, 5.79233904, 100),  # d << R: linear out to the cap
+    (1e-6, 10.0, -1e6, 10**6),
+    (10.0, 1e-6, 1e-6, 1),
+    (3e-3, 7e-2, 2.5, 17),
+    (0.4, 0.35, -40.0, 250),
+])
+@pytest.mark.parametrize("rel_tol", [1e-6, 0.01, 0.3, 10.0])
+def test_linearity_region_matches_numpy_bisection(radius, half_separation, current, turns,
+                                                  rel_tol):
+    """The bisection in floats gives every bit of the one on 0-d arrays."""
+    coils = mw.CoilPair(radius, current, half_separation, turns=turns)
+    assert mw.linearity_region(coils, rel_tol) == _numpy_linearity_region(coils, rel_tol)
+
+
+def test_on_axis_field_keeps_numpy_semantics(coils):
+    z = [-3e-2, 0.0, 1e-3]
+    np.testing.assert_array_equal(mw.on_axis_field(coils, z),
+                                  [mw.on_axis_field(coils, v) for v in z])
+    # where a float would raise OverflowError, numpy's inf**-1.5 gives 0
+    with np.errstate(over="ignore"):
+        assert mw.on_axis_field(coils, 1e200) == 0.0
+        assert mw.on_axis_field(coils, np.array([1e200, -1e300])).tolist() == [0.0, 0.0]
+
+
 def test_shifted_zero_folds_bias(rb87):
     eta = 0.25
     bias = 4e-4

@@ -21,6 +21,8 @@ from mwselect import config as cf
 from mwselect import get_species
 from mwselect.cli import main
 
+from byte_diff import assert_same
+
 DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -73,13 +75,13 @@ def _load_json(path: Path) -> dict:
 def test_scan_golden_bytes(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", str(DATA / "scan_small.yaml"), "-o", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "scan_golden.csv").read_bytes()
+    assert_same(out.read_bytes(), (DATA / "scan_golden.csv").read_bytes())
 
 
 def test_bands_golden_bytes(tmp_path):
     out = tmp_path / "bands.csv"
     assert main(["bands", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "bands_golden.csv").read_bytes()
+    assert_same(out.read_bytes(), (DATA / "bands_golden.csv").read_bytes())
 
 
 def test_simulate_golden_bytes(tmp_path):
@@ -91,7 +93,7 @@ def test_simulate_golden_bytes(tmp_path):
         "--set", 'ensemble.z_rms="20 um"', "--set", 'ensemble.v_rms="2 mm/s"',
         "--csv", str(out), "-o", str(tmp_path / "sim.json"),
     ]) == 0
-    assert out.read_bytes() == (DATA / "simulate_golden.csv").read_bytes()
+    assert_same(out.read_bytes(), (DATA / "simulate_golden.csv").read_bytes())
 
 
 def test_scan_csv_shape_and_format(config_path, tmp_path):
@@ -164,7 +166,7 @@ def test_select_golden_result(tmp_path):
     assert main(["select", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
     result = _load_json(out)["result"]
     golden = (DATA / "select_golden.json").read_text()
-    assert json.dumps(result, sort_keys=True) + "\n" == golden
+    assert_same(json.dumps(result, sort_keys=True) + "\n", golden)
 
 
 def test_coils_golden_result(tmp_path):
@@ -173,7 +175,7 @@ def test_coils_golden_result(tmp_path):
     assert main(["coils", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
     result = _load_json(out)["result"]
     golden = (DATA / "coils_golden.json").read_text()
-    assert json.dumps(result, sort_keys=True) + "\n" == golden
+    assert_same(json.dumps(result, sort_keys=True) + "\n", golden)
 
 
 # JSON leaves as a result holds them: numpy and Python scalars, non-finite
@@ -200,6 +202,22 @@ _JSON_PAYLOADS = st.recursive(
 )
 
 
+def _jsonable(obj):
+    """Coerce numpy scalars and non-finite floats for strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return f if np.isfinite(f) else None
+    return obj
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(["select", "probability", "simulate", "coils"]),
@@ -215,8 +233,23 @@ def test_json_doc_is_json_dumps_of_the_whole_document(command, overrides, result
 
     run = cf.load_config(CONFIGS / "rb87_10us.yaml", overrides)
     payload = {"command": command, "config": cf.to_dict(run), "result": result}
-    want = (json.dumps(cli._jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
+    want = (json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
     assert cli._json_doc(command, run, result) == want
+
+
+@pytest.mark.parametrize("result", [
+    {"leaf": object()},
+    {"nested": [{"path": Path("out.json")}]},
+    {(1, 2): 0.5},
+    {"pulses": [{1: 0.5}]},
+], ids=["object", "path", "tuple-key", "int-key"])
+def test_json_doc_rejects_what_json_cannot_write(result):
+    """A leaf json.dumps cannot write, or a key that is not text, raises TypeError."""
+    from mwselect import cli
+
+    run = cf.load_config(CONFIGS / "rb87_10us.yaml")
+    with pytest.raises(TypeError):
+        cli._json_doc("select", run, result)
 
 
 def test_select_single_pulse_has_note(tmp_path):
@@ -926,6 +959,16 @@ def test_missing_required_key_exits_2(tmp_path, capsys, section, key):
     assert capsys.readouterr().err == f"error: {section}: missing required key {key!r}\n"
 
 
+def test_assert_same_names_the_first_difference():
+    assert_same(b"a,b\n1,2\n", b"a,b\n1,2\n")
+    with pytest.raises(AssertionError, match=r"offset 6 \(line 2, column 3\) of 8 got and 8"):
+        assert_same(b"a,b\n1,3\n", b"a,b\n1,2\n")
+    with pytest.raises(AssertionError, match=r"offset 3 \(line 1, column 4\) of 3 got and 4"):
+        assert_same("abc", "abcd")
+    with pytest.raises(AssertionError, match="got a str, want a bytes"):
+        assert_same("abc", b"abc")
+
+
 def _rowwise_csv(header, rows) -> str:
     """Reference CSV text: every cell through cli._format_cell, row by row."""
     from mwselect import cli
@@ -1075,16 +1118,15 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
         want = _rowwise_simulation_csv(result)
         for block in (default, 4096, 7):
             monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-            assert cli.simulation_csv(result) == want
+            assert_same(cli.simulation_csv(result), want)
         columns = [np.arange(result.n_total), result.z0, result.v0, result.survived_first,
                    result.survived_both, result.z_final, result.v_final]
         steps = [i for i in (9, 10, 99, 100, 999, 1000, 9999, 10000) if i < result.n_total]
         rows = sorted({*_kind_rows(columns), *steps})
         subset = [col[rows] for col in columns]
         monkeypatch.setattr(cli, "_CSV_BLOCK", 1)
-        assert b"".join(cli._csv(_SIMULATION_HEADER, subset)) == _rowwise_csv(
-            _SIMULATION_HEADER, zip(*subset)
-        ).encode()
+        assert_same(b"".join(cli._csv(_SIMULATION_HEADER, subset)),
+                    _rowwise_csv(_SIMULATION_HEADER, zip(*subset)).encode())
 
 
 # block size, and the cells of _limit_result's narrow columns spliced at it:
@@ -1118,7 +1160,7 @@ def test_a_sparse_block_splices_its_cells_up_to_the_limit(monkeypatch, block, li
     slow = 0 if block == 4096 else 4
     spliced = limits * (4096 // cli._SPARSE) + extra + slow
     assert len(pieces) == 2 + blocks + 2 * spliced
-    assert b"".join(pieces) == _rowwise_simulation_csv(result)
+    assert_same(b"".join(pieces), _rowwise_simulation_csv(result))
 
 
 def test_a_text_cell_holding_the_mark_byte_is_spliced_whole(monkeypatch):
@@ -1145,7 +1187,7 @@ def test_a_text_cell_holding_the_mark_byte_is_spliced_whole(monkeypatch):
     for block in (cli._CSV_BLOCK, 4096, 7, 1):
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         pieces = list(cli._csv(header, [names, x, wide, nans]))
-        assert b"".join(pieces).decode() == want
+        assert_same(b"".join(pieces).decode(), want)
         if block >= n:
             assert len(pieces) == 3 + 2 * (n + 2 + 1)
 
@@ -1289,7 +1331,7 @@ def test_csv_of_shared_calls_matches_row_by_row_formatting(monkeypatch, block):
         rows = _kind_rows(table.values())
         table = {name: col[rows] for name, col in table.items()}
     want = _rowwise_csv(list(table), zip(*table.values()))
-    assert b"".join(cli._csv(list(table), list(table.values()))).decode() == want
+    assert_same(b"".join(cli._csv(list(table), list(table.values()))).decode(), want)
 
 
 def test_a_sparse_csv_to_stdout_is_simulation_csv(capsys):
@@ -1465,7 +1507,7 @@ def test_simulate_csv_is_the_same_without_the_fast_path(tmp_path, cloud):
             "--csv", str(tmp_path / "atoms.csv"), "-o", str(tmp_path / "out.json")]
     assert main(argv) == 0
     want = _rowwise_simulation_csv(_shipped_result(sets))
-    assert (tmp_path / "atoms.csv").read_bytes() == want
+    assert_same((tmp_path / "atoms.csv").read_bytes(), want)
 
 
 @pytest.mark.parametrize("command,path", [("scan", "scan.points"),
