@@ -159,23 +159,30 @@ def test_select_json(config_path, tmp_path):
     assert pair["velocity_support_m_s"] == pytest.approx(1.3561e-3, rel=1e-3)
 
 
+def _golden_document(command: str, golden: str) -> bytes:
+    """The whole file command writes on the shipped config, its result the
+    golden one: json.dumps of the document, indent 2, sorted keys."""
+    run = cf.load_config(CONFIGS / "rb87_10us.yaml")
+    doc = {"command": command, "config": cf.to_dict(run),
+           "result": json.loads((DATA / golden).read_text())}
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_select_golden_result(tmp_path):
     # written at the commit before delta_t was retired: the per-pulse velocity
-    # widths, now taken from the pulses' t0 gap, and the pair keep every bit
+    # widths, now taken from the pulses' t0 gap, and the pair keep every bit;
+    # the file keeps its key order and indentation
     out = tmp_path / "select.json"
     assert main(["select", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
-    result = _load_json(out)["result"]
-    golden = (DATA / "select_golden.json").read_text()
-    assert_same(json.dumps(result, sort_keys=True) + "\n", golden)
+    assert_same(out.read_bytes(), _golden_document("select", "select_golden.json"))
 
 
 def test_coils_golden_result(tmp_path):
-    # the coils result block on the shipped config, kept byte for byte
+    # the coils result block on the shipped config, kept byte for byte, in
+    # the file's key order and indentation
     out = tmp_path / "coils.json"
     assert main(["coils", str(CONFIGS / "rb87_10us.yaml"), "-o", str(out)]) == 0
-    result = _load_json(out)["result"]
-    golden = (DATA / "coils_golden.json").read_text()
-    assert_same(json.dumps(result, sort_keys=True) + "\n", golden)
+    assert_same(out.read_bytes(), _golden_document("coils", "coils_golden.json"))
 
 
 # JSON leaves as a result holds them: numpy and Python scalars, non-finite
@@ -1088,7 +1095,7 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
     block, cli._csv writes a subset of each result's rows: the first of
     each kind of cell in each column (_kind_rows) and those around each
     step of atom_index to one more digit, which then cross block
-    boundaries.
+    boundaries.  The subset goes through the kernels however few its cells.
     """
     from types import SimpleNamespace
 
@@ -1125,6 +1132,7 @@ def test_simulation_csv_matches_cell_by_cell_formatting(monkeypatch):
         rows = sorted({*_kind_rows(columns), *steps})
         subset = [col[rows] for col in columns]
         monkeypatch.setattr(cli, "_CSV_BLOCK", 1)
+        monkeypatch.setattr(cli, "_FEW_CELLS", 0)
         assert_same(b"".join(cli._csv(_SIMULATION_HEADER, subset)),
                     _rowwise_csv(_SIMULATION_HEADER, zip(*subset)).encode())
 
@@ -1155,6 +1163,7 @@ def test_a_sparse_block_splices_its_cells_up_to_the_limit(monkeypatch, block, li
         rows = _kind_rows([np.arange(result.n_total), *columns.values()])
         result = SimpleNamespace(n_total=len(rows),
                                  **{name: col[rows] for name, col in columns.items()})
+        monkeypatch.setattr(cli, "_FEW_CELLS", 0)  # through the kernels however few
     pieces = list(cli._simulation_blocks(result))
     blocks = -(-result.n_total // block)
     slow = 0 if block == 4096 else 4
@@ -1232,13 +1241,15 @@ def _kernel_calls(monkeypatch) -> list[list[int]]:
 
 
 def test_a_short_table_formats_its_floats_in_one_call(monkeypatch, tmp_path):
-    """scan's six float columns, bands' two and a 2k simulate's share one call."""
+    """bands' 48 cells make no kernel call; scan's six float columns and a
+    2k simulate's share one."""
+    from mwselect import cli
+
     calls = _kernel_calls(monkeypatch)
+    assert main(["bands", str(_SHIPPED), "-o", str(tmp_path / "bands.csv")]) == 0
+    assert calls == [] and 12 * 4 <= cli._FEW_CELLS
     assert main(["scan", str(_SHIPPED), "-o", str(tmp_path / "scan.csv")]) == 0
     assert calls == [[6 * 201]]
-    del calls[:]
-    assert main(["bands", str(_SHIPPED), "-o", str(tmp_path / "bands.csv")]) == 0
-    assert len(calls) == 1 and len(calls[0]) == 1
     for cloud in _CLOUDS.values():
         del calls[:]
         argv = ["simulate", str(_SHIPPED), "--set", "ensemble.n=2000", "--csv",
@@ -1247,6 +1258,54 @@ def test_a_short_table_formats_its_floats_in_one_call(monkeypatch, tmp_path):
             argv += ["--set", item]
         assert main(argv) == 0
         assert len(calls) == 1 and len(calls[0]) == 1 and calls[0][0] >= 4000
+
+
+def _every_kind_table(cells: int) -> list:
+    """Columns of exactly `cells` cells in all, holding every kind of cell.
+
+    Column j is of kind j % 5: float64 (NaN, -0.0, 5e-324, 1e300, +-inf
+    and two in the fast range), int64 (2**32 - 1, then 2**32 and above,
+    and 7), np.bool_, np.float32, and text, one text holding _MARK.  Each
+    column starts j // 5 values into its pool and cycles through it.  The
+    table has the fewest columns, at least five, that divide `cells`.
+    """
+    from mwselect import cli
+
+    pools = [
+        np.array([np.nan, -0.0, 5e-324, 1e300, np.inf, -np.inf, 0.1, -2.5e-3]),
+        np.array([2**32 - 1, 2**32, 2**63 - 1, 7, 2**40], dtype=np.int64),
+        np.array([True, False]),
+        np.array([0.1, -np.inf, 1e-40, np.nan, 3.0], dtype=np.float32),
+        ["a" + cli._MARK.decode() + "b", "cell", ""],
+    ]
+    width = next(w for w in range(5, cells + 1) if cells % w == 0)
+    rows = np.arange(cells // width)
+    columns = []
+    for j in range(width):
+        pool = pools[j % 5]
+        picks = (j // 5 + rows) % len(pool)
+        columns.append([pool[i] for i in picks] if isinstance(pool, list) else pool[picks])
+    return columns
+
+
+def test_a_table_of_few_cells_is_written_cell_by_cell(monkeypatch):
+    """A table of _FEW_CELLS cells comes in one chunk, without _lines; one
+    more cell sends it through _lines.  Both give the row-wise bytes."""
+    from mwselect import cli
+
+    seen, lines = [], cli._lines
+    monkeypatch.setattr(cli, "_lines", lambda columns: seen.append(columns) or lines(columns))
+    for cells in (cli._FEW_CELLS, cli._FEW_CELLS + 1):
+        columns = _every_kind_table(cells)
+        assert sum(map(len, columns)) == cells
+        header = [f"c{j}" for j in range(len(columns))]
+        del seen[:]
+        pieces = list(cli._csv(header, columns))
+        assert_same(b"".join(pieces).decode(), _rowwise_csv(header, zip(*columns)))
+        if cells == cli._FEW_CELLS:
+            assert seen == [] and len(pieces) == 1
+        else:
+            assert len(seen) == 1
 
 
 def test_scan_splices_exactly_its_three_zero_cells(monkeypatch):
@@ -1320,7 +1379,7 @@ def test_csv_of_shared_calls_matches_row_by_row_formatting(monkeypatch, block):
     columns share one call; at 1 and 7 rows a dense column fills a call.
     At one row a block the table is cut to the first row of each kind of
     cell in each column (_kind_rows), which keeps index's steps to one
-    more digit.
+    more digit, and still goes through the kernels.
     """
     from mwselect import cli
 
@@ -1330,6 +1389,7 @@ def test_csv_of_shared_calls_matches_row_by_row_formatting(monkeypatch, block):
     if block == 1:
         rows = _kind_rows(table.values())
         table = {name: col[rows] for name, col in table.items()}
+        monkeypatch.setattr(cli, "_FEW_CELLS", 0)  # through the kernels however few
     want = _rowwise_csv(list(table), zip(*table.values()))
     assert_same(b"".join(cli._csv(list(table), list(table.values()))).decode(), want)
 
@@ -1384,10 +1444,10 @@ def test_integer_column_matches_format_cell(monkeypatch, dtype, top):
 
 
 def _csv_cells(values) -> list[str]:
-    """The cells _csv writes for one column of values."""
+    """The cells the kernels write for one column of values, however few."""
     from mwselect import cli
 
-    return b"".join(cli._csv(["x"], [values])).decode().split("\n")[1:-1]
+    return b"".join(cli._lines([values])).decode().split("\n")[1:]
 
 
 def _kernel_cells(values) -> list[str]:
