@@ -66,12 +66,10 @@ _TWO_PI = 2.0 * np.pi
 # (0.9 MB where the final columns are wide) and its temporaries near 0.1 MB
 # each.  4096 rows fault a third as often but take as long, 16384 longer.
 _CSV_BLOCK = 8192
-# The most cells a table may hold and still be written cell by cell.  A
-# short table's pass through _lines costs 115-160 us whatever its size,
-# and a float cell formatted alone 1.15-1.2 us, so the two break even at
-# 100-130 cells (scan's columns cut to 96 cells: 121 us cell by cell
-# against 165; cut to 150: 187 against 164).  bands' 48 cells go cell by
-# cell; scan's 1206 and every simulate table go through the kernels.
+# The most cells a table may hold and be written cell by cell.  A short
+# table's pass through _lines costs 115-160 us and a float cell formatted
+# alone 1.15-1.2 us, so they break even at 100-130 cells: bands' 48 go
+# cell by cell, scan's 1206 and every simulate table through the kernels.
 _FEW_CELLS = 100
 # Opened without truncation: freeing a file's old blocks is slow under discard.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -390,14 +388,13 @@ def _csv(header: list[str], columns: list) -> Iterator[bytes]:
     """ASCII CSV of equal-length columns; every cell reads as _format_cell writes it.
 
     A column is an array or a sequence of cells.  A table of at most
-    _FEW_CELLS cells is written row by row through _format_cell, as one
-    chunk.  A larger one is made _CSV_BLOCK rows at a time by _lines, and
-    each block's pieces are yielded as they are made, so the whole CSV is
-    never held.
+    _FEW_CELLS cells is one chunk, written cell by cell; a larger one is
+    made _CSV_BLOCK rows at a time by _lines, each block's pieces yielded
+    as they are made, so the whole CSV is never held.
     """
     if len(columns[0]) * len(columns) <= _FEW_CELLS:
-        rows = "".join(["\n" + ",".join(map(_format_cell, row)) for row in zip(*columns)])
-        yield f"{','.join(header)}{rows}\n".encode()
+        body = "".join(["\n" + ",".join(map(_format_cell, row)) for row in zip(*columns)])
+        yield f"{','.join(header)}{body}\n".encode()
         return
     yield ",".join(header).encode()
     for start in range(0, len(columns[0]), _CSV_BLOCK):

@@ -1243,11 +1243,9 @@ def _kernel_calls(monkeypatch) -> list[list[int]]:
 def test_a_short_table_formats_its_floats_in_one_call(monkeypatch, tmp_path):
     """bands' 48 cells make no kernel call; scan's six float columns and a
     2k simulate's share one."""
-    from mwselect import cli
-
     calls = _kernel_calls(monkeypatch)
     assert main(["bands", str(_SHIPPED), "-o", str(tmp_path / "bands.csv")]) == 0
-    assert calls == [] and 12 * 4 <= cli._FEW_CELLS
+    assert calls == []
     assert main(["scan", str(_SHIPPED), "-o", str(tmp_path / "scan.csv")]) == 0
     assert calls == [[6 * 201]]
     for cloud in _CLOUDS.values():
