@@ -33,7 +33,7 @@ from .breit_rabi import (
     resonant_position,
     transition_angular_frequency,
 )
-from .constants import CONST, AtomSpecies, available_species, get_species
+from .constants import AtomSpecies, available_species, get_species
 from .dynamics import WavepacketState, evolve_expected, g_effective, spread_width
 from .errors import (
     ConfigError,
@@ -75,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomSpecies",
-    "CONST",
     "CoilPair",
     "ConfigError",
     "EnsembleSpec",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breit_rabi import FieldConfig
-from .constants import CONST
+from .constants import MU0
 from .errors import ZeroGradientError
 from .selection import SelectionResult
 
@@ -33,13 +33,16 @@ class CoilPair:
     bounds keep the field and the central gradient finite, and a nonzero
     gradient far from subnormal, where it would silently lose digits.
     The sign convention puts the positive-gradient loop at negative z, so
-    a positive current gives a positive central gradient.
+    a positive current gives a positive central gradient.  displacement,
+    in [1 um, 10 m], is the stability budget's lever arm: how far from the
+    field zero the atoms are thrown.  No field formula reads it.
     """
 
     radius: float
     current: float
     half_separation: float
     turns: int = 1
+    displacement: float = 1e-2  # m
 
     def __post_init__(self) -> None:
         lo, hi = _GEOMETRY_RANGE
@@ -52,6 +55,9 @@ class CoilPair:
             raise ValueError(f"|current| must be 0 or lie in [{lo:g} A, {hi:g} A]")
         if not 1 <= self.turns <= _MAX_TURNS:
             raise ValueError(f"turns must lie in [1, {_MAX_TURNS}]")
+        lo, hi = _GEOMETRY_RANGE
+        if not lo <= self.displacement <= hi:
+            raise ValueError(f"displacement must lie in [{lo:g} m, {hi:g} m]")
 
 
 def on_axis_field(coils: CoilPair, z):
@@ -62,7 +68,7 @@ def on_axis_field(coils: CoilPair, z):
 def _field(coils: CoilPair, z):
     # B at a float z or an array of them; a float z past ~1e154 overflows
     r2 = coils.radius * coils.radius
-    pre = 0.5 * CONST.mu0 * coils.turns * coils.current * r2
+    pre = 0.5 * MU0 * coils.turns * coils.current * r2
     near = r2 + (z - coils.half_separation) ** 2
     far = r2 + (z + coils.half_separation) ** 2
     return pre * (near**-1.5 - far**-1.5)
@@ -74,7 +80,7 @@ def gradient_at_center(coils: CoilPair) -> float:
     d = coils.half_separation
     return (
         3.0
-        * CONST.mu0
+        * MU0
         * coils.turns
         * coils.current
         * r2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, AtomSpecies
+from .constants import HBAR, AtomSpecies
 from .errors import NoBracketError, ZeroGradientError
 
 _POSITION_RANGE = (-1.0, 1.0)  # m, where resonant_position looks for a root
@@ -71,7 +71,7 @@ class FieldConfig:
 
 def kappa(cfg: FieldConfig) -> float:
     """Inverse length scale g_sum*eta/(hbar*delta_W) of the gradient (1/m)."""
-    return cfg.species.g_sum * cfg.eta / (CONST.hbar * cfg.species.delta_W)
+    return cfg.species.g_sum * cfg.eta / (HBAR * cfg.species.delta_W)
 
 
 def epsilon(cfg: FieldConfig) -> float:
@@ -82,13 +82,13 @@ def epsilon(cfg: FieldConfig) -> float:
     gradients.
     """
     k = kappa(cfg)
-    return CONST.hbar * k * k / (2.0 * cfg.species.mass * cfg.species.delta_W)
+    return HBAR * k * k / (2.0 * cfg.species.mass * cfg.species.delta_W)
 
 
 def field_coordinate(cfg: FieldConfig, z):
     """Dimensionless field coordinate x = g_sum*(eta*z + bias)/(hbar*delta_W)."""
     return cfg.species.g_sum * (cfg.eta * z + cfg.bias) / (
-        CONST.hbar * cfg.species.delta_W
+        HBAR * cfg.species.delta_W
     )
 
 
@@ -104,7 +104,7 @@ def _energy_dimensionless(level: Level, u, species: AtomSpecies):
 def eigenvalue(branch: StretchedBranch, level: Level, kz, species: AtomSpecies):
     """Energy (J) of the branch's stretched state in level at dimensionless field kz."""
     u = branch.sigma * kz
-    return CONST.hbar * species.delta_W * _energy_dimensionless(level, u, species)
+    return HBAR * species.delta_W * _energy_dimensionless(level, u, species)
 
 
 def transition_angular_frequency(branch: StretchedBranch, z, cfg: FieldConfig):

@@ -41,7 +41,6 @@ from .breit_rabi import (
     transition_angular_frequency,
 )
 from .config import (
-    ApparatusEntry,
     RunConfig,
     load_config,
     to_dict,
@@ -497,8 +496,8 @@ def cmd_scan(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> Iterator[byt
 
 def cmd_select(run: RunConfig, cfg: FieldConfig, pulses, csv_path) -> dict:
     _require(len(pulses) >= 1, "select command needs at least one pulse")
-    # the apparatus lever arm, or ApparatusEntry's default without one
-    displacement = (run.apparatus or ApparatusEntry).displacement
+    # the apparatus lever arm, or CoilPair's default without one
+    displacement = (run.apparatus or app.CoilPair).displacement
     sels = [select(pulse, cfg) for pulse in pulses]
     cell = selection_cell(*sels, cfg) if len(sels) == 2 else None
     per_pulse = []

@@ -12,13 +12,12 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
-from .apparatus import _GEOMETRY_RANGE, CoilPair
+from .apparatus import CoilPair
 from .breit_rabi import _POSITION_RANGE, FieldConfig, StretchedBranch
 from .constants import get_species
 from .errors import ConfigError
@@ -148,19 +147,6 @@ class ScanEntry:
 
 
 @dataclass(frozen=True)
-class ApparatusEntry(CoilPair):
-    """A CoilPair plus displacement, its budget's lever arm, in [1 um, 10 m]."""
-
-    displacement: float = 1e-2  # m
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        lo, hi = _GEOMETRY_RANGE
-        if not lo <= self.displacement <= hi:
-            raise ValueError(f"displacement must lie in [{lo:g} m, {hi:g} m]")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Complete run description; sections a command does not use may be None."""
 
@@ -170,7 +156,7 @@ class RunConfig:
     pulses: tuple[PulseEntry, ...] = ()
     ensemble: EnsembleSpec | None = None
     scan: ScanEntry | None = None
-    apparatus: ApparatusEntry | None = None
+    apparatus: CoilPair | None = None
     quadrature: QuadratureSettings = field(default_factory=QuadratureSettings)
 
     def __post_init__(self) -> None:
@@ -190,33 +176,26 @@ class RunConfig:
         return self.pulses[1].t0 - self.pulses[0].t0
 
 
-@dataclass(frozen=True)
-class _Schema:
-    """One config section: its builder and its (key, kind, default) rows.
+def _schema(cls, *rows, build=None, **defaults) -> tuple:
+    """One config section for cls: the pair (build, rows) of its builder and
+    its (key, kind, default) rows; defaults are cls's unless given.
 
     A kind is a unit kind of _UNITS, "int", "number", "text", "species",
-    a nested _Schema, or [kind] for a list of that kind.  Kinds only parse;
-    each range is checked by the dataclass the section builds.
+    a nested section (a tuple), or [kind] for a list of that kind.  Kinds
+    only parse; each range is checked by the dataclass the section builds.
     A MISSING default makes the key required; a None default lets it be
     null or absent, and then the dataclass's own default applies.
     """
-
-    build: Callable
-    table: tuple
-
-
-def _schema(cls, *rows, build=None, **defaults) -> _Schema:
-    """Schema for cls from (key, kind) rows; defaults are cls's unless given."""
     by_name = {f.name: f for f in fields(cls)}
     table = []
     for key, kind in rows:
         f = by_name[key]
         default = defaults.get(key, f.default)
         required = default is MISSING and f.default_factory is MISSING
-        if isinstance(kind, (_Schema, list)) and not required:
+        if isinstance(kind, (tuple, list)) and not required:
             default = None  # an optional section is absent, not empty
         table.append((key, kind, default))
-    return _Schema(build or cls, tuple(table))
+    return build or cls, tuple(table)
 
 
 def _run_config(ensemble=None, **values) -> RunConfig:
@@ -248,7 +227,7 @@ _RUN = _schema(
     ("scan", _schema(ScanEntry, ("z_min", "length"), ("z_max", "length"),
                      ("points", "int"))),
     ("apparatus", _schema(
-        ApparatusEntry,
+        CoilPair,
         ("radius", "length"), ("current", "current"), ("half_separation", "length"),
         ("turns", "int"), ("displacement", "length"),
     )),
@@ -259,7 +238,7 @@ _RUN = _schema(
 
 def _value(raw, kind, key: str):
     """Parse one config value of the given kind; key names it in errors."""
-    if isinstance(kind, _Schema):
+    if isinstance(kind, tuple):
         return _parse_section(raw, kind, key)
     if isinstance(kind, list):
         if not isinstance(raw, (list, tuple)):
@@ -288,13 +267,14 @@ def _value(raw, kind, key: str):
     return raw
 
 
-def _parse_section(raw, schema: _Schema, name: str):
-    """Pop every key of the table, reject the rest, build the section."""
+def _parse_section(raw, section: tuple, name: str):
+    """Pop every key of the section's rows, reject the rest, build the section."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: expected a mapping, got {type(raw).__name__}")
+    build, rows = section
     data = dict(raw)
     values = {}
-    for key, kind, default in schema.table:
+    for key, kind, default in rows:
         value = data.pop(key, default)
         if value is MISSING:
             raise ConfigError(f"{name}: missing required key {key!r}")
@@ -309,7 +289,7 @@ def _parse_section(raw, schema: _Schema, name: str):
         extra = ", ".join(sorted(map(repr, data)))
         raise ConfigError(f"{name}: unknown keys {extra}")
     try:
-        return schema.build(**values)
+        return build(**values)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -320,9 +300,9 @@ def _dump(value, kind):
     """Inverse of _value: canonical SI strings, None for an absent value."""
     if value is None:
         return None
-    if isinstance(kind, _Schema):
+    if isinstance(kind, tuple):
         out = {}
-        for key, sub, _ in kind.table:
+        for key, sub, _ in kind[1]:
             item = _dump(getattr(value, key), sub)
             if item not in (None, [], {}):
                 out[key] = item

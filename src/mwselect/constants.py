@@ -23,23 +23,12 @@ from .errors import UnknownSpeciesError
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants (CODATA 2018)."""
-
-    hbar: float = 1.054571817e-34   # reduced Planck constant (J s)
-    mu_B: float = 9.2740100783e-24  # Bohr magneton (J/T)
-    mu_N: float = 5.0507837461e-27  # nuclear magneton (J/T)
-    g0: float = 9.8                 # gravitational acceleration (m/s^2), fixed
-    mu0: float = 1.25663706212e-6   # vacuum permeability (T m/A)
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "mu_B", "mu_N", "g0", "mu0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-CONST = PhysicalConstants()
+# Fundamental constants (CODATA 2018)
+HBAR = 1.054571817e-34   # reduced Planck constant (J s)
+MU_B = 9.2740100783e-24  # Bohr magneton (J/T)
+MU_N = 5.0507837461e-27  # nuclear magneton (J/T)
+G0 = 9.8                 # gravitational acceleration (m/s^2), fixed
+MU0 = 1.25663706212e-6   # vacuum permeability (T m/A)
 
 
 @dataclass(frozen=True)
@@ -82,19 +71,19 @@ class AtomSpecies:
     @property
     def g_sum(self) -> float:
         """Magnetic-moment sum g_s*mu_B + g_I*mu_N (J/T) that sets the field scale."""
-        return self.g_s * CONST.mu_B + self.g_I * CONST.mu_N
+        return self.g_s * MU_B + self.g_I * MU_N
 
     @property
     def gamma1(self) -> float:
         """Upper stretched-state Zeeman slope (g_s*mu_B - 2*I*g_I*mu_N)/(2*g_sum)."""
         return (
-            self.g_s * CONST.mu_B - 2.0 * self.nuclear_spin * self.g_I * CONST.mu_N
+            self.g_s * MU_B - 2.0 * self.nuclear_spin * self.g_I * MU_N
         ) / (2.0 * self.g_sum)
 
     @property
     def gamma2(self) -> float:
         """Nuclear share g_I*mu_N/g_sum of the magnetic moment."""
-        return self.g_I * CONST.mu_N / self.g_sum
+        return self.g_I * MU_N / self.g_sum
 
 
 _REGISTRY = {

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .breit_rabi import FieldConfig, Level
-from .constants import CONST, AtomSpecies
+from .constants import G0, HBAR, AtomSpecies
 from .errors import LevelMismatchError
 
 _HEISENBERG_SLACK = 1.0 - 1e-9
@@ -44,10 +44,10 @@ class WavepacketState:
             raise ValueError("level must be a Level enum member")
         if self.dz <= 0.0 or self.dp <= 0.0:
             raise ValueError("widths dz and dp must be positive")
-        if self.dz * self.dp < 0.5 * CONST.hbar * _HEISENBERG_SLACK:
+        if self.dz * self.dp < 0.5 * HBAR * _HEISENBERG_SLACK:
             raise ValueError(
                 f"dz*dp = {self.dz * self.dp:.3e} violates the uncertainty "
-                f"bound hbar/2 = {0.5 * CONST.hbar:.3e}"
+                f"bound hbar/2 = {0.5 * HBAR:.3e}"
             )
 
     @classmethod
@@ -60,7 +60,7 @@ class WavepacketState:
         sigma: int,
     ) -> "WavepacketState":
         """State with dp = hbar/(2*dz), the tightest allowed momentum width."""
-        return cls(z=z, v=v, dz=dz, dp=0.5 * CONST.hbar / dz, level=level, sigma=sigma)
+        return cls(z=z, v=v, dz=dz, dp=0.5 * HBAR / dz, level=level, sigma=sigma)
 
 
 def g_effective(species: AtomSpecies, eta: float, level: Level, sigma: int) -> float:
@@ -77,7 +77,7 @@ def g_effective(species: AtomSpecies, eta: float, level: Level, sigma: int) -> f
         )
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    return CONST.g0 + sigma * species.gamma1 * species.g_sum * eta / species.mass
+    return G0 + sigma * species.gamma1 * species.g_sum * eta / species.mass
 
 
 def evolve_expected(
@@ -103,5 +103,5 @@ def spread_width(dz_ref: float, elapsed: float, species: AtomSpecies) -> float:
     """
     if dz_ref <= 0.0:
         raise ValueError("dz_ref must be positive")
-    drift = CONST.hbar * elapsed / (2.0 * species.mass * dz_ref)
+    drift = HBAR * elapsed / (2.0 * species.mass * dz_ref)
     return math.hypot(dz_ref, drift)

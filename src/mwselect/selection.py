@@ -23,7 +23,7 @@ from .breit_rabi import (
     resonant_position,
     transition_angular_frequency,
 )
-from .constants import CONST, AtomSpecies
+from .constants import HBAR, MU_B, AtomSpecies
 from .errors import PhysicsDomainError, ZeroGradientError
 
 @dataclass(frozen=True)
@@ -97,10 +97,10 @@ def position_width_low_field(
         raise ZeroGradientError("low-field width requires a nonzero gradient")
     spin = species.nuclear_spin
     return (
-        CONST.hbar
+        HBAR
         * pulse.rabi_at_resonance
         * species.f_plus
-        / (spin * CONST.mu_B * abs(eta))
+        / (spin * MU_B * abs(eta))
     )
 
 
@@ -149,7 +149,7 @@ def validity_diagnostic(
         raise ZeroGradientError("validity diagnostic requires a nonzero gradient")
     eps = epsilon(cfg)
     d_w = cfg.species.delta_W
-    hbar_k = CONST.hbar * k
+    hbar_k = HBAR * k
     spread = complex(k * k * width_initial * width_initial, eps * d_w * t_pulse)
     norm_sq = 2.0 * math.pi * k * k * width_at_pulse * width_at_pulse
     if hbar_k == 0.0 or spread == 0.0 or norm_sq == 0.0:

@@ -12,7 +12,7 @@ import pytest
 import mwselect as mw
 from mwselect import probability
 from mwselect.breit_rabi import Level
-from mwselect.constants import CONST
+from mwselect.constants import HBAR
 
 TAU = 10e-6
 DELTA_T = 28e-3
@@ -262,7 +262,7 @@ def test_criterion_10_eigenvalue_oracle(report):
     worst = 0.0
     for name in mw.available_species():
         species = mw.get_species(name)
-        energy_unit = CONST.hbar * species.delta_W
+        energy_unit = HBAR * species.delta_W
         for sigma in (1, -1):
             branch = mw.StretchedBranch(sigma)
             for kz in np.linspace(-1.0, 1.0, 101):

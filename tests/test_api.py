@@ -29,6 +29,7 @@ _RETIRED = [
     "EnergyScale",
     "position_width",
     "detuning_ratio_profile",
+    "CONST",  # the five constants are module-level floats of mwselect.constants
 ]
 
 

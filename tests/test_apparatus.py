@@ -1,10 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mwselect as mw
-from mwselect.constants import CONST
+from mwselect.cli import main
+from mwselect.constants import MU0
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "rb87_10us.yaml"
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +34,7 @@ def test_gradient_matches_finite_difference(coils):
 
 def test_gradient_closed_form(coils):
     # 3 mu0 N I R^2 d / (R^2 + d^2)^(5/2)
-    want = (3 * CONST.mu0 * coils.turns * coils.current * coils.radius**2
+    want = (3 * MU0 * coils.turns * coils.current * coils.radius**2
             * coils.half_separation
             / (coils.radius**2 + coils.half_separation**2) ** 2.5)
     assert mw.gradient_at_center(coils) == pytest.approx(want, rel=1e-12)
@@ -202,3 +206,29 @@ def test_coil_pair_bounds(kwargs):
     base = dict(radius=5e-2, current=1.0, half_separation=2.5e-2, turns=1)
     with pytest.raises(ValueError):
         mw.CoilPair(**{**base, **kwargs})
+
+
+def test_coil_pair_displacement_defaults_to_one_centimetre():
+    assert mw.CoilPair(radius=5e-2, current=1.0, half_separation=2.5e-2).displacement == 1e-2
+
+
+@pytest.mark.parametrize("displacement", [1e-6, 10.0])
+def test_coil_pair_accepts_both_displacement_bounds(displacement):
+    coils = mw.CoilPair(5e-2, 1.0, 2.5e-2, displacement=displacement)
+    assert coils.displacement == displacement
+
+
+@pytest.mark.parametrize("displacement", [1e-320, 0.0, 11.0, math.nan])
+def test_coil_pair_rejects_displacement_outside_its_range(displacement):
+    with pytest.raises(ValueError) as err:
+        mw.CoilPair(5e-2, 1.0, 2.5e-2, displacement=displacement)
+    assert str(err.value) == "displacement must lie in [1e-06 m, 10 m]"
+
+
+def test_a_bad_radius_is_named_before_a_bad_displacement(tmp_path, capsys):
+    argv = ["coils", str(CONFIG), "-o", str(tmp_path / "o"),
+            "--set", 'apparatus.radius="0 m"', "--set", 'apparatus.displacement="0 m"']
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: apparatus: radius and half_separation must lie in [1e-06 m, 10 m]\n"
+    )

@@ -24,15 +24,15 @@ from hypothesis import strategies as st
 
 import mwselect as mw
 from mwselect.breit_rabi import Level
-from mwselect.constants import CONST
+from mwselect.constants import HBAR, MU_B, MU_N
 
 
 def _oracle_energies(field_B: float, species, sigma: int):
     """(lower, upper) stretched energies in J at field B, by diagonalization."""
     spin = species.nuclear_spin
-    hf = CONST.hbar * species.delta_W / (spin + 0.5)
-    ge = species.g_s * CONST.mu_B
-    gn = species.g_I * CONST.mu_N
+    hf = HBAR * species.delta_W / (spin + 0.5)
+    ge = species.g_s * MU_B
+    gn = species.g_I * MU_N
 
     def zeeman(m_i, m_s):
         return (ge * m_s - gn * m_i) * field_B
@@ -56,7 +56,7 @@ def _oracle_energies(field_B: float, species, sigma: int):
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_eigenvalues_match_diagonalization(name, sigma):
     species = mw.get_species(name)
-    energy_unit = CONST.hbar * species.delta_W
+    energy_unit = HBAR * species.delta_W
     for kz in np.linspace(-1.0, 1.0, 81):
         field_B = kz * energy_unit / species.g_sum
         want_lo, want_up = _oracle_energies(field_B, species, sigma)
@@ -68,7 +68,7 @@ def test_eigenvalues_match_diagonalization(name, sigma):
 
 
 def test_zero_field_levels(rb87):
-    half = 0.5 * CONST.hbar * rb87.delta_W
+    half = 0.5 * HBAR * rb87.delta_W
     for sigma in (1, -1):
         lo = mw.eigenvalue(mw.StretchedBranch(sigma), Level.LOWER, 0.0, rb87)
         up = mw.eigenvalue(mw.StretchedBranch(sigma), Level.UPPER, 0.0, rb87)

@@ -3,7 +3,11 @@ import dataclasses
 import pytest
 
 from mwselect.constants import (
-    CONST,
+    G0,
+    HBAR,
+    MU0,
+    MU_B,
+    MU_N,
     AtomSpecies,
     available_species,
     get_species,
@@ -57,8 +61,8 @@ def test_species_validation():
 
 
 def test_constants_values():
-    assert CONST.hbar == 1.054571817e-34
-    assert CONST.mu_B == 9.2740100783e-24
-    assert CONST.mu_N == 5.0507837461e-27
-    assert CONST.g0 == 9.8
-    assert CONST.mu0 == pytest.approx(1.25663706212e-6)
+    assert HBAR == 1.054571817e-34
+    assert MU_B == 9.2740100783e-24
+    assert MU_N == 5.0507837461e-27
+    assert G0 == 9.8
+    assert MU0 == pytest.approx(1.25663706212e-6)

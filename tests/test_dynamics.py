@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import mwselect as mw
 from mwselect.breit_rabi import Level, eigenvalue
-from mwselect.constants import CONST
+from mwselect.constants import G0, HBAR
 
 ETA = 0.25
 DELTA_T = 28e-3
@@ -12,7 +12,7 @@ DELTA_T = 28e-3
 
 def test_minimum_uncertainty_state_saturates_bound():
     st_ = mw.WavepacketState.minimum_uncertainty(0.0, 0.0, 3e-6, Level.LOWER, 1)
-    assert st_.dz * st_.dp == pytest.approx(CONST.hbar / 2.0, rel=1e-14)
+    assert st_.dz * st_.dp == pytest.approx(HBAR / 2.0, rel=1e-14)
 
 
 def test_state_rejects_sub_heisenberg():
@@ -38,7 +38,7 @@ def test_g_effective_frozen_values(rb87):
 def test_g_effective_sigma_symmetry(rb87):
     plus = mw.g_effective(rb87, ETA, Level.UPPER, 1)
     minus = mw.g_effective(rb87, ETA, Level.UPPER, -1)
-    assert plus + minus == pytest.approx(2.0 * CONST.g0, rel=1e-12)
+    assert plus + minus == pytest.approx(2.0 * G0, rel=1e-12)
 
 
 def test_g_effective_rejects_lower_level(rb87):
@@ -59,7 +59,7 @@ def test_upper_branch_acceleration_matches_g_effective(cfg, rb87):
                 eigenvalue(branch, Level.UPPER, kz + h, rb87)
                 - eigenvalue(branch, Level.UPPER, kz - h, rb87)
             ) / (2.0 * h)
-            assert g == pytest.approx(CONST.g0 + slope * k / rb87.mass, rel=1e-9)
+            assert g == pytest.approx(G0 + slope * k / rb87.mass, rel=1e-9)
 
 
 def test_apex_scenario(cfg, rb87):
