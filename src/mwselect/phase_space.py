@@ -16,8 +16,6 @@ the effective g), and the second transfers it back.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -332,51 +330,6 @@ def _draws(spec: EnsembleSpec) -> tuple[np.ndarray, ...]:
     return tuple(_stream(spec, key) for key in (0, 1, 2, 4))
 
 
-# Atoms from which run_monte_carlo draws u1, v and u2 on its worker thread
-# while it draws z and decides pulse 1 (numpy releases the GIL for each
-# fill).  The handoff costs about 0.1 ms of a simulate call.  In-process
-# cli.main, thread against serial: -8% at 2000 atoms, -2% to +1% at 8192
-# (the break-even), +5% to +6% at 12000 and 16384 on either cloud, +8% at
-# 50000 thermal (2-core AMD EPYC, Python 3.11.7, numpy 2.4.6)
-_THREAD_ATOMS = 16384
-_worker: tuple | None = None  # (pid, single-thread executor), made on first use
-_worker_lock = threading.Lock()
-
-
-def _draw_worker():
-    """This process's draw thread: a forked child makes its own, as the
-    parent's thread does not exist in it."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            # imported here: it takes 2.4-3.8 ms, which no serial run needs
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = (os.getpid(), ThreadPoolExecutor(1, "mwselect-draws"))
-        return _worker[1]
-
-
-def _draw_and_decide(spec: EnsembleSpec, decide) -> tuple:
-    """z0, v0, u2 and decide(z0, u1), the pulse-1 decision.
-
-    From _THREAD_ATOMS atoms, u1, v and u2 are drawn in that order on
-    the worker thread while this thread draws z and decides pulse 1 as
-    soon as u1 is in.  Each stream keeps its own generator, used by one
-    thread, so every array is that of _draws.  v and u2 are collected
-    even when the decision raises, so no draw outlives the call.
-    """
-    if spec.n < _THREAD_ATOMS:
-        z0, v0, u1, u2 = _draws(spec)
-        return z0, v0, u2, decide(z0, u1)
-    later = [_draw_worker().submit(_stream, spec, key) for key in (2, 1, 4)]
-    try:
-        z0 = _stream(spec, 0)
-        first = decide(z0, later[0].result())
-    finally:
-        v0, u2 = (future.result() for future in later[1:])
-    return z0, v0, u2, first
-
-
 def _table_run(z: np.ndarray, step: float) -> tuple[float, float] | None:
     """(lo, hi) of a table at grid step step over the run of z it saves most on.
 
@@ -554,14 +507,13 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Sample the cloud through both pulses, their centers delta_t apart.
 
-    Every draw is made before pulse 2 (v and u2, from _THREAD_ATOMS
-    atoms, while pulse 1 is decided: _draw_and_decide) and all per-atom
-    arithmetic is row-independent, so pulse 1 is decided for every atom
-    at once and pulse 2 only for the pulse-1 survivors, each with at
-    most one probability table (see _accept): the outcomes are
-    bit-identical to averaging every atom at both pulses.  window_sigmas
-    is the half-width of the packet-average window, in packet widths
-    (QuadratureSettings.window_sigmas).
+    Every stream is drawn on the calling thread before pulse 1 (_draws)
+    and all per-atom arithmetic is row-independent, so pulse 1 is
+    decided for every atom at once and pulse 2 only for the pulse-1
+    survivors, each with at most one probability table (see _accept):
+    the outcomes are bit-identical to averaging every atom at both
+    pulses.  window_sigmas is the half-width of the packet-average
+    window, in packet widths (QuadratureSettings.window_sigmas).
     """
     for pulse in (pulse_first, pulse_second):
         if pulse.branch.sigma != spec.sigma:
@@ -572,10 +524,11 @@ def run_monte_carlo(
     cell = selection_cell(select(pulse_first, cfg), select(pulse_second, cfg), cfg)
     delta_t = cell.delta_t
 
-    z0, v0, u2, (survived_first, rows1) = _draw_and_decide(
-        spec,
-        lambda z, u: _accept(u, z, spec.dz0, pulse_first, cfg, spec, window_sigmas),
+    z0, v0, u1, u2 = _draws(spec)
+    survived_first, rows1 = _accept(
+        u1, z0, spec.dz0, pulse_first, cfg, spec, window_sigmas
     )
+    del u1  # not held at the call's memory peak, which comes later
     dz_second = spread_width(spec.dz0, delta_t, cfg.species)
     g = g_effective(cfg.species, cfg.eta, Level.UPPER, spec.sigma)
     (alive,) = np.nonzero(survived_first)

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -216,15 +220,24 @@ def test_ensemble_spec_validation():
 def test_every_64_bit_seed_draws_its_own_atoms():
     """The seed is a uint64 Philox key word, so seeds from 2**63 up neither collide nor warn.
 
-    Below 2**63 the draws are those of the key given as a list of ints.
+    Below 2**63 the draws are those of the key given as a list of ints,
+    z and v scaled to the cloud as mean + rms * x.
     """
-    for seed in (0, 20260815, 2**63 - 1):
-        for key in (0, 1, 2, 4):
-            rng = np.random.Generator(np.random.Philox(key=[seed, key]))
-            want = rng.random(200) if key > 1 else rng.standard_normal(200)
-            got = phase_space._stream(_ensemble(seed=seed, z_mean=0.0, z_rms=1.0,
-                                                v_mean=0.0, v_rms=1.0), key)
-            np.testing.assert_array_equal(got, want)
+    clouds = [dict(z_mean=0.0, z_rms=1.0, v_mean=0.0, v_rms=1.0),
+              dict(z_mean=-2e-3, z_rms=1e-3, v_mean=0.7192, v_rms=10e-3)]
+    for cloud in clouds:
+        for seed in (0, 20260815, 2**63 - 1):
+            spec = _ensemble(seed=seed, **cloud)
+            for key in (0, 1, 2, 4):
+                rng = np.random.Generator(np.random.Philox(key=[seed, key]))
+                if key > 1:
+                    want = rng.random(200)
+                else:
+                    mean, rms = (cloud["z_mean"], cloud["z_rms"]) if key == 0 else (
+                        cloud["v_mean"], cloud["v_rms"])
+                    want = mean + rms * rng.standard_normal(200)
+                got = phase_space._stream(spec, key)
+                assert got.tobytes() == want.tobytes()
     a, b = (phase_space._stream(_ensemble(seed=2**63 + k), 0) for k in (0, 5))
     assert not np.any(a == b)
     # no RuntimeWarning (the suite makes it an error), and not seed 0's key
@@ -603,16 +616,14 @@ def test_monte_carlo_is_exact_across_the_regime(case):
     _check_regime(case)
 
 
-# past phase_space._BIN_ATOMS (4096), where pulse 1 bins its atoms, and on
-# both sides of _THREAD_ATOMS (16384), where the draws move to the worker
+# past phase_space._BIN_ATOMS (4096), where pulse 1 bins its atoms
 _LARGE_N = [4097, 6000, 16384, 30000]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(case=_regime_cases(st.sampled_from(_LARGE_N)))
-def test_monte_carlo_is_exact_past_the_bin_and_thread_floors(case):
+def test_monte_carlo_is_exact_past_the_bin_floor(case):
     assert min(_LARGE_N) > phase_space._BIN_ATOMS
-    assert min(_LARGE_N) < phase_space._THREAD_ATOMS <= max(_LARGE_N)
     _check_regime(case)
 
 
@@ -744,11 +755,7 @@ def test_matched_cloud_is_decided_from_tables(
 
 
 def _use_draws(monkeypatch, draws):
-    """Make every run draw (z, v, u1, u2) = draws, serial or on the worker.
-
-    Both paths draw each stream through phase_space._stream, so patching
-    it, not _draws, reaches a run of any size.
-    """
+    """Make every run draw (z, v, u1, u2) = draws, through phase_space._stream."""
     streams = dict(zip((0, 1, 2, 4), draws))
     monkeypatch.setattr(phase_space, "_stream", lambda _spec, key: streams[key])
 
@@ -1047,6 +1054,81 @@ def test_benchmark_cloud_decisions_are_pinned(workload):
         digest.update(result.survived_first.tobytes())
         digest.update(result.survived_both.tobytes())
     assert digest.hexdigest() == _DECISION_HASHES[workload]
+
+
+def _digest(result) -> bytes:
+    digest = hashlib.sha256()
+    for name in ("z0", "v0", "survived_first", "survived_both", "z_final", "v_final"):
+        digest.update(getattr(result, name).tobytes())
+    return digest.digest()
+
+
+def test_concurrent_runs_match_their_single_thread_runs():
+    """Four threads, more than the cores, each running 20000 atoms or more."""
+    runs = [_benchmark_run(workload, 20000 + 1000 * i, seed=10 + i)
+            for i, workload in enumerate(["simulate_thermal", "simulate_matched"] * 2)]
+    want = [_digest(mw.run_monte_carlo(*args)) for args in runs]
+    got = [[] for _ in runs]
+    errors = []
+
+    def work(i):
+        try:
+            for _ in range(3):
+                got[i].append(_digest(mw.run_monte_carlo(*runs[i])))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == [[w] * 3 for w in want]
+
+
+def test_every_stream_is_drawn_on_the_calling_thread(monkeypatch, tmp_path):
+    """A 50k run draws z, v, u1 and u2 here and starts no thread.
+
+    A console simulate of the shipped config (20000 atoms) does not
+    import concurrent.futures.
+    """
+    drawn = {}
+    stream = phase_space._stream
+
+    def spy(spec, key):
+        drawn[key] = threading.get_ident()
+        return stream(spec, key)
+
+    monkeypatch.setattr(phase_space, "_stream", spy)
+    threads = threading.active_count()
+    for workload in ("simulate_thermal", "simulate_matched"):
+        drawn.clear()
+        mw.run_monte_carlo(*_benchmark_run(workload, 50000, seed=1))
+        assert drawn == dict.fromkeys((0, 1, 2, 4), threading.get_ident())
+    assert threading.active_count() == threads
+
+    argv = ["simulate", str(CONFIG), "--csv", str(tmp_path / "atoms.csv"),
+            "-o", str(tmp_path / "sim.json")]
+    code = (
+        "import sys\n"
+        "from mwselect import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
